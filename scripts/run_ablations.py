@@ -2,7 +2,9 @@
 """Compare the full model against the no-sequence and no-encoding variants.
 
 Runs each variant over several seeds of the planted task and prints mean
-held-out accuracy, mirroring the published ablation table's direction.
+held-out accuracy with the per-seed figures. Every variant sees the same
+seeds, so it also prints the full model's per-seed lead over each variant
+and how many seeds it wins.
 """
 
 import argparse
@@ -29,9 +31,11 @@ def main() -> None:
     args = ap.parse_args()
 
     started = time.time()
+    seeds = range(args.seeds)
+    accs: dict[str, list[float]] = {}
     for name, ablation in VARIANTS.items():
-        test_accs = []
-        for seed in range(args.seeds):
+        accs[name] = []
+        for seed in seeds:
             graph = synthetic_generate(SyntheticSpec(), seed=seed)
             cfg = TrainConfig(
                 dim=32, heads=4, layers=2, dropout=0.5, epochs=args.epochs,
@@ -39,12 +43,26 @@ def main() -> None:
             )
             model = init_model(graph, cfg)
             train(model, graph, cfg)
-            test_accs.append(evaluate(model, graph, "test")["accuracy"])
-        mean = float(np.mean(test_accs))
-        sd = float(np.std(test_accs))
-        print(f"{name:8s}  test acc {mean:.4f} +- {sd:.4f}  ({args.seeds} seeds)")
+            accs[name].append(evaluate(model, graph, "test")["accuracy"])
+        mean = float(np.mean(accs[name]))
+        sd = float(np.std(accs[name]))
+        per_seed = " ".join(f"{a:.4f}" for a in accs[name])
+        print(f"{name:8s}  test acc {mean:.4f} +- {sd:.4f}  ({args.seeds} seeds)  "
+              f"per seed: {per_seed}")
+    # every variant runs on the same seeds, so the comparison is paired: the
+    # per-seed difference removes the seed-to-seed spread the means carry
+    full = np.array(accs["full"])
+    for name in VARIANTS:
+        if name == "full":
+            continue
+        diff = full - np.array(accs[name])
+        wins, losses = int((diff > 0).sum()), int((diff < 0).sum())
+        per_seed = " ".join(f"{d:+.4f}" for d in diff)
+        print(
+            f"full - {name:8s}  mean {diff.mean():+.4f}  per seed: {per_seed}  "
+            f"full wins {wins}, loses {losses}, ties {len(diff) - wins - losses}"
+        )
     print(f"total {time.time() - started:.0f}s")
-
 
 if __name__ == "__main__":
     main()

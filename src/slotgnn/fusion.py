@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .graph import Schema
+from .layer import split_heads
 from .seq import BaseSlot, LayerSlot, MsgSlot, SlotLabel
 
 
@@ -54,21 +55,14 @@ def fuse(h0: T.Tensor, hl: T.Tensor, params: FusionParams) -> FusionOutput:
         raise T.ShapeError(f"fuse: layer-0 {h0.shape} incompatible with final {hl.shape}")
     heads = params.heads
     d_h = d // heads
-    q_full = T.reduce_mean(T.matmul(h0, params.fq), axis=1)
-    k_full = T.matmul(hl, params.fk)
-    v_full = T.matmul(hl, params.fv)
-    fused_heads, attn_heads = [], []
-    for m in range(heads):
-        q_h = T.reshape(T.slice_axis(q_full, 1, m * d_h, d_h), (n, d_h, 1))
-        k_h = T.slice_axis(k_full, 2, m * d_h, d_h)
-        v_h = T.slice_axis(v_full, 2, m * d_h, d_h)
-        logits = T.scale(T.reshape(T.bmm(k_h, q_h), (n, f_l)), 1.0 / math.sqrt(d_h))
-        attn = T.softmax(logits, axis=1)
-        mixed = T.bmm(T.reshape(attn, (n, 1, f_l)), v_h)
-        fused_heads.append(T.reshape(mixed, (n, d_h)))
-        attn_heads.append(attn)
-    fused = fused_heads[0] if heads == 1 else T.concat(fused_heads, axis=1)
-    return FusionOutput(fused, attn_heads)
+    q = T.reshape(T.reduce_mean(T.matmul(h0, params.fq), axis=1), (n, heads, d_h, 1))
+    k = split_heads(T.matmul(hl, params.fk), heads)
+    v = split_heads(T.matmul(hl, params.fv), heads)
+    logits = T.scale(T.reshape(T.bmm(k, q), (n, heads, f_l)), 1.0 / math.sqrt(d_h))
+    attn = T.softmax(logits, axis=2)
+    mixed = T.bmm(T.reshape(attn, (n, heads, 1, f_l)), v)
+    per_head = [T.Tensor(attn.data[:, m], dtype=attn.dtype) for m in range(heads)]
+    return FusionOutput(T.reshape(mixed, (n, d)), per_head)
 
 
 def mean_fuse(hl: T.Tensor) -> T.Tensor:

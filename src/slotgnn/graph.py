@@ -10,12 +10,15 @@ a canonical order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .tensor import Segments
 
 log = logging.getLogger(__name__)
 
@@ -104,16 +107,27 @@ class BipartiteView:
 
     ``src[indptr[t]:indptr[t+1]]`` enumerates the sources of target t in
     ascending source order; ``dst`` is the matching sorted target column.
+    ``src_segments`` and ``dst_segments`` group the edges by endpoint for
+    the tensor ops; each is built on first use and kept.
     """
 
     relation: Relation
     indptr: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    num_src: int
 
     @property
     def num_edges(self) -> int:
         return int(self.src.shape[0])
+
+    @functools.cached_property
+    def src_segments(self) -> Segments:
+        return Segments(self.src, self.num_src)
+
+    @functools.cached_property
+    def dst_segments(self) -> Segments:
+        return Segments(self.dst, self.indptr.shape[0] - 1)
 
     def neighbors(self, t: int) -> np.ndarray:
         return self.src[self.indptr[t]: self.indptr[t + 1]]
@@ -167,9 +181,8 @@ class HeteroGraph:
                 src = np.zeros(0, dtype=np.int64)
                 dst = np.zeros(0, dtype=np.int64)
             indptr = np.zeros(n_dst + 1, dtype=np.int64)
-            np.add.at(indptr, dst + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            view = BipartiteView(relation, indptr, src, dst)
+            np.cumsum(np.bincount(dst, minlength=n_dst), out=indptr[1:])
+            view = BipartiteView(relation, indptr, src, dst, self.counts[relation.src])
             self._views[relation] = view
         return view
 
@@ -631,12 +644,16 @@ def sample_subgraph(
             if targets is None or targets.size == 0:
                 continue
             view = graph.bipartite(rel)
-            chunks = [view.src[view.indptr[t]: view.indptr[t + 1]] for t in targets]
-            sources = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-            if sources.size == 0:
+            # the frontier's CSR slices, concatenated without a Python loop
+            starts = view.indptr[targets]
+            lengths = view.indptr[targets + 1] - starts
+            total = int(lengths.sum())
+            if total == 0:
                 continue
+            offsets = np.cumsum(lengths) - lengths
+            sources = view.src[np.repeat(starts - offsets, lengths) + np.arange(total)]
             w = weights.setdefault(rel.src, np.zeros(graph.counts[rel.src], dtype=np.float64))
-            np.add.at(w, sources, 1.0)
+            w += np.bincount(sources, minlength=w.size)
         next_frontier: dict[str, np.ndarray] = {}
         for name in schema.type_names():
             w = weights.get(name)

@@ -74,30 +74,21 @@ class LayerParams:
 
 @dataclass
 class AttentionBlock:
-    """Attention weights of one relation, heads folded into the edge axis.
+    """Attention weights of one relation, (E, heads, F_src, F_dst)."""
 
-    ``flat`` has shape (E * heads, F_src, F_dst), edge-major; ``dst_heads``
-    maps each row to its (target, head) segment.
-    """
-
-    flat: T.Tensor
-    num_heads: int
+    weights: T.Tensor
     view: BipartiteView
-    dst_heads: np.ndarray
 
     @property
     def heads(self) -> list[np.ndarray]:
         """Per-head (E, F_src, F_dst) weight arrays, for inspection."""
-        e = self.view.num_edges
-        arr = self.flat.data.reshape(e, self.num_heads, *self.flat.shape[1:])
-        return [arr[:, m] for m in range(self.num_heads)]
+        return [self.weights.data[:, m] for m in range(self.weights.shape[1])]
 
 
-def _fold_heads(x: T.Tensor, heads: int) -> T.Tensor:
-    """(E, F, d) -> (E * heads, F, d/heads), edge-major row order."""
-    e, f, d = x.shape
-    folded = T.transpose(T.reshape(x, (e, f, heads, d // heads)), (0, 2, 1, 3))
-    return T.reshape(folded, (e * heads, f, d // heads))
+def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
+    """(N, F, d) -> (N, heads, F, d/heads): each head's slice of every slot."""
+    n, f, d = x.shape
+    return T.transpose(T.reshape(x, (n, f, heads, d // heads)), (0, 2, 1, 3))
 
 
 def project_qkv(
@@ -130,23 +121,22 @@ def relation_attention(
 
     Logits for edge (s, t) are K[s] W Q[t]^T per head; by default they are
     scaled by 1/sqrt(d_h) inside the softmax, with ``scale_outside`` moving a
-    1/sqrt(d) factor after normalization instead.
+    1/sqrt(d) factor after normalization instead. K W is computed once per
+    source node and then gathered onto the edges.
     """
-    heads = att_weights.shape[0]
-    d = src_keys.shape[2]
-    d_h = d // heads
-    e = view.num_edges
-    k_h = _fold_heads(T.gather(src_keys, view.src), heads)
-    q_h = _fold_heads(T.gather(dst_queries, view.dst), heads)
-    w_tiled = T.gather(att_weights, np.tile(np.arange(heads), e))
-    logits = T.bmm(T.bmm(k_h, w_tiled), T.transpose(q_h, (0, 2, 1)))
-    dst_heads = (view.dst[:, None] * heads + np.arange(heads)[None, :]).reshape(-1)
-    segments = num_targets * heads
+    heads, d_h, _ = att_weights.shape
+    n_src, f_s, d = src_keys.shape
+    rows = T.transpose(T.reshape(src_keys, (n_src * f_s, heads, d_h)), (1, 0, 2))
+    kw = T.reshape(T.bmm(rows, att_weights), (heads, n_src, f_s, d_h))
+    kw = T.gather(T.transpose(kw, (1, 0, 2, 3)), view.src_segments)
+    dst = view.dst_segments
+    q = T.gather(split_heads(dst_queries, heads), dst)
+    logits = T.bmm(kw, T.transpose(q, (0, 1, 3, 2)))
     if scale_outside:
-        attn = T.scale(T.edge_softmax(logits, dst_heads, segments, mode), 1.0 / math.sqrt(d))
+        attn = T.scale(T.edge_softmax(logits, dst, num_targets, mode), 1.0 / math.sqrt(d))
     else:
-        attn = T.edge_softmax(T.scale(logits, 1.0 / math.sqrt(d_h)), dst_heads, segments, mode)
-    return AttentionBlock(attn, heads, view, dst_heads)
+        attn = T.edge_softmax(T.scale(logits, 1.0 / math.sqrt(d_h)), dst, num_targets, mode)
+    return AttentionBlock(attn, view)
 
 
 def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -> T.Tensor:
@@ -162,15 +152,12 @@ def aggregate_messages(
     Targets with an empty neighborhood receive a zero block; sources are
     visited in sorted order, so the reduction is bit-stable.
     """
-    heads = attn.num_heads
-    d = ext.shape[2]
-    d_h = d // heads
-    f_t = attn.flat.shape[2]
-    ext_h = _fold_heads(T.gather(ext, attn.view.src), heads)
-    msg = T.bmm(T.transpose(attn.flat, (0, 2, 1)), ext_h)
-    summed = T.segment_sum(msg, attn.dst_heads, num_targets * heads)
-    unfolded = T.transpose(T.reshape(summed, (num_targets, heads, f_t, d_h)), (0, 2, 1, 3))
-    return T.reshape(unfolded, (num_targets, f_t, d))
+    view = attn.view
+    ext_h = T.gather(split_heads(ext, attn.weights.shape[1]), view.src_segments)
+    msg = T.bmm(T.transpose(attn.weights, (0, 1, 3, 2)), ext_h)
+    summed = T.segment_sum(msg, view.dst_segments, num_targets)
+    f_t, d = summed.shape[2], ext.shape[2]
+    return T.reshape(T.transpose(summed, (0, 2, 1, 3)), (num_targets, f_t, d))
 
 
 def encode_relations(

@@ -14,6 +14,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 
 class TensorError(Exception):
@@ -73,7 +74,7 @@ def _check_finite(arr: np.ndarray) -> None:
 class Tensor:
     """A dense real tensor, optionally tracked by the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
@@ -185,8 +186,14 @@ class Tape:
             raise TapeError("loss was not recorded on this tape")
         self.consumed = True
 
+        # every recorded tensor points back at this tape; handing the records
+        # to locals breaks that cycle, so a step's tensors are freed by
+        # reference counting as soon as the caller lets go of them
+        nodes, watched = self.nodes, self._watched
+        self.nodes, self._watched = [], {}
+
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-        for node in reversed(self.nodes):
+        for node in reversed(nodes):
             g = grads.pop(id(node.out), None)
             if g is None:
                 continue
@@ -198,7 +205,7 @@ class Tape:
                 grads[id(parent)] = pg if acc is None else acc + pg
 
         table: dict[Tensor, np.ndarray] = {}
-        for leaf in self._watched.values():
+        for leaf in watched.values():
             g = grads.get(id(leaf))
             if g is None:
                 g = np.zeros_like(leaf.data)
@@ -321,13 +328,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: (B, m, k) @ (B, k, n) -> (B, m, n)."""
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+    """Batched matrix product over matching leading dims: (..., m, k) @ (..., k, n)."""
+    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
         raise ShapeError(f"bmm: incompatible shapes {a.shape} @ {b.shape}")
 
     def back(g):
-        ga = g @ np.swapaxes(b.data, 1, 2)
-        gb = np.swapaxes(a.data, 1, 2) @ g
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        gb = np.swapaxes(a.data, -1, -2) @ g
         return ga, gb
 
     return _make(a.data @ b.data, (a, b), back)
@@ -450,83 +457,143 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # indexed ops used by message passing
 
 
-def gather(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows along axis 0; the gradient scatter-adds back."""
-    idx = np.asarray(idx, dtype=np.int64)
+class Segments:
+    """Membership of rows in segments, reduced without ``ufunc.at`` scatters.
+
+    ``ids[r]`` names the segment of row r; the ids need not be sorted. ``sum``
+    is one sparse CSR matmul whose rows list their members in ascending row
+    order, so it adds in the same order as ``np.add.at``, to the bit. ``max``
+    runs ``np.maximum.reduceat`` over the non-empty segments, on the rows
+    stably sorted by segment (the sort is kept only when ``ids`` is
+    unsorted); empty segments get -inf. Build one per index array and reuse
+    it: the graph's views cache one per edge endpoint.
+    """
+
+    def __init__(self, ids, num_segments: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1 or (ids.size and (ids.min() < 0 or ids.max() >= num_segments)):
+            raise ShapeError(f"segment ids must be a vector in [0, {num_segments})")
+        self.ids = ids
+        self.num_segments = num_segments
+        self.order = None if np.all(ids[1:] >= ids[:-1]) else np.argsort(ids, kind="stable")
+        counts = np.bincount(ids, minlength=num_segments)
+        self.indptr = np.zeros(num_segments + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.indptr[1:])
+        self._nonempty = np.flatnonzero(counts)
+        self._matrices: dict[np.dtype, scipy.sparse.csr_array] = {}
+
+    def _matrix(self, dtype: np.dtype) -> scipy.sparse.csr_array:
+        # one matrix per dtype: a mixed-dtype product would upcast the sums
+        mat = self._matrices.get(dtype)
+        if mat is None:
+            n = self.ids.size
+            cols = np.arange(n) if self.order is None else self.order
+            mat = scipy.sparse.csr_array(
+                (np.ones(n, dtype=dtype), cols, self.indptr), shape=(self.num_segments, n)
+            )
+            self._matrices[dtype] = mat
+        return mat
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Per-segment sums of the rows of ``x``: (num_segments, *x.shape[1:])."""
+        flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+        return (self._matrix(x.dtype) @ flat).reshape((self.num_segments,) + x.shape[1:])
+
+    def max(self, x: np.ndarray) -> np.ndarray:
+        """Per-segment maxima of the rows of ``x``; -inf for empty segments."""
+        out = np.full((self.num_segments,) + x.shape[1:], -np.inf, dtype=x.dtype)
+        if self._nonempty.size:
+            rows = x if self.order is None else x[self.order]
+            out[self._nonempty] = np.maximum.reduceat(rows, self.indptr[self._nonempty], axis=0)
+        return out
+
+
+def _as_segments(ids, num_segments: int) -> Segments:
+    if isinstance(ids, Segments):
+        if ids.num_segments != num_segments:
+            raise ShapeError(f"Segments has {ids.num_segments} segments, want {num_segments}")
+        return ids
+    return Segments(ids, num_segments)
+
+
+def gather(a: Tensor, idx) -> Tensor:
+    """Select rows along axis 0; the gradient sums back into each row.
+
+    ``idx`` is an index array or a prebuilt :class:`Segments` over the rows
+    of ``a``; an array is turned into one only if backward runs.
+    """
+    if isinstance(idx, Segments):
+        segments: Segments | None = _as_segments(idx, a.shape[0])
+        ids = idx.ids
+    else:
+        segments = None
+        ids = np.asarray(idx, dtype=np.int64)
 
     def back(g):
-        gz = np.zeros_like(a.data)
-        np.add.at(gz, idx, g)
-        return (gz,)
+        return ((segments if segments is not None else Segments(ids, a.shape[0])).sum(g),)
 
-    return _make(a.data[idx], (a,), back)
+    return _make(a.data[ids], (a,), back)
 
 
-def segment_sum(a: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(a: Tensor, seg, num_segments: int) -> Tensor:
     """Sum rows of ``a`` into ``num_segments`` buckets given by ``seg``.
 
-    Rows are accumulated in storage order, so callers that need bit-stable
-    results across input permutations must present rows in a canonical order.
+    ``seg`` is an id array or a :class:`Segments`. Rows are accumulated in
+    storage order, so callers that need bit-stable results across input
+    permutations must present rows in a canonical order.
     """
-    seg = np.asarray(seg, dtype=np.int64)
-    if seg.shape[0] != a.shape[0]:
+    segments = _as_segments(seg, num_segments)
+    if segments.ids.shape[0] != a.shape[0]:
         raise ShapeError("segment_sum: one segment id per row required")
-    out_data = np.zeros((num_segments,) + a.shape[1:], dtype=a.dtype)
-    np.add.at(out_data, seg, a.data)
+    ids = segments.ids
 
     def back(g):
-        return (g[seg],)
+        return (g[ids],)
 
-    return _make(out_data, (a,), back)
+    return _make(segments.sum(a.data), (a,), back)
 
 
-def edge_softmax(logits: Tensor, dst: np.ndarray, num_targets: int, mode: str = "joint") -> Tensor:
+def edge_softmax(logits: Tensor, dst, num_targets: int, mode: str = "joint") -> Tensor:
     """Normalize per-edge score blocks over each target's neighborhood.
 
-    ``logits`` has shape (E, F_s, F_t) and ``dst[e]`` names the target of
-    edge e. In ``joint`` mode the softmax runs over all (edge, source-slot)
-    pairs of one target, independently per target slot, so each target slot
-    receives a convex combination over its whole neighborhood. In ``literal``
-    mode it runs over edges only, independently per (source slot, target
-    slot) pair.
+    ``logits`` has shape (E, F_s, F_t), or (E, H, F_s, F_t) with a head
+    axis normalized independently per head; ``dst`` (an id array or a
+    :class:`Segments`) names the target of each edge. In ``joint`` mode the
+    softmax runs over all (edge, source-slot) pairs of one target,
+    independently per target slot, so each target slot receives a convex
+    combination over its whole neighborhood. In ``literal`` mode it runs
+    over edges only, independently per (source slot, target slot) pair.
     """
-    if logits.ndim != 3:
-        raise ShapeError(f"edge_softmax: want (E, F_s, F_t), got {logits.shape}")
-    dst = np.asarray(dst, dtype=np.int64)
-    e_cnt, f_s, f_t = logits.shape
-    if dst.shape[0] != e_cnt:
+    if logits.ndim not in (3, 4):
+        raise ShapeError(f"edge_softmax: want (E, [H,] F_s, F_t), got {logits.shape}")
+    seg = _as_segments(dst, num_targets)
+    ids = seg.ids
+    if ids.shape[0] != logits.shape[0]:
         raise ShapeError("edge_softmax: one target id per edge required")
-    if e_cnt == 0:
+    if ids.shape[0] == 0:
         return _make(logits.data.copy(), (logits,), lambda g: (g,))
 
     x = logits.data
     if mode == "joint":
-        m = np.full((num_targets, f_t), -np.inf, dtype=x.dtype)
-        np.maximum.at(m, dst, x.max(axis=1))
-        z = np.exp(x - m[dst][:, None, :])
-        denom = np.zeros((num_targets, f_t), dtype=x.dtype)
-        np.add.at(denom, dst, z.sum(axis=1))
-        y = z / denom[dst][:, None, :]
+        # reduce the source-slot axis per edge, then the edges per target
+        m = seg.max(x.max(axis=-2))
+        z = np.exp(x - np.expand_dims(m[ids], -2))
+        denom = seg.sum(z.sum(axis=-2))
+        y = z / np.expand_dims(denom[ids], -2)
 
         def back(g):
-            w = g * y
-            s = np.zeros((num_targets, f_t), dtype=x.dtype)
-            np.add.at(s, dst, w.sum(axis=1))
-            return (y * (g - s[dst][:, None, :]),)
+            s = seg.sum((g * y).sum(axis=-2))
+            return (y * (g - np.expand_dims(s[ids], -2)),)
 
     elif mode == "literal":
-        m = np.full((num_targets, f_s, f_t), -np.inf, dtype=x.dtype)
-        np.maximum.at(m, dst, x)
-        z = np.exp(x - m[dst])
-        denom = np.zeros((num_targets, f_s, f_t), dtype=x.dtype)
-        np.add.at(denom, dst, z)
-        y = z / denom[dst]
+        m = seg.max(x)
+        z = np.exp(x - m[ids])
+        denom = seg.sum(z)
+        y = z / denom[ids]
 
         def back(g):
-            w = g * y
-            s = np.zeros((num_targets, f_s, f_t), dtype=x.dtype)
-            np.add.at(s, dst, w)
-            return (y * (g - s[dst]),)
+            s = seg.sum(g * y)
+            return (y * (g - s[ids]),)
 
     else:
         raise ValueError(f"edge_softmax: unknown mode {mode!r}")

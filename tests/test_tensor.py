@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,17 @@ class TestMatmul:
         got = T.matmul(T.Tensor(a), T.Tensor(b)).data
         for i in range(5):
             assert np.allclose(got[i], oracles.naive_matmul(a[i], b), atol=1e-5)
+
+    def test_bmm_leading_batch_dims_match_finite_differences(self):
+        with T.precision("float64"):
+            a = T.Tensor(rng(5).normal(size=(2, 3, 4, 2)), requires_grad=True)
+            b = T.Tensor(rng(6).normal(size=(2, 3, 2, 5)), requires_grad=True)
+
+            def f():
+                y = T.bmm(a, b)
+                return T.reduce_sum(T.mul(y, y))
+
+            assert T.finite_diff_check(f, [a, b]) < 1e-6
 
 
 class TestSoftmax:
@@ -166,6 +180,24 @@ class TestBackward:
             y = T.scale(w, 2.0)
             with pytest.raises(T.ShapeError):
                 tape.backward(y)
+
+    def test_step_tensors_freed_without_cyclic_gc(self):
+        w = T.Tensor(rng(11).normal(size=(3, 3)), requires_grad=True)
+        x = T.Tensor(rng(12).normal(size=(4, 3)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with T.Tape() as tape:
+                hidden = T.softmax(T.matmul(x, w), axis=1)
+                loss = T.reduce_sum(T.mul(hidden, hidden))
+                tape.backward(loss)
+            ref = weakref.ref(hidden)
+            del hidden, loss
+            # reference counting alone must free it: the tape stays alive
+            assert tape.consumed and ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_grad_accumulates_across_uses(self):
         with T.precision("float64"):
@@ -302,6 +334,71 @@ class TestIndexedOps:
         for t in (0, 1):
             mask = dst == t
             assert np.allclose(y[mask].sum(axis=0), 1.0, atol=1e-6)
+
+
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_edge_softmax_head_axis_matches_per_head_calls(self, mode):
+        logits = rng(18).normal(size=(5, 3, 2, 4))
+        dst = np.array([1, 0, 1, 1, 0])
+        y = T.edge_softmax(T.Tensor(logits), dst, 3, mode=mode).data
+        for h in range(3):
+            want = T.edge_softmax(T.Tensor(logits[:, h]), dst, 3, mode=mode).data
+            assert np.array_equal(y[:, h], want)
+
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_edge_softmax_head_axis_gradient(self, mode):
+        with T.precision("float64"):
+            logits = T.Tensor(rng(19).normal(size=(4, 2, 2, 3)), requires_grad=True)
+            dst = np.array([0, 1, 0, 1])
+
+            def f():
+                y = T.edge_softmax(logits, dst, 2, mode=mode)
+                return T.reduce_sum(T.mul(y, y))
+
+            assert T.finite_diff_check(f, [logits]) < 1e-6
+
+
+class TestSegments:
+    # rows per segment vary from none to dozens, and magnitudes span six
+    # decades, so any change in the order of a segment's additions shows
+    CASES = {
+        "unsorted_with_empty": (rng(30).choice([0, 2, 3, 6], size=200), 7),
+        "sorted": (np.sort(rng(31).integers(0, 5, size=60)), 5),
+        "no_rows": (np.zeros(0, dtype=np.int64), 3),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sum_and_max_match_ufunc_at(self, case, dtype):
+        ids, n = self.CASES[case]
+        g = rng(32)
+        scale = 10.0 ** g.uniform(-3, 3, size=(ids.size, 1, 1))
+        x = (g.normal(size=(ids.size, 3, 2)) * scale).astype(dtype)
+        seg = T.Segments(ids, n)
+        want_sum = np.zeros((n, 3, 2), dtype=dtype)
+        np.add.at(want_sum, ids, x)
+        want_max = np.full((n, 3, 2), -np.inf, dtype=dtype)
+        np.maximum.at(want_max, ids, x)
+        got_sum, got_max = seg.sum(x), seg.max(x)
+        assert got_sum.dtype == dtype and got_max.dtype == dtype
+        assert np.array_equal(got_sum, want_sum)
+        assert np.array_equal(got_max, want_max)
+
+    def test_ops_accept_segments_or_ids(self):
+        a = T.Tensor(rng(33).normal(size=(4, 2)))
+        ids = np.array([2, 0, 2])
+        seg = T.Segments(ids, 4)
+        assert np.array_equal(T.gather(a, seg).data, T.gather(a, ids).data)
+        rows = T.Tensor(rng(34).normal(size=(3, 2)))
+        summed = T.segment_sum(rows, seg, 4).data
+        assert np.array_equal(summed, T.segment_sum(rows, ids, 4).data)
+        with pytest.raises(T.ShapeError):
+            T.segment_sum(rows, seg, 5)
+
+    def test_out_of_range_ids_rejected(self):
+        for ids in ([0, 3], [-1, 0], [[0, 1]]):
+            with pytest.raises(T.ShapeError):
+                T.Segments(np.array(ids), 3)
 
 
 class TestLosses:
