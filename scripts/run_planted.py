@@ -4,7 +4,6 @@
 import argparse
 import time
 
-from slotgnn import tensor as T
 from slotgnn.config import TrainConfig
 from slotgnn.fusion import metapath_report
 from slotgnn.graph import SyntheticSpec, synthetic_generate
@@ -36,8 +35,7 @@ def main() -> None:
         print(f"{split}: acc={metrics['accuracy']:.4f} micro={metrics['micro_f1']:.4f} "
               f"macro={metrics['macro_f1']:.4f} loss={metrics['loss']:.4f}")
 
-    with T.precision(cfg.precision):
-        out = model.forward(graph, training=False)
+    out = model.forward(graph, training=False)
     report = metapath_report(out.fusion, out.head_labels, graph.schema, k=args.top_k)
     print(report.render_text(), end="")
 

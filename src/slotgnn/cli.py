@@ -4,6 +4,12 @@ Config precedence: profile defaults, then the config file, then flags.
 Config files are flat `key = value` lines with section prefixes, e.g.
 ``train.max_lr = 0.0005``. Exit codes: 0 success, 1 runtime failure,
 2 config error, 3 dataset validation failure.
+
+Every ``TrainConfig`` field is a flag named after it, with ``_`` written as
+``-``: ``max_lr`` is ``--max-lr``. A field with choices takes only those. A
+bool field is a switch that flips its default, named without any ``use_``
+prefix and with ``no-`` in front when the default is true: ``use_seq`` is
+``--no-seq`` and ``scale_outside`` is ``--scale-outside``.
 """
 
 from __future__ import annotations
@@ -16,10 +22,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import artifacts
-from . import tensor as T
 from .config import PROFILES, TrainConfig, from_profile
 from .fixtures import GRADCHECK_SEED, gradcheck_graph
 from .fusion import metapath_report
@@ -118,18 +121,13 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
             value = caster(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-        if key == "seed":
-            run.train = run.train.replace(seed=value)
-        elif key.startswith("train."):
-            run.train = run.train.replace(**{key[len("train."):]: value})
-        elif key == "explain.top_k":
-            run.top_k = value
-        elif key == "explain.per_node":
-            run.per_node = value
-        elif key == "eval.split":
-            run.split = value
+        # a key's last part names its field: train.dim is TrainConfig.dim, and
+        # eval.split is RunConfig.split; the top-level seed is the train seed
+        name = key.rsplit(".", 1)[-1]
+        if key == "seed" or key.startswith("train."):
+            run.train = run.train.replace(**{name: value})
         else:
-            setattr(run, key, value)
+            setattr(run, name, value)
     try:
         run.train.validate()
     except ValueError as exc:
@@ -210,8 +208,7 @@ def cmd_explain(run: RunConfig, out: Path) -> int:
     model = _restore_model(run, graph)
     if not run.train.use_fusion:
         raise ConfigError("explain needs the fusion head (train.use_fusion = true)")
-    with T.precision(run.train.precision):
-        forward = model.forward(graph, training=False)
+    forward = model.forward(graph, training=False)
     report = metapath_report(
         forward.fusion, forward.head_labels, graph.schema,
         k=run.top_k, include_per_node=run.per_node,
@@ -251,62 +248,28 @@ def cmd_gradcheck(run: RunConfig, out: Path) -> int:
     return 0 if worst < GRADCHECK_LIMIT else 1
 
 
-_FLAG_TO_KEY = {
-    "dataset": "dataset",
-    "out": "out",
-    "checkpoint": "checkpoint",
-    "profile": "profile",
-    "seed": "seed",
-    "dim": "train.dim",
-    "heads": "train.heads",
-    "layers": "train.layers",
-    "dropout": "train.dropout",
-    "epochs": "train.epochs",
-    "max_lr": "train.max_lr",
-    "weight_decay": "train.weight_decay",
-    "batch_mode": "train.batch_mode",
-    "batch_size": "train.batch_size",
-    "batches_per_epoch": "train.batches_per_epoch",
-    "sample_depth": "train.sample_depth",
-    "sample_budget": "train.sample_budget",
-    "precision": "train.precision",
-    "attention_norm": "train.attention_norm",
-    "early_stop_patience": "train.early_stop_patience",
-    "top_k": "explain.top_k",
-    "split": "eval.split",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     common.add_argument("--dataset", help="dataset directory")
     common.add_argument("--out", help="output directory (default runs/out)")
     common.add_argument("--checkpoint", help="directory holding checkpoint.bin/.idx")
-    common.add_argument("--seed", type=int)
     common.add_argument("--profile", choices=sorted(PROFILES))
-    common.add_argument("--dim", type=int)
-    common.add_argument("--heads", type=int)
-    common.add_argument("--layers", type=int)
-    common.add_argument("--dropout", type=float)
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--max-lr", dest="max_lr", type=float)
-    common.add_argument("--weight-decay", dest="weight_decay", type=float)
-    common.add_argument("--batch-mode", dest="batch_mode", choices=["full", "sampled"])
-    common.add_argument("--batch-size", dest="batch_size", type=int)
-    common.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
-    common.add_argument("--sample-depth", dest="sample_depth", type=int)
-    common.add_argument("--sample-budget", dest="sample_budget", type=int)
-    common.add_argument("--precision", choices=["float32", "float64"])
-    common.add_argument("--attention-norm", dest="attention_norm", choices=["joint", "literal"])
-    common.add_argument("--scale-outside", dest="scale_outside", action="store_true", default=None)
-    common.add_argument("--early-stop-patience", dest="early_stop_patience", type=int)
-    common.add_argument("--no-seq", dest="no_seq", action="store_true", default=None)
-    common.add_argument("--no-fusion", dest="no_fusion", action="store_true", default=None)
-    common.add_argument("--no-relation-encoding", dest="no_rel", action="store_true", default=None)
-    common.add_argument("--top-k", dest="top_k", type=int)
-    common.add_argument("--split", choices=["train", "valid", "test"])
-    common.add_argument("--per-node", dest="per_node", action="store_true", default=None)
+    common.add_argument("--top-k", dest="explain.top_k", type=int, metavar="TOP_K")
+    common.add_argument("--split", dest="eval.split", choices=["train", "valid", "test"])
+    common.add_argument("--per-node", dest="explain.per_node", action="store_const", const=True)
+    for f in dataclasses.fields(TrainConfig):
+        key = f"train.{f.name}"
+        name = f.name.removeprefix("use_").replace("_", "-")
+        if isinstance(f.default, bool):
+            switch = f"--no-{name}" if f.default else f"--{name}"
+            common.add_argument(switch, dest=key, action="store_const", const=not f.default)
+        else:
+            choices = f.metadata.get("choices")
+            common.add_argument(
+                f"--{name}", dest=key, type=type(f.default), choices=choices,
+                metavar=None if choices else f.name.upper(),
+            )
 
     parser = argparse.ArgumentParser(prog="slotgnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,22 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if args.no_seq:
-        overrides["train.use_seq"] = "false"
-    if args.no_fusion:
-        overrides["train.use_fusion"] = "false"
-    if args.no_rel:
-        overrides["train.use_relation_encoding"] = "false"
-    if args.scale_outside:
-        overrides["train.scale_outside"] = "true"
-    if args.per_node:
-        overrides["explain.per_node"] = "true"
-    return overrides
+    """Every flag given, keyed by its config key (each flag's ``dest``)."""
+    return {
+        key: str(value) for key, value in vars(args).items()
+        if key in VALID_KEYS and value is not None
+    }
 
 
 def run(command: str, config: RunConfig) -> int:

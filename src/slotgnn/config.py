@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -21,17 +21,17 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    batch_mode: str = "full"  # full | sampled
+    batch_mode: str = field(default="full", metadata={"choices": ("full", "sampled")})
     sample_depth: int = 3
     sample_budget: int = 1800
     batch_size: int = 256
     batches_per_epoch: int = 250
     seed: int = 0
-    precision: str = "float32"
+    precision: str = field(default="float32", metadata={"choices": ("float32", "float64")})
     use_seq: bool = True
     use_fusion: bool = True
     use_relation_encoding: bool = True
-    attention_norm: str = "joint"  # joint | literal
+    attention_norm: str = field(default="joint", metadata={"choices": ("joint", "literal")})
     scale_outside: bool = False
     early_stop_patience: int = 0  # 0 disables early stopping
 
@@ -42,12 +42,10 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.epochs < 1 or self.layers < 1:
             raise ValueError("epochs and layers must be at least 1")
-        if self.batch_mode not in ("full", "sampled"):
-            raise ValueError(f"unknown batch mode {self.batch_mode!r}")
-        if self.attention_norm not in ("joint", "literal"):
-            raise ValueError(f"unknown attention norm {self.attention_norm!r}")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(f"unknown precision {self.precision!r}")
+        for f in dataclasses.fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ValueError(f"unknown {f.name.replace('_', ' ')} {getattr(self, f.name)!r}")
 
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)

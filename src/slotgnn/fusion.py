@@ -28,13 +28,17 @@ class FusionParams:
     heads: int
 
     @staticmethod
-    def create(dim: int, num_classes: int, heads: int, rng: np.random.Generator) -> "FusionParams":
+    def create(
+        dim: int, num_classes: int, heads: int, rng: np.random.Generator, dtype=np.float32
+    ) -> "FusionParams":
         return FusionParams(
-            fq=T.xavier_uniform(rng, dim, dim, name="fusion.fq"),
-            fk=T.xavier_uniform(rng, dim, dim, name="fusion.fk"),
-            fv=T.xavier_uniform(rng, dim, dim, name="fusion.fv"),
-            classifier_weight=T.xavier_uniform(rng, dim, num_classes, name="classifier.weight"),
-            classifier_bias=T.zero_param((num_classes,), name="classifier.bias"),
+            fq=T.xavier_uniform(rng, dim, dim, name="fusion.fq", dtype=dtype),
+            fk=T.xavier_uniform(rng, dim, dim, name="fusion.fk", dtype=dtype),
+            fv=T.xavier_uniform(rng, dim, dim, name="fusion.fv", dtype=dtype),
+            classifier_weight=T.xavier_uniform(
+                rng, dim, num_classes, name="classifier.weight", dtype=dtype
+            ),
+            classifier_bias=T.zero_param((num_classes,), name="classifier.bias", dtype=dtype),
             heads=heads,
         )
 

@@ -162,9 +162,6 @@ class HeteroGraph:
         self.parent_counts = parent_counts or dict(counts)
         self._views: dict[Relation, BipartiteView] = {}
 
-    def num_nodes(self, type_name: str) -> int:
-        return self.counts[type_name]
-
     def bipartite(self, relation: Relation) -> BipartiteView:
         """CSR view over targets; built once, edges sorted by (target, source)."""
         if relation not in self.edges:
@@ -189,12 +186,11 @@ class HeteroGraph:
 
 @dataclass
 class Subgraph:
-    """An induced subgraph plus the identity of its nodes in the parent."""
+    """An induced subgraph, whose ``graph.orig_ids`` name its nodes in the
+    root graph, and the batch targets' rows in it."""
 
     graph: HeteroGraph
-    node_ids: dict[str, np.ndarray]
     batch_local: np.ndarray
-    batch_original: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ class RawDataset:
     node_ids: dict[str, np.ndarray] = field(default_factory=dict)
     node_features: dict[str, np.ndarray] = field(default_factory=dict)
     edges: dict[Relation, np.ndarray] = field(default_factory=dict)
-    label_rows: list[list[int]] = field(default_factory=list)
+    label_rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     multilabel: bool = False
     splits: dict[str, list[int]] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
@@ -221,6 +217,26 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         return [], []
     return rows[0], rows[1:]
+
+
+def _parse_rows(path: Path, rows: list[list[str]], width: int, parse):
+    """``parse(rows)``, once every row is known to hold ``width`` values.
+
+    Raises ValueError naming the file and line (the header is line 1) of the
+    first row of another length, or else of the first row ``parse`` rejects.
+    """
+    for line, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path.name} line {line}: {len(row)} values, expected {width}")
+    try:
+        return parse(rows)
+    except ValueError:
+        for line, row in enumerate(rows, start=2):
+            try:
+                parse([row])
+            except ValueError as exc:
+                raise ValueError(f"{path.name} line {line}: {exc}") from None
+        raise
 
 
 def read_raw(directory: str | Path) -> RawDataset:
@@ -249,10 +265,19 @@ def read_raw(directory: str | Path) -> RawDataset:
         if header != expected:
             raw.errors.append(f"{path.name}: header mismatch, expected {','.join(expected)}")
             continue
-        ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        feats = np.array(
-            [[float(v) for v in r[1:]] for r in rows], dtype=np.float32
-        ).reshape(len(rows), nt.num_features, nt.feature_dim)
+        try:
+            ids, feats = _parse_rows(path, rows, len(expected), lambda rs: (
+                np.array([int(r[0]) for r in rs], dtype=np.int64),
+                np.array([[float(v) for v in r[1:]] for r in rs], dtype=np.float32),
+            ))
+        except ValueError as exc:
+            raw.errors.append(str(exc))
+            continue
+        feats = feats.reshape(len(rows), nt.num_features, nt.feature_dim)
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=(1, 2)))
+        if bad.size:
+            raw.errors.append(f"{path.name} line {bad[0] + 2}: feature value is not finite")
+            continue
         raw.node_ids[nt.name] = ids
         raw.node_features[nt.name] = feats
 
@@ -265,11 +290,12 @@ def read_raw(directory: str | Path) -> RawDataset:
         if header != ["src_id", "dst_id"]:
             raw.errors.append(f"{path.name}: header mismatch, expected src_id,dst_id")
             continue
-        raw.edges[rel] = (
-            np.array([[int(r[0]), int(r[1])] for r in rows], dtype=np.int64)
-            if rows
-            else np.zeros((0, 2), dtype=np.int64)
-        )
+        try:
+            raw.edges[rel] = _parse_rows(path, rows, 2, lambda rs: np.array(
+                [[int(r[0]), int(r[1])] for r in rs], dtype=np.int64
+            ).reshape(len(rs), 2))
+        except ValueError as exc:
+            raw.errors.append(str(exc))
 
     labels_path = directory / "labels.csv"
     if not labels_path.exists():
@@ -282,7 +308,12 @@ def read_raw(directory: str | Path) -> RawDataset:
             raw.multilabel = header != ["id", "label"]
             if raw.multilabel and header != ["id"] + [f"label{c}" for c in range(len(header) - 1)]:
                 raw.errors.append("labels.csv: header mismatch for multi-label file")
-            raw.label_rows = [[int(v) for v in r] for r in rows]
+            try:
+                raw.label_rows = _parse_rows(labels_path, rows, len(header), lambda rs: np.array(
+                    [[int(v) for v in r] for r in rs], dtype=np.int64
+                ).reshape(len(rs), len(header)))
+            except ValueError as exc:
+                raw.errors.append(str(exc))
 
     splits_path = directory / "splits.json"
     if not splits_path.exists():
@@ -332,31 +363,41 @@ def validate_schema(schema: Schema, raw: RawDataset) -> list[str]:
         if rel.src not in counts or rel.dst not in counts:
             continue
         if pairs.size:
+            in_range = True
             if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= counts[rel.src]:
                 errors.append(f"edges_{rel.key}.csv: source id out of range")
+                in_range = False
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= counts[rel.dst]:
                 errors.append(f"edges_{rel.key}.csv: target id out of range")
-            uniq = len({(int(s), int(t)) for s, t in pairs})
-            if uniq < len(pairs):
-                log.warning("relation %s has %d duplicate edges (kept)", rel, len(pairs) - uniq)
+                in_range = False
+            if in_range:
+                # one int64 key per (source, target) pair
+                uniq = np.unique(pairs[:, 0] * counts[rel.dst] + pairs[:, 1]).size
+                if uniq < len(pairs):
+                    log.warning("relation %s has %d duplicate edges (kept)", rel, len(pairs) - uniq)
 
     n_target = counts.get(schema.target_type)
-    if n_target is not None and raw.label_rows:
+    rows = raw.label_rows
+    if n_target is not None and len(rows):
         width = 1 if not raw.multilabel else schema.num_classes
-        for row in raw.label_rows:
-            if len(row) != width + 1:
-                errors.append("labels.csv: row arity mismatch")
-                break
-        ids = [row[0] for row in raw.label_rows]
-        if ids and (min(ids) < 0 or max(ids) >= n_target):
+        if rows.shape[1] != width + 1:
+            errors.append("labels.csv: row arity mismatch")
+        elif raw.multilabel:
+            bad = np.flatnonzero(~np.isin(rows[:, 1:], (0, 1)).all(axis=1))
+            if bad.size:
+                errors.append(f"labels.csv line {bad[0] + 2}: label flags must be 0 or 1")
+        ids = rows[:, 0]
+        if ids.min() < 0 or ids.max() >= n_target:
             errors.append("labels.csv: id out of range")
-        if not raw.multilabel:
-            classes = [row[1] for row in raw.label_rows]
-            if classes and (min(classes) < 0 or max(classes) >= schema.num_classes):
-                errors.append("labels.csv: class out of range")
+        repeated = np.setdiff1d(np.arange(ids.size), np.unique(ids, return_index=True)[1])
+        if repeated.size:
+            line = repeated[0] + 2
+            errors.append(f"labels.csv line {line}: second label row for id {ids[repeated[0]]}")
+        if not raw.multilabel and (rows[:, 1].min() < 0 or rows[:, 1].max() >= schema.num_classes):
+            errors.append("labels.csv: class out of range")
 
     if raw.splits and n_target is not None:
-        labeled = {row[0] for row in raw.label_rows}
+        labeled = set(rows[:, 0].tolist())
         seen: set[int] = set()
         for part in ("train", "valid", "test"):
             part_ids = raw.splits.get(part, [])
@@ -378,17 +419,15 @@ def build_graph(raw: RawDataset) -> HeteroGraph:
     schema.multilabel = raw.multilabel
     counts = {nt.name: len(raw.node_ids[nt.name]) for nt in schema.node_types}
     n_target = counts[schema.target_type]
+    rows = raw.label_rows
     labeled = np.zeros(n_target, dtype=bool)
+    labeled[rows[:, 0]] = True
     if raw.multilabel:
         labels = np.zeros((n_target, schema.num_classes), dtype=np.float32)
-        for row in raw.label_rows:
-            labels[row[0]] = row[1:]
-            labeled[row[0]] = True
+        labels[rows[:, 0]] = rows[:, 1:]
     else:
         labels = np.full(n_target, -1, dtype=np.int64)
-        for row in raw.label_rows:
-            labels[row[0]] = row[1]
-            labeled[row[0]] = True
+        labels[rows[:, 0]] = rows[:, 1]
     return HeteroGraph(
         schema=schema,
         counts=counts,
@@ -701,4 +740,4 @@ def sample_subgraph(
         parent_counts=dict(graph.parent_counts),
     )
     batch_local = np.searchsorted(target_ids, batch)
-    return Subgraph(graph=sub, node_ids=node_ids, batch_local=batch_local, batch_original=batch)
+    return Subgraph(graph=sub, batch_local=batch_local)

@@ -37,7 +37,10 @@ class LayerParams:
     dim: int
 
     @staticmethod
-    def create(schema: Schema, dim: int, heads: int, rng: np.random.Generator, index: int) -> "LayerParams":
+    def create(
+        schema: Schema, dim: int, heads: int, rng: np.random.Generator, index: int,
+        dtype=np.float32,
+    ) -> "LayerParams":
         if dim % heads:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         d_h = dim // heads
@@ -46,18 +49,20 @@ class LayerParams:
             prefix = f"layer{index}.{nt.name}"
             for role, store in (("query", query), ("key", key), ("value", value)):
                 store[nt.name] = (
-                    T.xavier_uniform(rng, dim, dim, name=f"{prefix}.{role}.weight"),
-                    T.zero_param((dim,), name=f"{prefix}.{role}.bias"),
+                    T.xavier_uniform(rng, dim, dim, name=f"{prefix}.{role}.weight", dtype=dtype),
+                    T.zero_param((dim,), name=f"{prefix}.{role}.bias", dtype=dtype),
                 )
             if schema.relations_into(nt.name):
-                adopt[nt.name] = T.xavier_uniform(rng, dim, dim, name=f"{prefix}.adopt")
+                adopt[nt.name] = T.xavier_uniform(rng, dim, dim, name=f"{prefix}.adopt", dtype=dtype)
         att, ext, enc = {}, {}, {}
         for rel in schema.relations:
             prefix = f"layer{index}.{rel.key}"
-            att[rel] = T.xavier_uniform(rng, d_h, d_h, shape=(heads, d_h, d_h), name=f"{prefix}.att")
-            ext[rel] = T.xavier_uniform(rng, dim, dim, name=f"{prefix}.ext")
+            att[rel] = T.xavier_uniform(
+                rng, d_h, d_h, shape=(heads, d_h, d_h), name=f"{prefix}.att", dtype=dtype
+            )
+            ext[rel] = T.xavier_uniform(rng, dim, dim, name=f"{prefix}.ext", dtype=dtype)
             # zero encodings make the no-encoding ablation the exact initial state
-            enc[rel] = T.zero_param((dim,), name=f"{prefix}.enc")
+            enc[rel] = T.zero_param((dim,), name=f"{prefix}.enc", dtype=dtype)
         return LayerParams(query, key, value, adopt, att, ext, enc, heads, dim)
 
     def parameters(self) -> list[T.Tensor]:

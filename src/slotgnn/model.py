@@ -23,19 +23,23 @@ class ModelOutput:
 
 
 class SlotModel:
-    """The full network for one schema, holding every trainable tensor."""
+    """The full network for one schema, holding every trainable tensor in the
+    dtype ``config.precision`` names; a forward pass computes in that dtype."""
 
     def __init__(self, schema: Schema, config: TrainConfig, rng: np.random.Generator):
         config.validate()
         self.schema = schema
         self.config = config
         self.tables = slot_labels(schema, config.layers)
-        self.proj = InputProjection.create(schema, config.dim, rng)
+        dtype = np.dtype(config.precision)
+        self.proj = InputProjection.create(schema, config.dim, rng, dtype)
         self.layers = [
-            LayerParams.create(schema, config.dim, config.heads, rng, index)
+            LayerParams.create(schema, config.dim, config.heads, rng, index, dtype)
             for index in range(1, config.layers + 1)
         ]
-        self.fusion_params = FusionParams.create(config.dim, schema.num_classes, config.heads, rng)
+        self.fusion_params = FusionParams.create(
+            config.dim, schema.num_classes, config.heads, rng, dtype
+        )
 
     def parameters(self) -> list[T.Tensor]:
         out = list(self.proj.parameters())
@@ -46,9 +50,6 @@ class SlotModel:
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return [(p.name or f"param{i}", p) for i, p in enumerate(self.parameters())]
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.named_parameters()}
 
     def forward(
         self,
@@ -103,7 +104,3 @@ class SlotModel:
             fused = mean_fuse(head_input)
         logits = classify(fused, self.fusion_params)
         return ModelOutput(logits, fusion_out, head_labels, per_layer)
-
-
-def build_model(schema: Schema, config: TrainConfig, rng: np.random.Generator) -> SlotModel:
-    return SlotModel(schema, config, rng)

@@ -105,19 +105,23 @@ class InputProjection:
     dim: int
 
     @staticmethod
-    def create(schema: Schema, dim: int, rng: np.random.Generator) -> "InputProjection":
+    def create(
+        schema: Schema, dim: int, rng: np.random.Generator, dtype=np.float32
+    ) -> "InputProjection":
         weights = {}
         embeddings = {}
         for nt in schema.node_types:
             if nt.num_features == 0:
                 embeddings[nt.name] = T.xavier_uniform(
-                    rng, 1, dim, shape=(1, dim), name=f"proj.{nt.name}.embedding"
+                    rng, 1, dim, shape=(1, dim), name=f"proj.{nt.name}.embedding", dtype=dtype
                 )
                 continue
             for f in range(nt.num_features):
                 weights[(nt.name, f)] = (
-                    T.xavier_uniform(rng, nt.feature_dim, dim, name=f"proj.{nt.name}.f{f}.weight"),
-                    T.zero_param((dim,), name=f"proj.{nt.name}.f{f}.bias"),
+                    T.xavier_uniform(
+                        rng, nt.feature_dim, dim, name=f"proj.{nt.name}.f{f}.weight", dtype=dtype
+                    ),
+                    T.zero_param((dim,), name=f"proj.{nt.name}.f{f}.bias", dtype=dtype),
                 )
         return InputProjection(weights, embeddings, dim)
 
@@ -138,8 +142,8 @@ def project_features(graph: HeteroGraph, proj: InputProjection) -> SeqState:
     for nt in graph.schema.node_types:
         n = graph.counts[nt.name]
         if nt.num_features == 0:
-            ones = T.Tensor(np.ones((n, 1)))
-            rows = T.matmul(ones, proj.embeddings[nt.name])
+            emb = proj.embeddings[nt.name]
+            rows = T.matmul(T.Tensor(np.ones((n, 1)), dtype=emb.dtype), emb)
             tensors[nt.name] = T.reshape(rows, (n, 1, d))
         else:
             feats = graph.features[nt.name]
@@ -151,7 +155,7 @@ def project_features(graph: HeteroGraph, proj: InputProjection) -> SeqState:
             slots = []
             for f in range(nt.num_features):
                 w, b = proj.weights[(nt.name, f)]
-                slot = T.add(T.matmul(T.Tensor(feats[:, f, :]), w), b)
+                slot = T.add(T.matmul(T.Tensor(feats[:, f, :], dtype=w.dtype), w), b)
                 slots.append(T.reshape(slot, (n, 1, d)))
             tensors[nt.name] = slots[0] if len(slots) == 1 else T.concat(slots, axis=1)
         labels[nt.name] = tables[nt.name][0]
@@ -186,5 +190,5 @@ def slot_dropout(
         else:
             keep = rng.random((n, f)) >= p
         mask = np.broadcast_to((keep / (1.0 - p))[:, :, None], (n, f, d))
-        tensors[name] = T.mul(tens, T.Tensor(np.ascontiguousarray(mask)))
+        tensors[name] = T.mul(tens, T.Tensor(np.ascontiguousarray(mask), dtype=tens.dtype))
     return SeqState(tensors, state.labels, state.layer)

@@ -1,15 +1,16 @@
 """Dense 2-D/3-D tensors with a reverse-mode autodiff tape.
 
 Only the operations the model actually needs are provided. Tensors wrap
-numpy arrays and are treated as immutable after creation; recording happens
-on an explicit :class:`Tape` that is active for one forward pass. Reverse
-accumulation walks the tape in reverse creation order, which is a valid
-topological order because the tape is append-only.
+numpy arrays and are treated as immutable after creation. A tensor built
+from raw data is float32 unless given a dtype; an op's output keeps the
+dtype of its inputs, so a model computes in its parameters' dtype.
+Recording happens on an explicit :class:`Tape` that is active for one
+forward pass. Reverse accumulation walks the tape in reverse creation
+order, which is a valid topological order because the tape is append-only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -33,32 +34,7 @@ class TapeError(TensorError):
     pass
 
 
-_DEFAULT_DTYPE = np.float32
 _ACTIVE_TAPE: "Tape | None" = None
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype, e.g. ``precision('float64')``."""
-    global _DEFAULT_DTYPE
-    old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = old
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -76,8 +52,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None, dtype=np.float32):
+        arr = np.asarray(data, dtype=dtype)
         _check_finite(arr)
         self.data = arr
         self.requires_grad = requires_grad
@@ -104,29 +80,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
-
-    # Small amount of operator sugar; everything routes through the module ops.
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 class _Node:
@@ -228,19 +184,17 @@ def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callab
     return out
 
 
-def zeros(shape: Sequence[int], dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype if dtype is not None else _DEFAULT_DTYPE))
-
-
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None, name=None) -> Tensor:
+def xavier_uniform(
+    rng: np.random.Generator, fan_in: int, fan_out: int, shape=None, name=None, dtype=np.float32
+) -> Tensor:
     """Trainable tensor initialized Xavier-uniform for the given fan."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     data = rng.uniform(-bound, bound, size=shape if shape is not None else (fan_in, fan_out))
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, requires_grad=True, name=name, dtype=dtype)
 
 
-def zero_param(shape: Sequence[int], name=None) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True, name=name)
+def zero_param(shape: Sequence[int], name=None, dtype=np.float32) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True, name=name, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +217,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g):
-        return g, -g
-
-    return _make(a.data - b.data, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
@@ -290,25 +234,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _make(a.data * np.asarray(c, dtype=a.dtype), (a,), back)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-
-    def back(g):
-        return (g * out_data,)
-
-    return _make(out_data, (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    def back(g):
-        return (g / a.data,)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-    return _make(out_data, (a,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -387,19 +312,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         )
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
-
-
-def slice_axis(a: Tensor, axis: int, start: int, size: int) -> Tensor:
-    if axis < 0 or axis >= a.ndim or start < 0 or start + size > a.shape[axis]:
-        raise ShapeError(f"slice_axis: [{start}:{start + size}] along {axis} of {a.shape}")
-    index = (slice(None),) * axis + (slice(start, start + size),)
-
-    def back(g):
-        gz = np.zeros_like(a.data)
-        gz[index] = g
-        return (gz,)
-
-    return _make(a.data[index].copy(), (a,), back)
 
 
 # ---------------------------------------------------------------------------

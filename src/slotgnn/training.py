@@ -44,8 +44,7 @@ def set_seed(seed: int) -> RngStreams:
 def init_model(graph: HeteroGraph, config: TrainConfig) -> SlotModel:
     """Build a model whose parameters come from the seed's init stream."""
     streams = set_seed(config.seed)
-    with T.precision(config.precision):
-        return SlotModel(graph.schema, config, streams.generator("init"))
+    return SlotModel(graph.schema, config, streams.generator("init"))
 
 
 class AdamW:
@@ -139,10 +138,9 @@ def evaluate(model: SlotModel, graph: HeteroGraph, split) -> dict[str, float]:
     """Deterministic metrics on one split: micro/macro F1, accuracy, mean loss."""
     ids = _split_ids(graph, split)
     multilabel = graph.schema.multilabel
-    with T.precision(model.config.precision):
-        out = model.forward(graph, training=False)
-        rows = T.gather(out.logits, ids)
-        mean_loss = head_loss(rows, graph.labels[ids], multilabel).item()
+    out = model.forward(graph, training=False)
+    rows = T.gather(out.logits, ids)
+    mean_loss = head_loss(rows, graph.labels[ids], multilabel).item()
     preds = predict(rows.data, multilabel)
     metrics = f1_metrics(preds, graph.labels[ids], graph.schema.num_classes, multilabel)
     result = metrics.to_dict()
@@ -187,67 +185,53 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
     best_val = -math.inf
     stall = 0
     step = 0
-    with T.precision(config.precision):
-        for epoch in range(1, config.epochs + 1):
-            snapshot = [p.data.copy() for _, p in opt.params]
-            losses = []
+    for epoch in range(1, config.epochs + 1):
+        snapshot = [p.data.copy() for _, p in opt.params]
+        losses = []
+        try:
+            for _ in range(steps_per_epoch):
+                batch_graph, batch_ids = graph, train_ids
+                if not full:
+                    size = min(config.batch_size, train_ids.size)
+                    batch = sampler_rng.choice(train_ids, size=size, replace=False)
+                    sub_seed = int(sampler_rng.integers(0, 2 ** 62))
+                    sub = sample_subgraph(
+                        graph, batch, config.sample_depth, config.sample_budget, sub_seed
+                    )
+                    batch_graph, batch_ids = sub.graph, sub.batch_local
+                lr = onecycle_lr(
+                    step, total_steps, config.max_lr,
+                    config.start_fraction, config.lr_div, config.lr_final_div,
+                )
+                losses.append(_train_step(
+                    model, batch_graph, batch_ids, batch_graph.labels[batch_ids],
+                    lr, opt, (*droot, step), multilabel,
+                ))
+                step += 1
+            entry = {"epoch": epoch, "loss": float(np.mean(losses)), "lr": lr}
             try:
-                if full:
-                    lr = onecycle_lr(
-                        step, total_steps, config.max_lr,
-                        config.start_fraction, config.lr_div, config.lr_final_div,
-                    )
-                    losses.append(
-                        _train_step(
-                            model, graph, train_ids, graph.labels[train_ids],
-                            lr, opt, (*droot, step), multilabel,
-                        )
-                    )
-                    step += 1
-                else:
-                    for _ in range(config.batches_per_epoch):
-                        size = min(config.batch_size, train_ids.size)
-                        batch = sampler_rng.choice(train_ids, size=size, replace=False)
-                        sub_seed = int(sampler_rng.integers(0, 2 ** 62))
-                        sub = sample_subgraph(
-                            graph, batch, config.sample_depth, config.sample_budget, sub_seed
-                        )
-                        lr = onecycle_lr(
-                            step, total_steps, config.max_lr,
-                            config.start_fraction, config.lr_div, config.lr_final_div,
-                        )
-                        losses.append(
-                            _train_step(
-                                model, sub.graph, sub.batch_local,
-                                sub.graph.labels[sub.batch_local],
-                                lr, opt, (*droot, step), multilabel,
-                            )
-                        )
-                        step += 1
-                entry = {"epoch": epoch, "loss": float(np.mean(losses)), "lr": lr}
-                try:
-                    val = evaluate(model, graph, "valid")
-                    entry["val_micro_f1"] = val["micro_f1"]
-                    entry["val_macro_f1"] = val["macro_f1"]
-                except (KeyError, ValueError):
-                    entry["val_micro_f1"] = math.nan
-                    entry["val_macro_f1"] = math.nan
-            except (T.NonFiniteError, OptimizerError):
-                for (_, p), saved in zip(opt.params, snapshot):
-                    p.data = saved
-                result.diverged = True
-                break
-            result.log.append(entry)
+                val = evaluate(model, graph, "valid")
+                entry["val_micro_f1"] = val["micro_f1"]
+                entry["val_macro_f1"] = val["macro_f1"]
+            except (KeyError, ValueError):
+                entry["val_micro_f1"] = math.nan
+                entry["val_macro_f1"] = math.nan
+        except (T.NonFiniteError, OptimizerError):
+            for (_, p), saved in zip(opt.params, snapshot):
+                p.data = saved
+            result.diverged = True
+            break
+        result.log.append(entry)
 
-            if config.early_stop_patience > 0 and not math.isnan(entry["val_micro_f1"]):
-                if entry["val_micro_f1"] > best_val:
-                    best_val = entry["val_micro_f1"]
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= config.early_stop_patience:
-                        result.stopped_early = True
-                        break
+        if config.early_stop_patience > 0 and not math.isnan(entry["val_micro_f1"]):
+            if entry["val_micro_f1"] > best_val:
+                best_val = entry["val_micro_f1"]
+                stall = 0
+            else:
+                stall += 1
+                if stall >= config.early_stop_patience:
+                    result.stopped_early = True
+                    break
     return result
 
 
@@ -264,9 +248,8 @@ def grad_check_model(model: SlotModel, graph: HeteroGraph, h: float = 1e-5) -> d
     multilabel = graph.schema.multilabel
 
     def f() -> T.Tensor:
-        with T.precision("float64"):
-            out = model.forward(graph, training=False)
-            return head_loss(T.gather(out.logits, ids), graph.labels[ids], multilabel)
+        out = model.forward(graph, training=False)
+        return head_loss(T.gather(out.logits, ids), graph.labels[ids], multilabel)
 
     report: dict[str, float] = {}
     for name, p in model.named_parameters():

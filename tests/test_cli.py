@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slotgnn.cli import ConfigError, main, parse_config
+from slotgnn.cli import ConfigError, _overrides_from_args, build_parser, main, parse_config
 from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
 
 
@@ -78,6 +78,92 @@ class TestParseConfig:
             parse_config(None, {"train.dim": "30", "train.heads": "4"})
 
 
+def flag_echo(argv):
+    args = build_parser().parse_args(["train", *argv])
+    return parse_config(args.config, _overrides_from_args(args)).echo()
+
+
+def echo_with(**changes):
+    """The default echo with ``changes`` applied; ``train__x`` names train.x."""
+    want = parse_config(None).echo()
+    for key, value in changes.items():
+        if key.startswith("train__"):
+            want["train"][key[len("train__"):]] = value
+        else:
+            want[key] = value
+    return want
+
+
+# every flag of the CLI, each with the echo it alone produces
+FLAG_ECHOES = [
+    (["--dataset", "data/x"], dict(dataset="data/x")),
+    (["--out", "elsewhere"], dict(out="elsewhere")),
+    (["--checkpoint", "runs/ck"], dict(checkpoint="runs/ck")),
+    (["--seed", "7"], dict(train__seed=7)),
+    (["--profile", "paper"], dict(profile="paper", train__dim=512)),
+    (["--dim", "32"], dict(train__dim=32)),
+    (["--heads", "4"], dict(train__heads=4)),
+    (["--layers", "3"], dict(train__layers=3)),
+    (["--dropout", "0.25"], dict(train__dropout=0.25)),
+    (["--epochs", "3"], dict(train__epochs=3)),
+    (["--max-lr", "0.005"], dict(train__max_lr=0.005)),
+    (["--weight-decay", "0.1"], dict(train__weight_decay=0.1)),
+    (["--batch-mode", "sampled"], dict(train__batch_mode="sampled")),
+    (["--batch-size", "16"], dict(train__batch_size=16)),
+    (["--batches-per-epoch", "5"], dict(train__batches_per_epoch=5)),
+    (["--sample-depth", "2"], dict(train__sample_depth=2)),
+    (["--sample-budget", "100"], dict(train__sample_budget=100)),
+    (["--precision", "float64"], dict(train__precision="float64")),
+    (["--attention-norm", "literal"], dict(train__attention_norm="literal")),
+    (["--scale-outside"], dict(train__scale_outside=True)),
+    (["--early-stop-patience", "4"], dict(train__early_stop_patience=4)),
+    (["--no-seq"], dict(train__use_seq=False)),
+    (["--no-fusion"], dict(train__use_fusion=False)),
+    (["--no-relation-encoding"], dict(train__use_relation_encoding=False)),
+    (["--top-k", "3"], dict(top_k=3)),
+    (["--split", "valid"], dict(split="valid")),
+    (["--per-node"], dict(per_node=True)),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv,changes", FLAG_ECHOES, ids=[a[0] for a, _ in FLAG_ECHOES])
+    def test_each_flag_echo(self, argv, changes):
+        assert flag_echo(argv) == echo_with(**changes)
+
+    def test_config_flag_echo(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("train.layers = 3\nexplain.top_k = 2\n")
+        assert flag_echo(["--config", str(path)]) == echo_with(train__layers=3, top_k=2)
+
+    def test_switches_together(self):
+        argv = ["--no-seq", "--no-fusion", "--no-relation-encoding", "--scale-outside", "--per-node"]
+        assert flag_echo(argv) == echo_with(
+            train__use_seq=False, train__use_fusion=False, train__use_relation_encoding=False,
+            train__scale_outside=True, per_node=True,
+        )
+
+    def test_schedule_and_optimizer_flags(self):
+        argv = [
+            "--start-fraction", "0.25", "--lr-div", "20", "--lr-final-div", "100",
+            "--beta1", "0.8", "--beta2", "0.99", "--eps", "1e-6",
+        ]
+        assert flag_echo(argv) == echo_with(
+            train__start_fraction=0.25, train__lr_div=20.0, train__lr_final_div=100.0,
+            train__beta1=0.8, train__beta2=0.99, train__eps=1e-6,
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["--batch-mode", "mini"], ["--precision", "float16"], ["--attention-norm", "soft"],
+        ["--split", "dev"], ["--profile", "huge"], ["--dim", "wide"], ["--dropout", "half"],
+        ["--seed", "1.5"], ["--no-such-flag"],
+    ])
+    def test_bad_flag_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *argv])
+        assert exc.value.code == 2
+
+
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, dataset, tmp_path):
         out = tmp_path / "run"
@@ -124,6 +210,18 @@ class TestTrainCommand:
         (broken / "labels.csv").unlink()
         code = main(["train", "--dataset", str(broken), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_bad_value_exits_3_naming_file_and_line(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for p in Path(dataset).iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        lines = (broken / "nodes_item.csv").read_text().splitlines()
+        lines[6] = lines[6].rsplit(",", 1)[0] + ",nan"
+        (broken / "nodes_item.csv").write_text("\n".join(lines) + "\n")
+        code = main(["train", "--dataset", str(broken), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "nodes_item.csv line 7" in capsys.readouterr().err
 
 
 class TestEvalExplainCommands:

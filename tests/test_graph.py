@@ -153,12 +153,68 @@ class TestValidation:
             back = load_dataset(tmp_path)
         assert any("duplicate" in rec.message for rec in caplog.records)
         assert back.edges[rel].shape[0] == graph.edges[rel].shape[0]
+        pairs = graph.edges[rel].tolist()
+        repeats = len(pairs) - len({tuple(p) for p in pairs})
+        assert repeats >= 1
+        want = f"relation {rel} has {repeats} duplicate edges (kept)"
+        assert want in [rec.getMessage() for rec in caplog.records]
 
     def test_out_of_range_edge(self, graph, tmp_path):
         rel = graph.schema.relations[0]
         graph.edges[rel] = np.vstack([graph.edges[rel], [[10 ** 6, 0]]])
         save_dataset(graph, tmp_path)
         with pytest.raises(DatasetError, match="out of range"):
+            load_dataset(tmp_path)
+
+
+def rewrite_line(directory, name, line, edit):
+    """Replace line ``line`` (1-based, the header is line 1) of a dataset file."""
+    path = directory / name
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestBadInput:
+    """Malformed values fail validation with the file and line named."""
+
+    def test_non_finite_feature(self, graph, tmp_path):
+        save_dataset(graph, tmp_path)
+        rewrite_line(tmp_path, "nodes_item.csv", 4, lambda s: s.rsplit(",", 1)[0] + ",nan")
+        with pytest.raises(DatasetError, match=r"nodes_item\.csv line 4: .*not finite"):
+            load_dataset(tmp_path)
+
+    def test_ragged_node_row(self, graph, tmp_path):
+        save_dataset(graph, tmp_path)
+        rewrite_line(tmp_path, "nodes_mid.csv", 3, lambda s: s.rsplit(",", 1)[0])
+        width = 1 + graph.schema.node_type("mid").feature_dim
+        want = rf"nodes_mid\.csv line 3: {width - 1} values, expected {width}"
+        with pytest.raises(DatasetError, match=want):
+            load_dataset(tmp_path)
+
+    def test_non_integer_edge_id(self, graph, tmp_path):
+        rel = graph.schema.relations[0]
+        save_dataset(graph, tmp_path)
+        rewrite_line(tmp_path, f"edges_{rel.key}.csv", 5, lambda s: "1.5," + s.split(",")[1])
+        with pytest.raises(DatasetError, match=rf"edges_{rel.key}\.csv line 5: .*'1\.5'"):
+            load_dataset(tmp_path)
+
+    def test_duplicate_label_row(self, graph, tmp_path):
+        save_dataset(graph, tmp_path)
+        path = tmp_path / "labels.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        want = rf"labels\.csv line {len(lines) + 1}: .*id {lines[2].split(',')[0]}\b"
+        with pytest.raises(DatasetError, match=want):
+            load_dataset(tmp_path)
+
+    def test_multilabel_flag_not_zero_or_one(self, graph, tmp_path):
+        graph.schema.multilabel = True
+        graph.labels = np.eye(graph.schema.num_classes, dtype=np.float32)[graph.labels]
+        save_dataset(graph, tmp_path)
+        assert load_dataset(tmp_path).schema.multilabel
+        rewrite_line(tmp_path, "labels.csv", 6, lambda s: s.rsplit(",", 1)[0] + ",2")
+        with pytest.raises(DatasetError, match=r"labels\.csv line 6: .*0 or 1"):
             load_dataset(tmp_path)
 
 
@@ -267,7 +323,7 @@ class TestSampler:
                     if int(t) in reach[rel.dst]:
                         reach[rel.src].add(int(s))
         for name in graph.counts:
-            assert set(sub.node_ids[name].tolist()) == reach[name]
+            assert set(sub.graph.orig_ids[name].tolist()) == reach[name]
         # closure: induced edges only connect selected nodes
         for rel in graph.schema.relations:
             pairs = sub.graph.edges[rel]
@@ -280,7 +336,7 @@ class TestSampler:
         a = sample_subgraph(graph, batch, depth=3, budget=5, seed=42)
         b = sample_subgraph(graph, batch, depth=3, budget=5, seed=42)
         for name in graph.counts:
-            assert np.array_equal(a.node_ids[name], b.node_ids[name])
+            assert np.array_equal(a.graph.orig_ids[name], b.graph.orig_ids[name])
         # a different seed is allowed to produce a different selection
         c = sample_subgraph(graph, batch, depth=3, budget=5, seed=43)
         assert c.batch_local.size == a.batch_local.size
@@ -291,7 +347,7 @@ class TestSampler:
         for name in graph.counts:
             if name == graph.schema.target_type:
                 continue
-            assert sub.node_ids[name].size <= 2
+            assert sub.graph.orig_ids[name].size <= 2
 
     def test_default_large_graph_settings_accepted(self, graph):
         batch = graph.splits["train"][:16]
@@ -306,4 +362,4 @@ class TestSampler:
         batch = graph.splits["valid"][:5]
         sub = sample_subgraph(graph, batch, depth=2, budget=4, seed=9)
         target = graph.schema.target_type
-        assert np.array_equal(sub.node_ids[target][sub.batch_local], np.unique(batch))
+        assert np.array_equal(sub.graph.orig_ids[target][sub.batch_local], np.unique(batch))

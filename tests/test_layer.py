@@ -93,7 +93,7 @@ class TestProjectQKV:
         params = make_params(g, 4, 2, seed=4)
         queries, _, _ = project_qkv(state, params)
         q = queries["t"]
-        halves = [T.slice_axis(q, 2, 0, 2).data, T.slice_axis(q, 2, 2, 2).data]
+        halves = [q.data[:, :, 0:2], q.data[:, :, 2:4]]
         assert np.array_equal(np.concatenate(halves, axis=2), q.data)
 
 

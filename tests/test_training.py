@@ -36,8 +36,7 @@ def quick_cfg(**kw):
 
 class TestAdamW:
     def make_param(self, value=1.0):
-        with T.precision("float64"):
-            return T.Tensor(np.array([[value]]), requires_grad=True, name="w")
+        return T.Tensor(np.array([[value]]), requires_grad=True, name="w", dtype=np.float64)
 
     def test_zero_gradient_no_decay_is_identity(self):
         p = self.make_param(3.0)
@@ -130,8 +129,7 @@ class TestTrain:
         cfg = quick_cfg(epochs=1, dropout=0.0, max_lr=1e-9)
         model = init_model(g, cfg)
         train_ids = g.splits["train"]
-        with T.precision(cfg.precision):
-            z = model.forward(g, training=True).logits.data[train_ids]
+        z = model.forward(g, training=True).logits.data[train_ids]
         log_p = np.log(oracles.softmax_formula(z, axis=1))
         result = train(model, g, cfg)
         # the first logged loss is the untrained model's train cross-entropy
@@ -243,13 +241,45 @@ class TestEvaluate:
         train(model, g, cfg)
         ids = g.splits["valid"]
         metrics = evaluate(model, g, "valid")
-        with T.precision(cfg.precision):
-            out = model.forward(g, training=False)
+        out = model.forward(g, training=False)
         preds = predict(out.logits.data[ids])
         direct = f1_metrics(preds, g.labels[ids], g.schema.num_classes)
         assert metrics["micro_f1"] == direct.micro_f1
         assert metrics["macro_f1"] == direct.macro_f1
         assert metrics["accuracy"] == direct.accuracy
+
+
+class TestDtype:
+    def test_dtype_follows_each_model(self):
+        g = small_planted()
+        models = {
+            np.float64: init_model(g, quick_cfg(precision="float64")),
+            np.float32: init_model(g, quick_cfg(precision="float32")),
+        }
+        ids = g.splits["train"]
+        first = {}
+        # alternate between the models: neither may leave state for the other
+        for _ in range(2):
+            for dtype, model in models.items():
+                with T.Tape() as tape:
+                    out = model.forward(g, training=True, dropout_seed=(1,))
+                    batch_loss = head_loss(T.gather(out.logits, ids), g.labels[ids])
+                assert out.logits.dtype == dtype and batch_loss.dtype == dtype
+                assert all(p.dtype == dtype for p in model.parameters())
+                # every op's inputs, the features and dropout masks among them
+                assert {t.dtype for node in tape.nodes for t in node.parents} == {np.dtype(dtype)}
+                evaluate(model, g, "valid")
+                logits = out.logits.data.tobytes()
+                assert first.setdefault(dtype, logits) == logits
+
+    def test_training_keeps_the_model_dtype(self):
+        g = small_planted()
+        for precision in ("float64", "float32", "float64"):
+            cfg = quick_cfg(precision=precision, epochs=2)
+            model = init_model(g, cfg)
+            train(model, g, cfg)
+            assert all(p.dtype == np.dtype(precision) for p in model.parameters())
+            assert all(p.grad.dtype == np.dtype(precision) for p in model.parameters())
 
 
 class TestGradCheckModel:
@@ -274,17 +304,16 @@ class TestGradCheckModel:
             grad_check_model(model, g)
 
     def test_classifier_only_is_tightly_convex(self):
-        with T.precision("float64"):
-            rng = np.random.default_rng(0)
-            params = FusionParams.create(8, 2, 2, rng)
-            fused = T.Tensor(rng.normal(size=(6, 8)))
-            labels = rng.integers(0, 2, size=6)
+        rng = np.random.default_rng(0)
+        params = FusionParams.create(8, 2, 2, rng, dtype=np.float64)
+        fused = T.Tensor(rng.normal(size=(6, 8)), dtype=np.float64)
+        labels = rng.integers(0, 2, size=6)
 
-            def f():
-                return head_loss(classify(fused, params), labels)
+        def f():
+            return head_loss(classify(fused, params), labels)
 
-            for p in (params.classifier_weight, params.classifier_bias):
-                assert T.finite_diff_check(f, [p]) < 1e-8
+        for p in (params.classifier_weight, params.classifier_bias):
+            assert T.finite_diff_check(f, [p]) < 1e-8
 
     def test_corrupted_backward_rule_is_detected(self, monkeypatch):
         import slotgnn.tensor as tensor_mod
