@@ -49,7 +49,7 @@ class FusionParams:
 @dataclass
 class FusionOutput:
     fused: T.Tensor
-    attn: list[T.Tensor]  # per head, (nodes, final slot count)
+    attn: np.ndarray  # (nodes, heads, final slot count)
 
 
 def fuse(h0: T.Tensor, hl: T.Tensor, params: FusionParams) -> FusionOutput:
@@ -65,8 +65,7 @@ def fuse(h0: T.Tensor, hl: T.Tensor, params: FusionParams) -> FusionOutput:
     logits = T.scale(T.reshape(T.bmm(k, q), (n, heads, f_l)), 1.0 / math.sqrt(d_h))
     attn = T.softmax(logits, axis=2)
     mixed = T.bmm(T.reshape(attn, (n, heads, 1, f_l)), v)
-    per_head = [T.Tensor(attn.data[:, m], dtype=attn.dtype) for m in range(heads)]
-    return FusionOutput(T.reshape(mixed, (n, d)), per_head)
+    return FusionOutput(T.reshape(mixed, (n, d)), attn.data)
 
 
 def mean_fuse(hl: T.Tensor) -> T.Tensor:
@@ -212,7 +211,7 @@ def metapath_report(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    weights = np.mean([a.data for a in fusion.attn], axis=0)
+    weights = fusion.attn.mean(axis=1)
     n, f_l = weights.shape
     if len(labels) != f_l:
         raise ValueError(f"label table length {len(labels)} != slot count {f_l}")

@@ -146,7 +146,6 @@ class HeteroGraph:
         labeled_mask: np.ndarray,
         splits: dict[str, np.ndarray],
         orig_ids: dict[str, np.ndarray] | None = None,
-        parent_counts: dict[str, int] | None = None,
     ):
         self.schema = schema
         self.counts = counts
@@ -159,7 +158,6 @@ class HeteroGraph:
         self.orig_ids = orig_ids or {
             name: np.arange(n, dtype=np.int64) for name, n in counts.items()
         }
-        self.parent_counts = parent_counts or dict(counts)
         self._views: dict[Relation, BipartiteView] = {}
 
     def bipartite(self, relation: Relation) -> BipartiteView:
@@ -321,9 +319,17 @@ def read_raw(directory: str | Path) -> RawDataset:
     else:
         try:
             obj = json.loads(splits_path.read_text())
-            raw.splits = {k: [int(i) for i in obj[k]] for k in ("train", "valid", "test")}
+            splits = {k: list(obj[k]) for k in ("train", "valid", "test")}
         except (KeyError, ValueError, TypeError) as exc:
             raw.errors.append(f"splits.json unreadable: {exc}")
+        else:
+            # a JSON integer loads as int; 2.5, true and "3" are not ids
+            bad = [(k, i) for k, ids in splits.items() for i in ids if type(i) is not int]
+            if bad:
+                part, value = bad[0]
+                raw.errors.append(f"splits.json: {part} id {json.dumps(value)} is not an integer")
+            else:
+                raw.splits = splits
     return raw
 
 
@@ -584,7 +590,7 @@ def synthetic_generate(spec: SyntheticSpec, seed: int) -> HeteroGraph:
                 for a in coherent_pick(attr_classes, int(mid_classes[m]), spec.attrs_per_mid)
             ],
             dtype=np.int64,
-        )
+        ).reshape(-1, 2)  # (0, 2) when no edge is drawn
         of = np.array(
             [
                 (m, t)
@@ -592,20 +598,16 @@ def synthetic_generate(spec: SyntheticSpec, seed: int) -> HeteroGraph:
                 for m in coherent_pick(mid_classes, int(item_classes[t]), spec.mids_per_target)
             ],
             dtype=np.int64,
-        )
+        ).reshape(-1, 2)  # (0, 2) when no edge is drawn
         edges[spec.PLANTED_FIRST_HOP] = tags
         edges[spec.PLANTED_SECOND_HOP] = of
 
-        attrs_of_mid: dict[int, list[int]] = {}
-        for a, m in tags:
-            attrs_of_mid.setdefault(int(m), []).append(int(a))
-        labels = np.zeros(spec.num_targets, dtype=np.int64)
-        for t in range(spec.num_targets):
-            hist = np.zeros(c, dtype=np.int64)
-            for m, tt in of[of[:, 1] == t]:
-                for a in attrs_of_mid.get(int(m), []):
-                    hist[attr_classes[a]] += 1
-            labels[t] = int(np.argmax(hist))
+        # class histograms of each mid's attrs, then of each target's 2-hop
+        # paths, both counted with multiplicity; argmax ties go to the lowest
+        mid_hist = Segments(tags[:, 1], spec.num_mid).sum(
+            np.eye(c, dtype=np.int64)[attr_classes[tags[:, 0]]]
+        )
+        labels = np.argmax(Segments(of[:, 1], spec.num_targets).sum(mid_hist[of[:, 0]]), axis=1)
     else:
         labels = rng.integers(0, c, size=spec.num_targets)
 
@@ -737,7 +739,6 @@ def sample_subgraph(
         labeled_mask=graph.labeled_mask[target_ids],
         splits={},
         orig_ids={name: graph.orig_ids[name][ids] for name, ids in node_ids.items()},
-        parent_counts=dict(graph.parent_counts),
     )
     batch_local = np.searchsorted(target_ids, batch)
     return Subgraph(graph=sub, batch_local=batch_local)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tensor as T
 from .graph import BipartiteView, HeteroGraph, Relation, Schema
-from .seq import LayerSlot, SeqState, slot_labels
 
 
 @dataclass
@@ -77,19 +76,6 @@ class LayerParams:
         return out
 
 
-@dataclass
-class AttentionBlock:
-    """Attention weights of one relation, (E, heads, F_src, F_dst)."""
-
-    weights: T.Tensor
-    view: BipartiteView
-
-    @property
-    def heads(self) -> list[np.ndarray]:
-        """Per-head (E, F_src, F_dst) weight arrays, for inspection."""
-        return [self.weights.data[:, m] for m in range(self.weights.shape[1])]
-
-
 def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
     """(N, F, d) -> (N, heads, F, d/heads): each head's slice of every slot."""
     n, f, d = x.shape
@@ -97,11 +83,11 @@ def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
 
 
 def project_qkv(
-    state: SeqState, params: LayerParams
+    state: dict[str, T.Tensor], params: LayerParams
 ) -> tuple[dict[str, T.Tensor], dict[str, T.Tensor], dict[str, T.Tensor]]:
     """Apply the per-type shared Q/K/V maps to every slot of every node."""
     queries, keys, values = {}, {}, {}
-    for name, tens in state.tensors.items():
+    for name, tens in state.items():
         if tens.shape[2] != params.dim:
             raise T.ShapeError(f"state width {tens.shape[2]} != params dim {params.dim}")
         wq, bq = params.query[name]
@@ -118,11 +104,11 @@ def relation_attention(
     dst_queries: T.Tensor,
     att_weights: T.Tensor,
     view: BipartiteView,
-    num_targets: int,
     mode: str = "joint",
     scale_outside: bool = False,
-) -> AttentionBlock:
-    """Per-head attention over one relation's edges, all heads in one pass.
+) -> T.Tensor:
+    """Per-head attention weights over one relation's edges, all heads in one
+    pass: (E, heads, F_src, F_dst).
 
     Logits for edge (s, t) are K[s] W Q[t]^T per head; by default they are
     scaled by 1/sqrt(d_h) inside the softmax, with ``scale_outside`` moving a
@@ -138,10 +124,8 @@ def relation_attention(
     q = T.gather(split_heads(dst_queries, heads), dst)
     logits = T.bmm(kw, T.transpose(q, (0, 1, 3, 2)))
     if scale_outside:
-        attn = T.scale(T.edge_softmax(logits, dst, num_targets, mode), 1.0 / math.sqrt(d))
-    else:
-        attn = T.edge_softmax(T.scale(logits, 1.0 / math.sqrt(d_h)), dst, num_targets, mode)
-    return AttentionBlock(attn, view)
+        return T.scale(T.edge_softmax(logits, dst, dst.num_segments, mode), 1.0 / math.sqrt(d))
+    return T.edge_softmax(T.scale(logits, 1.0 / math.sqrt(d_h)), dst, dst.num_segments, mode)
 
 
 def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -> T.Tensor:
@@ -149,20 +133,18 @@ def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -
     return T.matmul(src_values, params.ext[rel])
 
 
-def aggregate_messages(
-    attn: AttentionBlock, ext: T.Tensor, num_targets: int
-) -> T.Tensor:
+def aggregate_messages(attn: T.Tensor, ext: T.Tensor, view: BipartiteView) -> T.Tensor:
     """Sum attention-mixed source slots into each target: (n_dst, F_dst, d).
 
     Targets with an empty neighborhood receive a zero block; sources are
     visited in sorted order, so the reduction is bit-stable.
     """
-    view = attn.view
-    ext_h = T.gather(split_heads(ext, attn.weights.shape[1]), view.src_segments)
-    msg = T.bmm(T.transpose(attn.weights, (0, 1, 3, 2)), ext_h)
-    summed = T.segment_sum(msg, view.dst_segments, num_targets)
+    dst = view.dst_segments
+    ext_h = T.gather(split_heads(ext, attn.shape[1]), view.src_segments)
+    msg = T.bmm(T.transpose(attn, (0, 1, 3, 2)), ext_h)
+    summed = T.segment_sum(msg, dst, dst.num_segments)
     f_t, d = summed.shape[2], ext.shape[2]
-    return T.reshape(T.transpose(summed, (0, 2, 1, 3)), (num_targets, f_t, d))
+    return T.reshape(T.transpose(summed, (0, 2, 1, 3)), (dst.num_segments, f_t, d))
 
 
 def encode_relations(
@@ -190,58 +172,50 @@ def update_sequences(prev: T.Tensor, encoded: T.Tensor, adopt: T.Tensor) -> T.Te
 
 
 def layer_forward(
-    state: SeqState,
+    state: dict[str, T.Tensor],
     graph: HeteroGraph,
     params: LayerParams,
     layer_index: int,
-    tables: dict[str, list] | None = None,
     attention_norm: str = "joint",
     scale_outside: bool = False,
     relation_encoding: bool = True,
     sequence_update: bool = True,
     collect: dict | None = None,
-) -> SeqState:
+) -> dict[str, T.Tensor]:
     """Full layer: project, attend, extract, aggregate, encode, update.
 
     With ``sequence_update`` off (the no-sequence ablation) the relation
     blocks are averaged into a single slot instead of being appended.
+    ``layer_index`` (from 1) only identifies the layer; no result depends on it.
     """
     schema = graph.schema
     queries, keys, values = project_qkv(state, params)
     messages: dict[Relation, T.Tensor] = {}
     for rel in schema.relations:
         view = graph.bipartite(rel)
-        n_dst = graph.counts[rel.dst]
         attn = relation_attention(
-            keys[rel.src], queries[rel.dst], params.att[rel], view, n_dst,
+            keys[rel.src], queries[rel.dst], params.att[rel], view,
             mode=attention_norm, scale_outside=scale_outside,
         )
         ext = extract_messages(values[rel.src], params, rel)
-        messages[rel] = aggregate_messages(attn, ext, n_dst)
+        messages[rel] = aggregate_messages(attn, ext, view)
         if collect is not None:
             collect.setdefault("attention", {})[rel] = attn
 
-    if tables is None:
-        tables = slot_labels(schema, layer_index)
-    tensors: dict[str, T.Tensor] = {}
-    labels: dict[str, list] = {}
+    out: dict[str, T.Tensor] = {}
     for nt in schema.node_types:
         name = nt.name
         incoming = schema.relations_into(name)
         if not incoming:
-            tensors[name] = state.tensors[name]
-            labels[name] = state.labels[name]
+            out[name] = state[name]
             continue
         encoded = encode_relations(messages, params, schema, name, relation_encoding)
         if sequence_update:
-            tensors[name] = update_sequences(state.tensors[name], encoded, params.adopt[name])
-            labels[name] = tables[name][layer_index]
-        else:
-            merged = encoded
-            if len(incoming) > 1:
-                n = graph.counts[name]
-                stacked = T.reshape(merged, (n, len(incoming), state.slot_count(name), params.dim))
-                merged = T.reduce_mean(stacked, axis=1)
-            tensors[name] = T.matmul(merged, params.adopt[name])
-            labels[name] = [LayerSlot(layer_index)] * tensors[name].shape[1]
-    return SeqState(tensors, labels, layer_index)
+            out[name] = update_sequences(state[name], encoded, params.adopt[name])
+            continue
+        if len(incoming) > 1:
+            n, f = state[name].shape[:2]
+            stacked = T.reshape(encoded, (n, len(incoming), f, params.dim))
+            encoded = T.reduce_mean(stacked, axis=1)
+        out[name] = T.matmul(encoded, params.adopt[name])
+    return out

@@ -11,26 +11,32 @@ from .config import TrainConfig
 from .fusion import FusionOutput, FusionParams, classify, fuse, mean_fuse
 from .graph import HeteroGraph, Schema
 from .layer import LayerParams, layer_forward
-from .seq import InputProjection, LayerSlot, SeqState, SlotLabel, project_features, slot_dropout, slot_labels
+from .seq import InputProjection, LayerSlot, SlotLabel, project_features, slot_dropout, slot_labels
 
 
 @dataclass
 class ModelOutput:
     logits: T.Tensor
     fusion: FusionOutput | None
-    head_labels: list[SlotLabel]
-    states: list[SeqState]
 
 
 class SlotModel:
     """The full network for one schema, holding every trainable tensor in the
-    dtype ``config.precision`` names; a forward pass computes in that dtype."""
+    dtype ``config.precision`` names; a forward pass computes in that dtype.
+
+    ``head_labels`` is the provenance of each slot the fusion head reads,
+    which depends only on the schema and the config.
+    """
 
     def __init__(self, schema: Schema, config: TrainConfig, rng: np.random.Generator):
         config.validate()
         self.schema = schema
         self.config = config
-        self.tables = slot_labels(schema, config.layers)
+        self.head_labels: list[SlotLabel] = (
+            slot_labels(schema, config.layers)[schema.target_type][-1]
+            if config.use_seq
+            else [LayerSlot(i) for i in range(1, config.layers + 1)]
+        )
         dtype = np.dtype(config.precision)
         self.proj = InputProjection.create(schema, config.dim, rng, dtype)
         self.layers = [
@@ -62,39 +68,29 @@ class SlotModel:
         target = self.schema.target_type
         state = project_features(graph, self.proj)
         if not cfg.use_seq:
-            state = SeqState(
-                {n: T.reduce_mean(t, axis=1, keepdims=True) for n, t in state.tensors.items()},
-                {n: [LayerSlot(0)] for n in state.tensors},
-                0,
-            )
-        h0 = state.tensors[target]  # fusion queries use the pre-dropout layer-0 state
-        per_layer = [state]
+            state = {n: T.reduce_mean(t, axis=1, keepdims=True) for n, t in state.items()}
+        h0 = state[target]  # fusion queries use the pre-dropout layer-0 state
+        blocks = []
         for index, params in enumerate(self.layers, start=1):
             if training and cfg.dropout > 0.0:
-                state = slot_dropout(
-                    state, cfg.dropout, True, seed=(*dropout_seed, index), graph=graph
-                )
+                state = slot_dropout(state, cfg.dropout, seed=(*dropout_seed, index), graph=graph)
             state = layer_forward(
                 state,
                 graph,
                 params,
                 layer_index=index,
-                tables=self.tables,
                 attention_norm=cfg.attention_norm,
                 scale_outside=cfg.scale_outside,
                 relation_encoding=cfg.use_relation_encoding,
                 sequence_update=cfg.use_seq,
                 collect=collect,
             )
-            per_layer.append(state)
+            blocks.append(state[target])
 
         if cfg.use_seq:
-            head_input = state.tensors[target]
-            head_labels = list(state.labels[target])
+            head_input = state[target]
         else:
-            blocks = [s.tensors[target] for s in per_layer[1:]]
             head_input = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=1)
-            head_labels = [LayerSlot(i) for i in range(1, len(per_layer))]
 
         fusion_out: FusionOutput | None = None
         if cfg.use_fusion:
@@ -103,4 +99,4 @@ class SlotModel:
         else:
             fused = mean_fuse(head_input)
         logits = classify(fused, self.fusion_params)
-        return ModelOutput(logits, fusion_out, head_labels, per_layer)
+        return ModelOutput(logits, fusion_out)

@@ -3,8 +3,10 @@
 A node's representation is an ordered sequence of d-vectors ("slots"). At
 layer 0 there is one slot per raw feature; each layer appends one message
 block per incoming relation, so the slot count per type grows by the factor
-(#incoming relations + 1) per layer. Every slot carries a provenance label
-that decodes back to either a base feature or a relation-derived message.
+(#incoming relations + 1) per layer. Every slot has a provenance label that
+decodes back to either a base feature or a relation-derived message; the
+labels depend only on the schema, so ``slot_labels`` computes them once and
+a forward pass carries only the per-type tensors.
 """
 
 from __future__ import annotations
@@ -47,18 +49,6 @@ class LayerSlot:
 
 
 SlotLabel = Union[BaseSlot, MsgSlot, LayerSlot]
-
-
-@dataclass
-class SeqState:
-    """Per-type sequence tensors (nodes x slots x d) at one layer."""
-
-    tensors: dict[str, T.Tensor]
-    labels: dict[str, list[SlotLabel]]
-    layer: int
-
-    def slot_count(self, type_name: str) -> int:
-        return self.tensors[type_name].shape[1]
 
 
 def sequence_length(schema: Schema, type_name: str, layer: int) -> int:
@@ -133,18 +123,16 @@ class InputProjection:
         return out
 
 
-def project_features(graph: HeteroGraph, proj: InputProjection) -> SeqState:
-    """Layer-0 state: slot f of node i is the affine image of its feature f."""
-    tables = slot_labels(graph.schema, 0)
-    tensors: dict[str, T.Tensor] = {}
-    labels: dict[str, list[SlotLabel]] = {}
+def project_features(graph: HeteroGraph, proj: InputProjection) -> dict[str, T.Tensor]:
+    """Layer-0 sequences: slot f of node i is the affine image of its feature f."""
+    state: dict[str, T.Tensor] = {}
     d = proj.dim
     for nt in graph.schema.node_types:
         n = graph.counts[nt.name]
         if nt.num_features == 0:
             emb = proj.embeddings[nt.name]
             rows = T.matmul(T.Tensor(np.ones((n, 1)), dtype=emb.dtype), emb)
-            tensors[nt.name] = T.reshape(rows, (n, 1, d))
+            state[nt.name] = T.reshape(rows, (n, 1, d))
         else:
             feats = graph.features[nt.name]
             if feats.shape[1] != nt.num_features or feats.shape[2] != nt.feature_dim:
@@ -157,38 +145,34 @@ def project_features(graph: HeteroGraph, proj: InputProjection) -> SeqState:
                 w, b = proj.weights[(nt.name, f)]
                 slot = T.add(T.matmul(T.Tensor(feats[:, f, :], dtype=w.dtype), w), b)
                 slots.append(T.reshape(slot, (n, 1, d)))
-            tensors[nt.name] = slots[0] if len(slots) == 1 else T.concat(slots, axis=1)
-        labels[nt.name] = tables[nt.name][0]
-    return SeqState(tensors, labels, layer=0)
+            state[nt.name] = slots[0] if len(slots) == 1 else T.concat(slots, axis=1)
+    return state
 
 
 def slot_dropout(
-    state: SeqState,
+    state: dict[str, T.Tensor],
     p: float,
-    training: bool,
     seed: int,
     graph: HeteroGraph | None = None,
-) -> SeqState:
+) -> dict[str, T.Tensor]:
     """Zero whole slots with probability p, scaling survivors by 1/(1-p).
 
-    Masks are drawn per original node id at the parent graph's size, so a
-    node keeps the same mask whether it is visited in a full-graph pass or
-    inside a sampled subgraph, and results do not depend on evaluation order.
-    Identity outside training or at p = 0.
+    Masks are addressed by original node id: the uniform draw for a type
+    spans ids 0..max(orig_ids), and numpy fills it row by row, so a node
+    gets the same mask whether it is visited in a full-graph pass or inside
+    a sampled subgraph, and results do not depend on evaluation order.
+    Identity at p = 0.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return state
-    tensors: dict[str, T.Tensor] = {}
-    for ti, (name, tens) in enumerate(state.tensors.items()):
+    out: dict[str, T.Tensor] = {}
+    for ti, (name, tens) in enumerate(state.items()):
         n, f, d = tens.shape
+        ids = np.arange(n) if graph is None else graph.orig_ids[name]
         rng = np.random.default_rng(np.random.SeedSequence([seed, ti]))
-        if graph is not None:
-            full = rng.random((graph.parent_counts[name], f))
-            keep = full[graph.orig_ids[name]] >= p
-        else:
-            keep = rng.random((n, f)) >= p
+        keep = rng.random((ids.max(initial=-1) + 1, f))[ids] >= p
         mask = np.broadcast_to((keep / (1.0 - p))[:, :, None], (n, f, d))
-        tensors[name] = T.mul(tens, T.Tensor(np.ascontiguousarray(mask), dtype=tens.dtype))
-    return SeqState(tensors, state.labels, state.layer)
+        out[name] = T.mul(tens, T.Tensor(np.ascontiguousarray(mask), dtype=tens.dtype))
+    return out

@@ -170,12 +170,6 @@ class Tape:
         return table
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    if loss._tape is None:
-        raise TapeError("loss is not on any tape")
-    return loss._tape.backward(loss)
-
-
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     requires = any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)

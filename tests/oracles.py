@@ -46,6 +46,26 @@ def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def central_diff4(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
+    """Coordinate-wise five-point central difference of a scalar function of x.
+
+    Its truncation error is O(h^4), so h can be large enough that rounding in
+    f stays far below the gradient, even for coordinates near 1e-6.
+    """
+    g = np.zeros_like(x, dtype=np.float64)
+    flat_x = x.reshape(-1)
+    flat_g = g.reshape(-1)
+    for i in range(flat_x.size):
+        orig = flat_x[i]
+        at = []
+        for step in (2.0, 1.0, -1.0, -2.0):
+            flat_x[i] = orig + step * h
+            at.append(f())
+        flat_x[i] = orig
+        flat_g[i] = (-at[0] + 8.0 * at[1] - 8.0 * at[2] + at[3]) / (12.0 * h)
+    return g
+
+
 def csr_slices_by_filter(edges: np.ndarray, num_targets: int) -> list[list[int]]:
     """Per-target source lists via a linear scan of the edge list."""
     out: list[list[int]] = [[] for _ in range(num_targets)]
@@ -66,19 +86,29 @@ def two_hop_majority(
     ``second_hop`` holds (mid, target) edges, ``first_hop`` holds (attr, mid)
     edges; paths are counted with multiplicity.
     """
+    counts = two_hop_class_counts(first_hop, second_hop, attr_classes, num_targets, num_classes)
+    return np.argmax(counts, axis=1)
+
+
+def two_hop_class_counts(
+    first_hop: np.ndarray,
+    second_hop: np.ndarray,
+    attr_classes: np.ndarray,
+    num_targets: int,
+    num_classes: int,
+) -> np.ndarray:
+    """Per target, the number of 2-hop paths target<-mid<-attr of each attr class."""
     mids_of = {}
     for a, m in first_hop:
         mids_of.setdefault(int(m), []).append(int(a))
-    labels = np.zeros(num_targets, dtype=np.int64)
+    counts = np.zeros((num_targets, num_classes), dtype=np.int64)
     for t in range(num_targets):
-        counts = np.zeros(num_classes, dtype=np.int64)
         for m, tt in second_hop:
             if int(tt) != t:
                 continue
             for a in mids_of.get(int(m), []):
-                counts[int(attr_classes[a])] += 1
-        labels[t] = int(np.argmax(counts))
-    return labels
+                counts[t, int(attr_classes[a])] += 1
+    return counts
 
 
 def plugin_mi_bits(x: np.ndarray, y: np.ndarray) -> float:

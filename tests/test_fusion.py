@@ -39,7 +39,7 @@ class TestFuse:
         h0 = T.Tensor(rng.normal(size=(3, 1, 4)).astype(np.float32))
         hl = T.Tensor(rng.normal(size=(3, 1, 4)).astype(np.float32))
         out = fuse(h0, hl, params)
-        assert np.allclose(out.attn[0].data, 1.0)
+        assert np.allclose(out.attn[:, 0], 1.0)
         want = hl.data[:, 0, :] @ params.fv.data
         assert np.allclose(out.fused.data, want, atol=1e-6)
 
@@ -50,7 +50,7 @@ class TestFuse:
         row = rng.normal(size=(1, 1, 4)).astype(np.float32)
         hl = T.Tensor(np.tile(row, (2, 5, 1)))
         out = fuse(h0, hl, params)
-        assert np.allclose(out.attn[0].data, 0.2, atol=1e-6)
+        assert np.allclose(out.attn[:, 0], 0.2, atol=1e-6)
 
     def test_matches_dense_formula(self):
         params = make_params(dim=2, heads=1, seed=3)
@@ -60,7 +60,7 @@ class TestFuse:
         out = fuse(h0, hl, params)
         want_fused, want_attn = oracles.dense_fuse_reference(h0.data, hl.data, params)
         assert np.allclose(out.fused.data, want_fused, atol=1e-6)
-        assert np.allclose(out.attn[0].data, want_attn[0], atol=1e-6)
+        assert np.allclose(out.attn[:, 0], want_attn[0], atol=1e-6)
 
     def test_multi_head_matches_dense_formula(self):
         params = make_params(dim=8, heads=4, seed=5)
@@ -71,7 +71,7 @@ class TestFuse:
         want_fused, want_attn = oracles.dense_fuse_reference(h0.data, hl.data, params)
         assert np.allclose(out.fused.data, want_fused, rtol=1e-5, atol=1e-6)
         for m in range(4):
-            assert np.allclose(out.attn[m].data, want_attn[m], atol=1e-6)
+            assert np.allclose(out.attn[:, m], want_attn[m], atol=1e-6)
 
     def test_attention_rows_are_probabilities(self):
         params = make_params(dim=8, heads=2, seed=7)
@@ -79,9 +79,10 @@ class TestFuse:
         h0 = T.Tensor(rng.normal(size=(5, 2, 8)).astype(np.float32))
         hl = T.Tensor(rng.normal(size=(5, 6, 8)).astype(np.float32))
         out = fuse(h0, hl, params)
-        for head in out.attn:
-            assert np.all(head.data >= 0)
-            assert np.allclose(head.data.sum(axis=1), 1.0, atol=1e-6)
+        for m in range(out.attn.shape[1]):
+            head = out.attn[:, m]
+            assert np.all(head >= 0)
+            assert np.allclose(head.sum(axis=1), 1.0, atol=1e-6)
 
     def test_fused_in_convex_hull_of_values(self):
         params = make_params(dim=4, heads=1, seed=9)
@@ -98,9 +99,9 @@ class TestFuse:
         rng = np.random.default_rng(12)
         h0 = T.Tensor(rng.normal(size=(6, 2, 4)).astype(np.float32))
         hl = T.Tensor(rng.normal(size=(6, 5, 4)).astype(np.float32))
-        before = fuse(h0, hl, params).attn[0].data.argmax(axis=1)
+        before = fuse(h0, hl, params).attn[:, 0].argmax(axis=1)
         params.fk.data = params.fk.data * 3.5
-        after = fuse(h0, hl, params).attn[0].data.argmax(axis=1)
+        after = fuse(h0, hl, params).attn[:, 0].argmax(axis=1)
         assert np.array_equal(before, after)
 
     def test_mean_fuse_is_slot_average(self):
@@ -213,9 +214,8 @@ class TestMetaPathReport:
     def make_fusion(self, weights):
         from slotgnn.fusion import FusionOutput
 
-        attn = [T.Tensor(np.asarray(w, dtype=np.float32)) for w in weights]
-        n = attn[0].shape[0]
-        return FusionOutput(fused=T.Tensor(np.zeros((n, 2))), attn=attn)
+        attn = np.stack([np.asarray(w, dtype=np.float32) for w in weights], axis=1)
+        return FusionOutput(fused=T.Tensor(np.zeros((attn.shape[0], 2))), attn=attn)
 
     def test_slot_rendering(self):
         schema = target_schema()

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestBadInput:
         with pytest.raises(DatasetError, match=r"labels\.csv line 6: .*0 or 1"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_split_id(self, graph, tmp_path, value):
+        save_dataset(graph, tmp_path)
+        path = tmp_path / "splits.json"
+        splits = json.loads(path.read_text())
+        splits["valid"][1] = value
+        path.write_text(json.dumps(splits))
+        want = rf"splits\.json: valid id {re.escape(json.dumps(value))} is not an integer"
+        with pytest.raises(DatasetError, match=want):
+            load_dataset(tmp_path)
+
 
 class TestBipartiteView:
     def test_no_edges_all_slices_empty(self, graph):
@@ -284,16 +296,22 @@ class TestSynthetic:
 
     def test_planted_majority_matches_independent_traversal(self, graph):
         spec = small_spec()
-        attr_feats = graph.features[spec.ATTR][:, 0, :]
-        attr_classes = np.argmax(attr_feats, axis=1)  # noise is small vs one-hot
-        want = oracles.two_hop_majority(
-            graph.edges[spec.PLANTED_FIRST_HOP],
-            graph.edges[spec.PLANTED_SECOND_HOP],
-            attr_classes,
-            graph.counts[spec.TARGET],
-            graph.schema.num_classes,
-        )
-        assert np.array_equal(want, graph.labels)
+        # random wiring leaves many targets with tied class counts, which
+        # pins the rule that a tie goes to the lowest class
+        incoherent = synthetic_generate(small_spec(num_targets=200, coherence=0.0), seed=11)
+        for g in (graph, incoherent):
+            attr_feats = g.features[spec.ATTR][:, 0, :]
+            attr_classes = np.argmax(attr_feats, axis=1)  # noise is small vs one-hot
+            args = (
+                g.edges[spec.PLANTED_FIRST_HOP],
+                g.edges[spec.PLANTED_SECOND_HOP],
+                attr_classes,
+                g.counts[spec.TARGET],
+                g.schema.num_classes,
+            )
+            assert np.array_equal(oracles.two_hop_majority(*args), g.labels)
+        hist = oracles.two_hop_class_counts(*args)  # of the incoherent graph
+        assert np.sum(hist == hist.max(axis=1, keepdims=True), axis=1).max() > 1
 
     def test_distractor_only_labels_carry_no_structure(self):
         spec = small_spec(num_targets=600, planted=False)
@@ -304,6 +322,12 @@ class TestSynthetic:
             degree_first_junk[t] = j % 4  # arbitrary structural statistic
         mi = oracles.plugin_mi_bits(g.labels, degree_first_junk)
         assert mi < 0.05
+
+    @pytest.mark.parametrize("field", ["attrs_per_mid", "mids_per_target"])
+    def test_no_planted_paths_label_everything_class_zero(self, field):
+        # every class count is zero, and a tie goes to the lowest class
+        g = synthetic_generate(small_spec(**{field: 0}), seed=0)
+        assert np.all(g.labels == 0)
 
     def test_zero_targets_rejected(self):
         with pytest.raises(ValueError):

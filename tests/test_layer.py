@@ -15,7 +15,7 @@ from slotgnn.layer import (
     relation_attention,
     update_sequences,
 )
-from slotgnn.seq import BaseSlot, InputProjection, SeqState, project_features
+from slotgnn.seq import InputProjection, project_features
 
 from . import oracles
 from .randgraphs import random_graph
@@ -71,16 +71,12 @@ class TestProjectQKV:
             b.data = np.zeros(4, dtype=b.data.dtype)
         queries, _, _ = project_qkv(state, params)
         for name in g.counts:
-            assert np.allclose(queries[name].data, state.tensors[name].data, atol=1e-6)
+            assert np.allclose(queries[name].data, state[name].data, atol=1e-6)
 
     def test_zero_input_gives_bias(self):
         g = fig_one_graph()
         state = init_state(g, 4)
-        zero_state = SeqState(
-            {n: T.Tensor(np.zeros_like(t.data)) for n, t in state.tensors.items()},
-            state.labels,
-            0,
-        )
+        zero_state = {n: T.Tensor(np.zeros_like(t.data)) for n, t in state.items()}
         params = make_params(g, 4, 2)
         w, b = params.key["t"]
         b.data = np.arange(4, dtype=b.data.dtype)
@@ -105,8 +101,8 @@ class TestRelationAttention:
         state = init_state(g, 4)
         params = make_params(g, 4, 1)
         q, k, _ = project_qkv(state, params)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel), 1)
-        assert np.allclose(attn.heads[0], 1.0)
+        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel))
+        assert np.allclose(attn.data[:, 0], 1.0)
 
     def test_identical_keys_split_evenly(self):
         g = fig_one_graph(n_target=1, n_a=2, n_b=1)
@@ -116,8 +112,8 @@ class TestRelationAttention:
         state = init_state(g, 4)
         params = make_params(g, 4, 1)
         q, k, _ = project_qkv(state, params)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel), 1)
-        assert np.allclose(attn.heads[0], 0.5, atol=1e-6)
+        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel))
+        assert np.allclose(attn.data[:, 0], 0.5, atol=1e-6)
 
     def test_matches_dense_evaluation(self):
         g = fig_one_graph(n_target=1, n_a=2, n_b=1, seed=9)
@@ -127,7 +123,7 @@ class TestRelationAttention:
         params = make_params(g, 2, 1, seed=10)
         q, k, _ = project_qkv(state, params)
         view = g.bipartite(rel)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], view, 1)
+        attn = relation_attention(k["a"], q["t"], params.att[rel], view)
         # direct per-edge evaluation: softmax over sources of K W Q^T / sqrt(d)
         w = params.att[rel].data[0]
         logits = np.array(
@@ -135,7 +131,7 @@ class TestRelationAttention:
         ) / math.sqrt(2)
         want = np.exp(logits - logits.max())
         want /= want.sum()
-        assert np.allclose(attn.heads[0][:, 0, 0], want, atol=1e-6)
+        assert np.allclose(attn.data[:, 0][:, 0, 0], want, atol=1e-6)
 
     def test_empty_neighborhood_yields_empty_block(self):
         g = fig_one_graph()
@@ -144,8 +140,8 @@ class TestRelationAttention:
         state = init_state(g, 4)
         params = make_params(g, 4, 2)
         q, k, _ = project_qkv(state, params)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel), g.counts["t"])
-        assert attn.heads[0].shape[0] == 0
+        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel))
+        assert attn.data[:, 0].shape[0] == 0
 
 
 class TestExtractAggregate:
@@ -160,7 +156,7 @@ class TestExtractAggregate:
         params.ext[rel].data = np.eye(4, dtype=w.data.dtype)
         _, _, values = project_qkv(state, params)
         ext = extract_messages(values["a"], params, rel)
-        assert np.allclose(ext.data, state.tensors["a"].data, atol=1e-6)
+        assert np.allclose(ext.data, state["a"].data, atol=1e-6)
 
     def test_zero_input_zero_bias_gives_zero(self):
         g = fig_one_graph()
@@ -192,8 +188,8 @@ class TestExtractAggregate:
         params = make_params(g, 4, 2)
         q, k, values = project_qkv(state, params)
         view = g.bipartite(rel)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], view, g.counts["t"])
-        msg = aggregate_messages(attn, extract_messages(values["a"], params, rel), g.counts["t"])
+        attn = relation_attention(k["a"], q["t"], params.att[rel], view)
+        msg = aggregate_messages(attn, extract_messages(values["a"], params, rel), view)
         assert msg.shape == (g.counts["t"], 1, 4)
         assert np.all(msg.data == 0)
 
@@ -208,16 +204,12 @@ class TestExtractAggregate:
             w_att.data = np.zeros_like(w_att.data)
         src_state = T.Tensor(np.random.default_rng(9).normal(size=(1, 3, 4)).astype(np.float32))
         dst_state = T.Tensor(np.random.default_rng(10).normal(size=(1, 2, 4)).astype(np.float32))
-        state = SeqState(
-            {"a": src_state, "b": T.Tensor(np.zeros((1, 1, 4))), "t": dst_state},
-            {"a": [BaseSlot(0)] * 3, "b": [BaseSlot(0)], "t": [BaseSlot(0)] * 2},
-            0,
-        )
+        state = {"a": src_state, "b": T.Tensor(np.zeros((1, 1, 4))), "t": dst_state}
         q, k, values = project_qkv(state, params)
         view = g.bipartite(rel)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], view, 1)
+        attn = relation_attention(k["a"], q["t"], params.att[rel], view)
         ext = extract_messages(values["a"], params, rel)
-        msg = aggregate_messages(attn, ext, 1)
+        msg = aggregate_messages(attn, ext, view)
         want = ext.data[0].mean(axis=0)
         for j in range(2):
             assert np.allclose(msg.data[0, j], want, atol=1e-6)
@@ -230,15 +222,15 @@ class TestExtractAggregate:
         params = make_params(g, 4, 2, seed=12)
         q, k, values = project_qkv(state, params)
         view = g.bipartite(rel)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], view, 2)
+        attn = relation_attention(k["a"], q["t"], params.att[rel], view)
         ext = extract_messages(values["a"], params, rel)
-        msg = aggregate_messages(attn, ext, 2)
+        msg = aggregate_messages(attn, ext, view)
         want = np.zeros((2, 1, 4))
         for m in range(2):
             lo, hi = 2 * m, 2 * m + 2
             for e in range(view.num_edges):
                 s, t = view.src[e], view.dst[e]
-                want[t, :, lo:hi] += attn.heads[m][e].T @ ext.data[s, :, lo:hi]
+                want[t, :, lo:hi] += attn.data[:, m][e].T @ ext.data[s, :, lo:hi]
         assert np.allclose(msg.data, want, atol=1e-6)
 
 
@@ -301,23 +293,23 @@ class TestLayerForward:
         p1 = make_params(g, 4, 2, seed=19, index=1)
         p2 = make_params(g, 4, 2, seed=20, index=2)
         s1 = layer_forward(state, g, p1, layer_index=1)
-        assert s1.slot_count("t") == 3
+        assert s1["t"].shape[1] == 3
         s2 = layer_forward(s1, g, p2, layer_index=2)
-        assert s2.slot_count("t") == 9
+        assert s2["t"].shape[1] == 9
         # source types have no incoming relations and keep their sequences
-        assert s2.slot_count("a") == 1
+        assert s2["a"].shape[1] == 1
 
     def test_type_without_incoming_relations_unchanged(self):
         g = fig_one_graph(seed=21)
         state = init_state(g, 4, seed=21)
         out = layer_forward(state, g, make_params(g, 4, 2, seed=22), layer_index=1)
-        assert out.tensors["a"] is state.tensors["a"]
+        assert out["a"] is state["a"]
 
     def test_prefix_preservation(self):
         g = fig_one_graph(seed=23)
         state = init_state(g, 4, seed=23)
         out = layer_forward(state, g, make_params(g, 4, 2, seed=24), layer_index=1)
-        assert np.array_equal(out.tensors["t"].data[:, :1, :], state.tensors["t"].data)
+        assert np.array_equal(out["t"].data[:, :1, :], state["t"].data)
 
     def test_permutation_equivariance(self):
         g = fig_one_graph(n_target=3, n_a=4, n_b=2, seed=25)
@@ -342,7 +334,7 @@ class TestLayerForward:
         out2 = layer_forward(project_features(g2, proj), g2, params, layer_index=1)
         for name in g.counts:
             assert np.allclose(
-                out2.tensors[name].data[perm[name]], out1.tensors[name].data, atol=1e-5
+                out2[name].data[perm[name]], out1[name].data, atol=1e-5
             )
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -353,10 +345,10 @@ class TestLayerForward:
         params = make_params(g, 4, 2, seed=seed + 1)
         out = layer_forward(state, g, params, layer_index=1)
         want = oracles.dense_layer_reference(
-            g, {n: t.data for n, t in state.tensors.items()}, params
+            g, {n: t.data for n, t in state.items()}, params
         )
         for name in g.counts:
-            assert np.allclose(out.tensors[name].data, want[name], rtol=1e-5, atol=1e-6)
+            assert np.allclose(out[name].data, want[name], rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("mode", ["joint", "literal"])
     def test_dense_reference_other_modes(self, mode):
@@ -366,11 +358,11 @@ class TestLayerForward:
         params = make_params(g, 4, 2, seed=79)
         out = layer_forward(state, g, params, layer_index=1, attention_norm=mode, scale_outside=True)
         want = oracles.dense_layer_reference(
-            g, {n: t.data for n, t in state.tensors.items()}, params,
+            g, {n: t.data for n, t in state.items()}, params,
             mode=mode, scale_outside=True,
         )
         for name in g.counts:
-            assert np.allclose(out.tensors[name].data, want[name], rtol=1e-5, atol=1e-6)
+            assert np.allclose(out[name].data, want[name], rtol=1e-5, atol=1e-6)
 
     def test_attention_mass_sums_per_mode(self):
         for seed in range(5):
@@ -382,8 +374,9 @@ class TestLayerForward:
                 collect = {}
                 layer_forward(state, g, params, layer_index=1, attention_norm=mode, collect=collect)
                 for rel, attn in collect["attention"].items():
-                    dst = attn.view.dst
-                    for head in attn.heads:
+                    dst = g.bipartite(rel).dst
+                    for m in range(attn.shape[1]):
+                        head = attn.data[:, m]
                         for t in np.unique(dst):
                             sums = head[dst == t].sum(axis=axes)
                             assert np.allclose(sums, 1.0, atol=1e-6)
@@ -397,7 +390,7 @@ class TestLayerForward:
         out1 = layer_forward(project_features(g, proj), g, params, layer_index=1)
         g.features["a"][2] += 5.0  # node outside N(t=0) under both relations
         out2 = layer_forward(project_features(g, proj), g, params, layer_index=1)
-        assert np.array_equal(out1.tensors["t"].data[0], out2.tensors["t"].data[0])
+        assert np.array_equal(out1["t"].data[0], out2["t"].data[0])
 
     def test_neighbor_storage_order_does_not_matter(self):
         g = fig_one_graph(n_target=2, n_a=3, n_b=2, seed=43)
@@ -411,4 +404,4 @@ class TestLayerForward:
         )
         out2 = layer_forward(project_features(g2, proj), g2, params, layer_index=1)
         for name in g.counts:
-            assert np.array_equal(out1.tensors[name].data, out2.tensors[name].data)
+            assert np.array_equal(out1[name].data, out2[name].data)

@@ -1,5 +1,6 @@
 """Each script under scripts/ runs end to end on a small input."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -45,3 +46,30 @@ def test_make_dataset(tmp_path):
     edges = sum(len(e) for e in graph.edges.values())
     assert graph.counts == {"item": 30, "mid": 10, "attr": 6, "junk": 6}
     assert lines == [f"wrote {out}: 52 nodes, {edges} edges"]
+
+
+def test_perfbench_hooks_install_and_restore(monkeypatch):
+    # the benchmark traces the package by patching its functions by name, so
+    # a renamed or deleted stage function must fail here, not only in a
+    # traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench = importlib.import_module("bench")
+    spans = importlib.import_module("spans")
+    hostspeed = importlib.import_module("hostspeed")
+
+    def current(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    tracer = spans.Tracer()
+    try:
+        bench.install_spans(tracer, hostspeed.HostClock())
+        patched = list(tracer._patched)
+        assert all(current(owner, attr) is not orig for owner, attr, orig in patched)
+    finally:
+        tracer.restore()
+    assert {attr for _, attr, _ in patched} >= {
+        "project_features", "slot_dropout", "layer_forward", "fuse", "classify",
+        "project_qkv", "relation_attention", "extract_messages", "aggregate_messages",
+        "encode_relations", "update_sequences",
+    }
+    assert all(current(owner, attr) is orig for owner, attr, orig in patched)

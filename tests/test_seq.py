@@ -35,7 +35,7 @@ class TestProjectFeatures:
         b.data = np.zeros(3, dtype=b.data.dtype)
         g.features["alpha"][0, 0] = [1.0, 0.0, 0.0]
         state = project_features(g, proj)
-        assert np.allclose(state.tensors["alpha"].data[0, 0], [1.0, 0.0, 0.0])
+        assert np.allclose(state["alpha"].data[0, 0], [1.0, 0.0, 0.0])
 
     def test_hand_computed_affine_map(self):
         g = gradcheck_graph()
@@ -46,15 +46,14 @@ class TestProjectFeatures:
         b.data = np.array([0.5, 0.5], dtype=b.data.dtype)
         g.features["beta"][1, 0] = [1.0, 1.0]
         state = project_features(g, proj)
-        assert np.allclose(state.tensors["beta"].data[1, 0], [3.5, 7.5])
+        assert np.allclose(state["beta"].data[1, 0], [3.5, 7.5])
 
     def test_single_feature_gives_length_one_sequence(self):
         g = gradcheck_graph()
         proj = InputProjection.create(g.schema, 4, np.random.default_rng(1))
         state = project_features(g, proj)
         for name in g.counts:
-            assert state.slot_count(name) == 1
-            assert state.labels[name] == [BaseSlot(0)]
+            assert state[name].shape[1] == 1
 
     def test_featureless_type_gets_shared_embedding_slot(self):
         schema = Schema(
@@ -76,9 +75,9 @@ class TestProjectFeatures:
         )
         proj = InputProjection.create(schema, 4, np.random.default_rng(2))
         state = project_features(g, proj)
-        assert state.tensors["x"].shape == (3, 1, 4)
+        assert state["x"].shape == (3, 1, 4)
         # all nodes of the type share the one embedding
-        assert np.allclose(state.tensors["x"].data[0], state.tensors["x"].data[2])
+        assert np.allclose(state["x"].data[0], state["x"].data[2])
 
 
 class TestSlotLabels:
@@ -128,44 +127,33 @@ class TestSlotLabels:
 class TestSlotDropout:
     def make_state(self, n=100, f=10, d=4, seed=0):
         g = np.random.default_rng(seed)
-        from slotgnn.seq import SeqState
-
-        return SeqState(
-            tensors={"t": T.Tensor(g.normal(size=(n, f, d)))},
-            labels={"t": [BaseSlot(0)] * f},
-            layer=0,
-        )
+        return {"t": T.Tensor(g.normal(size=(n, f, d)))}
 
     def test_p_zero_is_identity(self):
         state = self.make_state()
-        out = slot_dropout(state, 0.0, training=True, seed=1)
-        assert out.tensors["t"] is state.tensors["t"]
-
-    def test_eval_mode_is_identity(self):
-        state = self.make_state()
-        out = slot_dropout(state, 0.9, training=False, seed=1)
-        assert out.tensors["t"] is state.tensors["t"]
+        out = slot_dropout(state, 0.0, seed=1)
+        assert out["t"] is state["t"]
 
     def test_p_at_least_one_rejected(self):
         with pytest.raises(ValueError):
-            slot_dropout(self.make_state(), 1.0, training=True, seed=1)
+            slot_dropout(self.make_state(), 1.0, seed=1)
 
     def test_drop_fraction_and_survivor_scaling(self):
         state = self.make_state(n=1000, f=10)
-        out = slot_dropout(state, 0.5, training=True, seed=3)
-        data = out.tensors["t"].data
+        out = slot_dropout(state, 0.5, seed=3)
+        data = out["t"].data
         dropped = np.all(data == 0, axis=2)
         frac = dropped.mean()
         assert abs(frac - 0.5) < 0.02
         survivors = ~dropped
-        assert np.allclose(data[survivors], 2.0 * state.tensors["t"].data[survivors], rtol=1e-6)
+        assert np.allclose(data[survivors], 2.0 * state["t"].data[survivors], rtol=1e-6)
 
     def test_expectation_preserved(self):
         state = self.make_state(n=20, f=4)
-        x = state.tensors["t"].data
+        x = state["t"].data
         p = 0.3
         draws = np.stack(
-            [slot_dropout(state, p, True, seed=s).tensors["t"].data for s in range(600)]
+            [slot_dropout(state, p, seed=s)["t"].data for s in range(600)]
         )
         mean = draws.mean(axis=0)
         # per-element Monte Carlo noise: sd of the scaled Bernoulli estimate
@@ -175,23 +163,37 @@ class TestSlotDropout:
     def test_mask_addressed_by_original_ids(self):
         # a node must keep its mask when seen through an induced subgraph
         from slotgnn.graph import sample_subgraph, synthetic_generate, SyntheticSpec
-        from slotgnn.seq import SeqState
 
         g = synthetic_generate(SyntheticSpec(num_targets=30, num_mid=12, num_attr=6, num_junk=6), 0)
         sub = sample_subgraph(g, g.splits["train"][:5], depth=3, budget=10 ** 6, seed=0).graph
         f, d = 3, 2
-        full_state = SeqState(
-            {n: T.Tensor(np.ones((g.counts[n], f, d))) for n in g.counts},
-            {n: [BaseSlot(0)] * f for n in g.counts},
-            0,
-        )
-        sub_state = SeqState(
-            {n: T.Tensor(np.ones((sub.counts[n], f, d))) for n in sub.counts},
-            {n: [BaseSlot(0)] * f for n in sub.counts},
-            0,
-        )
-        full_out = slot_dropout(full_state, 0.4, True, seed=9, graph=g)
-        sub_out = slot_dropout(sub_state, 0.4, True, seed=9, graph=sub)
+        full_state = {n: T.Tensor(np.ones((g.counts[n], f, d))) for n in g.counts}
+        sub_state = {n: T.Tensor(np.ones((sub.counts[n], f, d))) for n in sub.counts}
+        full_out = slot_dropout(full_state, 0.4, seed=9, graph=g)
+        sub_out = slot_dropout(sub_state, 0.4, seed=9, graph=sub)
         for name in g.counts:
             rows = sub.orig_ids[name]
-            assert np.array_equal(sub_out.tensors[name].data, full_out.tensors[name].data[rows])
+            assert np.array_equal(sub_out[name].data, full_out[name].data[rows])
+
+    def test_mask_stream_is_pinned(self):
+        # type ti's kept slots are the draw default_rng([seed, ti]).random((n, f)) >= p
+        # over the root graph's n nodes, read at each node's original id
+        from slotgnn.graph import sample_subgraph, synthetic_generate, SyntheticSpec
+
+        g = synthetic_generate(SyntheticSpec(num_targets=30, num_mid=12, num_attr=6, num_junk=6), 0)
+        sub = sample_subgraph(g, g.splits["train"][:5], depth=2, budget=4, seed=1).graph
+        assert any(sub.orig_ids[n].max() + 1 < g.counts[n] for n in g.counts)
+        f, p, seed = 3, 0.4, 9
+        for graph in (g, sub):
+            state = {n: T.Tensor(np.ones((graph.counts[n], f, 2))) for n in graph.counts}
+            out = slot_dropout(state, p, seed=seed, graph=graph)
+            for ti, name in enumerate(state):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, ti]))
+                root = rng.random((g.counts[name], f)) >= p
+                kept = np.all(out[name].data != 0, axis=2)
+                assert np.array_equal(kept, root[graph.orig_ids[name]])
+        # without a graph the rows are the nodes themselves
+        state = {"t": T.Tensor(np.ones((7, f, 2)))}
+        kept = np.all(slot_dropout(state, p, seed=seed)["t"].data != 0, axis=2)
+        want = np.random.default_rng(np.random.SeedSequence([seed, 0])).random((7, f)) >= p
+        assert np.array_equal(kept, want)

@@ -460,4 +460,11 @@ class TestInvariants:
             h = T.softmax(T.add(T.matmul(x, w), b), axis=1)
             return T.softmax_cross_entropy(T.matmul(h, w), labels)
 
-        assert T.finite_diff_check(f, [w, b]) < 1e-6
+        with T.Tape() as tape:
+            table = tape.backward(f())
+        # a second-order difference at h = 1e-5 has a rounding floor near
+        # 1e-6 relative on gradients as small as 1e-6 (seen at seed 306688919)
+        for p in (w, b):
+            fd = oracles.central_diff4(lambda: f().item(), p.data)
+            rel = np.abs(table[p] - fd) / np.maximum(1e-8, np.abs(table[p]) + np.abs(fd))
+            assert rel.max() < 1e-6

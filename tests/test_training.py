@@ -220,6 +220,15 @@ class TestEvaluate:
         train(model, g, cfg)
         assert evaluate(model, g, "test") == evaluate(model, g, "test")
 
+    def test_eval_mode_is_identity(self):
+        # slot dropout only runs in training: outside it the rate is inert
+        g = small_planted()
+        heavy = init_model(g, quick_cfg(dropout=0.9))
+        none = init_model(g, quick_cfg(dropout=0.0))
+        want = none.forward(g, training=False).logits.data
+        assert np.array_equal(heavy.forward(g, training=False).logits.data, want)
+        assert not np.array_equal(heavy.forward(g, training=True).logits.data, want)
+
     def test_single_node_split(self):
         g = small_planted()
         cfg = quick_cfg(epochs=1)
