@@ -2,7 +2,7 @@
 
 Node ids are dense and 0-based per type (the row index of the node file).
 Relations are directed; messages flow source -> target. Duplicate edges are
-kept (multigraph semantics) and only warned about. Every per-relation view
+kept (multigraph semantics); loading logs their count. Every per-relation view
 stores its edges sorted by (target, source) so downstream reductions run in
 a canonical order.
 """
@@ -10,7 +10,6 @@ a canonical order.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -103,34 +102,18 @@ class Schema:
 
 @dataclass
 class BipartiteView:
-    """CSR adjacency of one relation indexed by target node.
+    """One relation's edges, sorted by (target, source), grouped both ways.
 
-    ``src[indptr[t]:indptr[t+1]]`` enumerates the sources of target t in
-    ascending source order; ``dst`` is the matching sorted target column.
-    ``src_segments`` and ``dst_segments`` group the edges by endpoint for
-    the tensor ops; each is built on first use and kept.
+    ``dst`` groups the edges by target and ``src`` by source; the sources of
+    target t are ``src.ids[dst.indptr[t]:dst.indptr[t + 1]]``, ascending.
     """
 
     relation: Relation
-    indptr: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    num_src: int
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.src.shape[0])
-
-    @functools.cached_property
-    def src_segments(self) -> Segments:
-        return Segments(self.src, self.num_src)
-
-    @functools.cached_property
-    def dst_segments(self) -> Segments:
-        return Segments(self.dst, self.indptr.shape[0] - 1)
+    src: Segments
+    dst: Segments
 
     def neighbors(self, t: int) -> np.ndarray:
-        return self.src[self.indptr[t]: self.indptr[t + 1]]
+        return self.src.ids[self.dst.indptr[t]: self.dst.indptr[t + 1]]
 
 
 class HeteroGraph:
@@ -166,18 +149,13 @@ class HeteroGraph:
             raise KeyError(f"unknown relation {relation}")
         view = self._views.get(relation)
         if view is None:
-            pairs = self.edges[relation]
-            n_dst = self.counts[relation.dst]
-            if pairs.size:
-                order = np.lexsort((pairs[:, 0], pairs[:, 1]))
-                src = pairs[order, 0].copy()
-                dst = pairs[order, 1].copy()
-            else:
-                src = np.zeros(0, dtype=np.int64)
-                dst = np.zeros(0, dtype=np.int64)
-            indptr = np.zeros(n_dst + 1, dtype=np.int64)
-            np.cumsum(np.bincount(dst, minlength=n_dst), out=indptr[1:])
-            view = BipartiteView(relation, indptr, src, dst, self.counts[relation.src])
+            pairs = self.edges[relation].reshape(-1, 2)
+            order = np.lexsort((pairs[:, 0], pairs[:, 1]))
+            view = BipartiteView(
+                relation,
+                Segments(pairs[order, 0], self.counts[relation.src]),
+                Segments(pairs[order, 1], self.counts[relation.dst]),
+            )
             self._views[relation] = view
         return view
 
@@ -380,7 +358,7 @@ def validate_schema(schema: Schema, raw: RawDataset) -> list[str]:
                 # one int64 key per (source, target) pair
                 uniq = np.unique(pairs[:, 0] * counts[rel.dst] + pairs[:, 1]).size
                 if uniq < len(pairs):
-                    log.warning("relation %s has %d duplicate edges (kept)", rel, len(pairs) - uniq)
+                    log.info("relation %s has %d duplicate edges (kept)", rel, len(pairs) - uniq)
 
     n_target = counts.get(schema.target_type)
     rows = raw.label_rows
@@ -651,6 +629,17 @@ def synthetic_generate(spec: SyntheticSpec, seed: int) -> HeteroGraph:
 # budgeted subgraph sampling
 
 
+def _edges_into(view: BipartiteView, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, targets) of the edges into ``targets``: their CSR slices,
+    concatenated without a Python loop."""
+    indptr = view.dst.indptr
+    starts = indptr[targets]
+    lengths = indptr[targets + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    pos = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+    return view.src.ids[pos], view.dst.ids[pos]
+
+
 def sample_subgraph(
     graph: HeteroGraph,
     batch_targets: np.ndarray,
@@ -682,17 +671,9 @@ def sample_subgraph(
         weights: dict[str, np.ndarray] = {}
         for rel in schema.relations:
             targets = frontier.get(rel.dst)
-            if targets is None or targets.size == 0:
+            if targets is None:
                 continue
-            view = graph.bipartite(rel)
-            # the frontier's CSR slices, concatenated without a Python loop
-            starts = view.indptr[targets]
-            lengths = view.indptr[targets + 1] - starts
-            total = int(lengths.sum())
-            if total == 0:
-                continue
-            offsets = np.cumsum(lengths) - lengths
-            sources = view.src[np.repeat(starts - offsets, lengths) + np.arange(total)]
+            sources, _ = _edges_into(graph.bipartite(rel), targets)
             w = weights.setdefault(rel.src, np.zeros(graph.counts[rel.src], dtype=np.float64))
             w += np.bincount(sources, minlength=w.size)
         next_frontier: dict[str, np.ndarray] = {}
@@ -718,16 +699,13 @@ def sample_subgraph(
     features = {name: graph.features[name][ids] for name, ids in node_ids.items()}
     edges: dict[Relation, np.ndarray] = {}
     for rel in schema.relations:
-        pairs = graph.edges[rel]
-        if pairs.size == 0:
-            edges[rel] = np.zeros((0, 2), dtype=np.int64)
-            continue
-        keep = selected[rel.src][pairs[:, 0]] & selected[rel.dst][pairs[:, 1]]
-        kept = pairs[keep]
-        local = np.empty_like(kept)
-        local[:, 0] = np.searchsorted(node_ids[rel.src], kept[:, 0])
-        local[:, 1] = np.searchsorted(node_ids[rel.dst], kept[:, 1])
-        edges[rel] = local
+        # the edges into selected targets, kept where the source is selected
+        src, dst = _edges_into(graph.bipartite(rel), node_ids[rel.dst])
+        keep = selected[rel.src][src]
+        edges[rel] = np.stack([
+            np.searchsorted(node_ids[rel.src], src[keep]),
+            np.searchsorted(node_ids[rel.dst], dst[keep]),
+        ], axis=1)
 
     target_ids = node_ids[schema.target_type]
     sub = HeteroGraph(

@@ -119,13 +119,12 @@ def relation_attention(
     n_src, f_s, d = src_keys.shape
     rows = T.transpose(T.reshape(src_keys, (n_src * f_s, heads, d_h)), (1, 0, 2))
     kw = T.reshape(T.bmm(rows, att_weights), (heads, n_src, f_s, d_h))
-    kw = T.gather(T.transpose(kw, (1, 0, 2, 3)), view.src_segments)
-    dst = view.dst_segments
-    q = T.gather(split_heads(dst_queries, heads), dst)
+    kw = T.gather(T.transpose(kw, (1, 0, 2, 3)), view.src)
+    q = T.gather(split_heads(dst_queries, heads), view.dst)
     logits = T.bmm(kw, T.transpose(q, (0, 1, 3, 2)))
     if scale_outside:
-        return T.scale(T.edge_softmax(logits, dst, dst.num_segments, mode), 1.0 / math.sqrt(d))
-    return T.edge_softmax(T.scale(logits, 1.0 / math.sqrt(d_h)), dst, dst.num_segments, mode)
+        return T.scale(T.edge_softmax(logits, view.dst, mode), 1.0 / math.sqrt(d))
+    return T.edge_softmax(T.scale(logits, 1.0 / math.sqrt(d_h)), view.dst, mode)
 
 
 def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -> T.Tensor:
@@ -139,12 +138,11 @@ def aggregate_messages(attn: T.Tensor, ext: T.Tensor, view: BipartiteView) -> T.
     Targets with an empty neighborhood receive a zero block; sources are
     visited in sorted order, so the reduction is bit-stable.
     """
-    dst = view.dst_segments
-    ext_h = T.gather(split_heads(ext, attn.shape[1]), view.src_segments)
+    ext_h = T.gather(split_heads(ext, attn.shape[1]), view.src)
     msg = T.bmm(T.transpose(attn, (0, 1, 3, 2)), ext_h)
-    summed = T.segment_sum(msg, dst, dst.num_segments)
-    f_t, d = summed.shape[2], ext.shape[2]
-    return T.reshape(T.transpose(summed, (0, 2, 1, 3)), (dst.num_segments, f_t, d))
+    summed = T.segment_sum(msg, view.dst)
+    n_dst, _, f_t, _ = summed.shape
+    return T.reshape(T.transpose(summed, (0, 2, 1, 3)), (n_dst, f_t, ext.shape[2]))
 
 
 def encode_relations(
@@ -180,7 +178,6 @@ def layer_forward(
     scale_outside: bool = False,
     relation_encoding: bool = True,
     sequence_update: bool = True,
-    collect: dict | None = None,
 ) -> dict[str, T.Tensor]:
     """Full layer: project, attend, extract, aggregate, encode, update.
 
@@ -199,8 +196,6 @@ def layer_forward(
         )
         ext = extract_messages(values[rel.src], params, rel)
         messages[rel] = aggregate_messages(attn, ext, view)
-        if collect is not None:
-            collect.setdefault("attention", {})[rel] = attn
 
     out: dict[str, T.Tensor] = {}
     for nt in schema.node_types:

@@ -62,7 +62,6 @@ class SlotModel:
         graph: HeteroGraph,
         training: bool = False,
         dropout_seed: tuple[int, ...] = (0,),
-        collect: dict | None = None,
     ) -> ModelOutput:
         cfg = self.config
         target = self.schema.target_type
@@ -83,7 +82,6 @@ class SlotModel:
                 scale_outside=cfg.scale_outside,
                 relation_encoding=cfg.use_relation_encoding,
                 sequence_update=cfg.use_seq,
-                collect=collect,
             )
             blocks.append(state[target])
 

@@ -50,14 +50,13 @@ def _check_finite(arr: np.ndarray) -> None:
 class Tensor:
     """A dense real tensor, optionally tracked by the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "name", "_tape", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None, dtype=np.float32):
         arr = np.asarray(data, dtype=dtype)
         _check_finite(arr)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self.name = name
         self._tape: Tape | None = None
         self._node: int | None = None
@@ -77,9 +76,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
@@ -97,9 +93,9 @@ class _Node:
 class Tape:
     """Append-only record of one forward pass.
 
-    ``backward`` may be called once; the tape is consumed afterwards. Leaves
-    (requires_grad tensors that feed recorded operations) accumulate into
-    ``.grad`` additively; the optimizer is responsible for zeroing them.
+    ``backward`` may be called once; the tape is consumed afterwards. It
+    returns the gradient of every leaf (a requires_grad tensor that feeds a
+    recorded operation); leaves keep no gradient of their own.
     """
 
     def __init__(self):
@@ -160,14 +156,10 @@ class Tape:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
 
-        table: dict[Tensor, np.ndarray] = {}
-        for leaf in watched.values():
-            g = grads.get(id(leaf))
-            if g is None:
-                g = np.zeros_like(leaf.data)
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
-            table[leaf] = g
-        return table
+        return {
+            leaf: grads[id(leaf)] if id(leaf) in grads else np.zeros_like(leaf.data)
+            for leaf in watched.values()
+        }
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -366,13 +358,15 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 class Segments:
     """Membership of rows in segments, reduced without ``ufunc.at`` scatters.
 
-    ``ids[r]`` names the segment of row r; the ids need not be sorted. ``sum``
-    is one sparse CSR matmul whose rows list their members in ascending row
-    order, so it adds in the same order as ``np.add.at``, to the bit. ``max``
-    runs ``np.maximum.reduceat`` over the non-empty segments, on the rows
-    stably sorted by segment (the sort is kept only when ``ids`` is
-    unsorted); empty segments get -inf. Build one per index array and reuse
-    it: the graph's views cache one per edge endpoint.
+    ``ids[r]`` names the segment of row r; the ids need not be sorted.
+    ``indptr`` is the CSR row pointer of the rows stably sorted by segment.
+    ``sum`` is one product with a boolean CSR matrix whose rows list their
+    members in ascending row order, so it adds in the same order as
+    ``np.add.at``, to the bit, in the dtype of the rows it sums. ``max`` runs
+    ``np.maximum.reduceat`` over the non-empty segments, on the rows stably
+    sorted by segment (the sort is kept only when ``ids`` is unsorted); empty
+    segments get -inf. Build one per index array and reuse it: the graph's
+    views hold one per edge endpoint.
     """
 
     def __init__(self, ids, num_segments: int):
@@ -386,24 +380,15 @@ class Segments:
         self.indptr = np.zeros(num_segments + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
         self._nonempty = np.flatnonzero(counts)
-        self._matrices: dict[np.dtype, scipy.sparse.csr_array] = {}
-
-    def _matrix(self, dtype: np.dtype) -> scipy.sparse.csr_array:
-        # one matrix per dtype: a mixed-dtype product would upcast the sums
-        mat = self._matrices.get(dtype)
-        if mat is None:
-            n = self.ids.size
-            cols = np.arange(n) if self.order is None else self.order
-            mat = scipy.sparse.csr_array(
-                (np.ones(n, dtype=dtype), cols, self.indptr), shape=(self.num_segments, n)
-            )
-            self._matrices[dtype] = mat
-        return mat
+        cols = np.arange(ids.size) if self.order is None else self.order
+        self._matrix = scipy.sparse.csr_array(
+            (np.ones(ids.size, dtype=bool), cols, self.indptr), shape=(num_segments, ids.size)
+        )
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """Per-segment sums of the rows of ``x``: (num_segments, *x.shape[1:])."""
         flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-        return (self._matrix(x.dtype) @ flat).reshape((self.num_segments,) + x.shape[1:])
+        return (self._matrix @ flat).reshape((self.num_segments,) + x.shape[1:])
 
     def max(self, x: np.ndarray) -> np.ndarray:
         """Per-segment maxima of the rows of ``x``; -inf for empty segments."""
@@ -414,14 +399,6 @@ class Segments:
         return out
 
 
-def _as_segments(ids, num_segments: int) -> Segments:
-    if isinstance(ids, Segments):
-        if ids.num_segments != num_segments:
-            raise ShapeError(f"Segments has {ids.num_segments} segments, want {num_segments}")
-        return ids
-    return Segments(ids, num_segments)
-
-
 def gather(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0; the gradient sums back into each row.
 
@@ -429,55 +406,50 @@ def gather(a: Tensor, idx) -> Tensor:
     of ``a``; an array is turned into one only if backward runs.
     """
     if isinstance(idx, Segments):
-        segments: Segments | None = _as_segments(idx, a.shape[0])
+        if idx.num_segments != a.shape[0]:
+            raise ShapeError(f"gather: Segments has {idx.num_segments} segments, want {a.shape[0]}")
         ids = idx.ids
     else:
-        segments = None
         ids = np.asarray(idx, dtype=np.int64)
 
     def back(g):
-        return ((segments if segments is not None else Segments(ids, a.shape[0])).sum(g),)
+        return ((idx if isinstance(idx, Segments) else Segments(ids, a.shape[0])).sum(g),)
 
     return _make(a.data[ids], (a,), back)
 
 
-def segment_sum(a: Tensor, seg, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets given by ``seg``.
+def segment_sum(a: Tensor, seg: Segments) -> Tensor:
+    """Sum rows of ``a`` into the ``seg.num_segments`` buckets of ``seg``.
 
-    ``seg`` is an id array or a :class:`Segments`. Rows are accumulated in
-    storage order, so callers that need bit-stable results across input
-    permutations must present rows in a canonical order.
+    Rows are accumulated in storage order, so callers that need bit-stable
+    results across input permutations must present rows in a canonical order.
     """
-    segments = _as_segments(seg, num_segments)
-    if segments.ids.shape[0] != a.shape[0]:
+    if seg.ids.shape[0] != a.shape[0]:
         raise ShapeError("segment_sum: one segment id per row required")
-    ids = segments.ids
+    ids = seg.ids
 
     def back(g):
         return (g[ids],)
 
-    return _make(segments.sum(a.data), (a,), back)
+    return _make(seg.sum(a.data), (a,), back)
 
 
-def edge_softmax(logits: Tensor, dst, num_targets: int, mode: str = "joint") -> Tensor:
+def edge_softmax(logits: Tensor, seg: Segments, mode: str = "joint") -> Tensor:
     """Normalize per-edge score blocks over each target's neighborhood.
 
     ``logits`` has shape (E, F_s, F_t), or (E, H, F_s, F_t) with a head
-    axis normalized independently per head; ``dst`` (an id array or a
-    :class:`Segments`) names the target of each edge. In ``joint`` mode the
-    softmax runs over all (edge, source-slot) pairs of one target,
-    independently per target slot, so each target slot receives a convex
-    combination over its whole neighborhood. In ``literal`` mode it runs
-    over edges only, independently per (source slot, target slot) pair.
+    axis normalized independently per head; ``seg`` groups the edges by
+    target. In ``joint`` mode the softmax runs over all (edge, source-slot)
+    pairs of one target, independently per target slot, so each target slot
+    receives a convex combination over its whole neighborhood. In ``literal``
+    mode it runs over edges only, independently per (source slot, target
+    slot) pair.
     """
     if logits.ndim not in (3, 4):
         raise ShapeError(f"edge_softmax: want (E, [H,] F_s, F_t), got {logits.shape}")
-    seg = _as_segments(dst, num_targets)
     ids = seg.ids
     if ids.shape[0] != logits.shape[0]:
         raise ShapeError("edge_softmax: one target id per edge required")
-    if ids.shape[0] == 0:
-        return _make(logits.data.copy(), (logits,), lambda g: (g,))
 
     x = logits.data
     if mode == "joint":

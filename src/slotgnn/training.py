@@ -64,17 +64,15 @@ class AdamW:
         self.v = [np.zeros_like(p.data) for _, p in self.params]
         self.t = 0
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
-
-    def step(self, lr: float) -> None:
+    def step(self, grads: dict[T.Tensor, np.ndarray], lr: float) -> None:
+        """One update from the gradient table ``Tape.backward`` returns; a
+        parameter missing from it gets a zero gradient."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for i, (name, p) in enumerate(self.params):
-            g = p.grad
+            g = grads.get(p)
             if g is not None and not np.all(np.isfinite(g)):
                 raise OptimizerError(f"non-finite gradient in parameter {name!r}")
             if self.weight_decay:
@@ -149,12 +147,11 @@ def evaluate(model: SlotModel, graph: HeteroGraph, split) -> dict[str, float]:
 
 
 def _train_step(model, graph, local_ids, labels, lr, opt, dropout_seed, multilabel) -> float:
-    opt.zero_grad()
     with T.Tape() as tape:
         out = model.forward(graph, training=True, dropout_seed=dropout_seed)
         batch_loss = head_loss(T.gather(out.logits, local_ids), labels, multilabel)
-        tape.backward(batch_loss)
-    opt.step(lr)
+        grads = tape.backward(batch_loss)
+    opt.step(grads, lr)
     return batch_loss.item()
 
 

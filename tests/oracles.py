@@ -74,6 +74,12 @@ def csr_slices_by_filter(edges: np.ndarray, num_targets: int) -> list[list[int]]
     return [sorted(lst) for lst in out]
 
 
+def induced_pairs(edges: np.ndarray, keep_src: set[int], keep_dst: set[int]) -> list[tuple[int, int]]:
+    """The (source, target) pairs, repeats included, whose endpoints are both
+    kept, sorted; a linear scan of the edge list."""
+    return sorted((int(s), int(t)) for s, t in edges if s in keep_src and t in keep_dst)
+
+
 def two_hop_majority(
     first_hop: np.ndarray,
     second_hop: np.ndarray,

@@ -127,20 +127,21 @@ class TestRelationAttention:
         # direct per-edge evaluation: softmax over sources of K W Q^T / sqrt(d)
         w = params.att[rel].data[0]
         logits = np.array(
-            [float(k["a"].data[s, 0] @ w @ q["t"].data[0, 0]) for s in view.src]
+            [float(k["a"].data[s, 0] @ w @ q["t"].data[0, 0]) for s in view.src.ids]
         ) / math.sqrt(2)
         want = np.exp(logits - logits.max())
         want /= want.sum()
         assert np.allclose(attn.data[:, 0][:, 0, 0], want, atol=1e-6)
 
-    def test_empty_neighborhood_yields_empty_block(self):
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_empty_neighborhood_yields_empty_block(self, mode):
         g = fig_one_graph()
         rel = g.schema.relations[0]
         g.edges[rel] = np.zeros((0, 2), dtype=np.int64)
         state = init_state(g, 4)
         params = make_params(g, 4, 2)
         q, k, _ = project_qkv(state, params)
-        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel))
+        attn = relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel), mode=mode)
         assert attn.data[:, 0].shape[0] == 0
 
 
@@ -228,8 +229,7 @@ class TestExtractAggregate:
         want = np.zeros((2, 1, 4))
         for m in range(2):
             lo, hi = 2 * m, 2 * m + 2
-            for e in range(view.num_edges):
-                s, t = view.src[e], view.dst[e]
+            for e, (s, t) in enumerate(zip(view.src.ids, view.dst.ids)):
                 want[t, :, lo:hi] += attn.data[:, m][e].T @ ext.data[s, :, lo:hi]
         assert np.allclose(msg.data, want, atol=1e-6)
 
@@ -370,11 +370,12 @@ class TestLayerForward:
             g = random_graph(rng, max_nodes=5, max_edges=8)
             state = init_state(g, 4, seed=seed)
             params = make_params(g, 4, 2, seed=seed)
+            q, k, _ = project_qkv(state, params)
             for mode, axes in (("joint", (0, 1)), ("literal", (0,))):
-                collect = {}
-                layer_forward(state, g, params, layer_index=1, attention_norm=mode, collect=collect)
-                for rel, attn in collect["attention"].items():
-                    dst = g.bipartite(rel).dst
+                for rel in g.schema.relations:
+                    view = g.bipartite(rel)
+                    attn = relation_attention(k[rel.src], q[rel.dst], params.att[rel], view, mode=mode)
+                    dst = view.dst.ids
                     for m in range(attn.shape[1]):
                         head = attn.data[:, m]
                         for t in np.unique(dst):

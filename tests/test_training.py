@@ -41,22 +41,25 @@ class TestAdamW:
     def test_zero_gradient_no_decay_is_identity(self):
         p = self.make_param(3.0)
         opt = AdamW([("w", p)], weight_decay=0.0)
-        p.grad = np.zeros_like(p.data)
-        opt.step(lr=0.1)
+        opt.step({p: np.zeros_like(p.data)}, lr=0.1)
         assert p.data[0, 0] == 3.0
 
     def test_zero_gradient_decay_only(self):
         p = self.make_param(2.0)
         opt = AdamW([("w", p)], weight_decay=0.5)
-        p.grad = np.zeros_like(p.data)
-        opt.step(lr=0.1)
+        opt.step({p: np.zeros_like(p.data)}, lr=0.1)
         assert abs(p.data[0, 0] - 2.0 * (1 - 0.1 * 0.5)) < 1e-15
+
+    def test_missing_gradient_counts_as_zero(self):
+        p, q = self.make_param(2.0), self.make_param(2.0)
+        AdamW([("w", p)], weight_decay=0.5).step({}, lr=0.1)
+        AdamW([("w", q)], weight_decay=0.5).step({q: np.zeros_like(q.data)}, lr=0.1)
+        assert p.data[0, 0] == q.data[0, 0]
 
     def test_single_step_closed_form(self):
         p = self.make_param(1.0)
         opt = AdamW([("w", p)], beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
-        p.grad = np.ones_like(p.data)
-        opt.step(lr=0.1)
+        opt.step({p: np.ones_like(p.data)}, lr=0.1)
         m_hat = (0.1 * 1.0) / (1 - 0.9)
         v_hat = (0.001 * 1.0) / (1 - 0.999)
         want = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -65,16 +68,14 @@ class TestAdamW:
     def test_lr_zero_is_identity(self):
         p = self.make_param(1.5)
         opt = AdamW([("w", p)], weight_decay=0.01)
-        p.grad = np.full_like(p.data, 2.0)
-        opt.step(lr=0.0)
+        opt.step({p: np.full_like(p.data, 2.0)}, lr=0.0)
         assert p.data[0, 0] == 1.5
 
     def test_nan_gradient_names_parameter(self):
         p = self.make_param()
         opt = AdamW([("w", p)])
-        p.grad = np.array([[np.nan]])
         with pytest.raises(OptimizerError, match="'w'"):
-            opt.step(lr=0.1)
+            opt.step({p: np.array([[np.nan]])}, lr=0.1)
 
 
 class TestOneCycle:
@@ -281,14 +282,23 @@ class TestDtype:
                 logits = out.logits.data.tobytes()
                 assert first.setdefault(dtype, logits) == logits
 
-    def test_training_keeps_the_model_dtype(self):
+    def test_training_keeps_the_model_dtype(self, monkeypatch):
+        tables = []
+        step = AdamW.step
+
+        def recording_step(opt, grads, lr):
+            tables.append(grads)
+            return step(opt, grads, lr)
+
+        monkeypatch.setattr(AdamW, "step", recording_step)
         g = small_planted()
         for precision in ("float64", "float32", "float64"):
             cfg = quick_cfg(precision=precision, epochs=2)
             model = init_model(g, cfg)
             train(model, g, cfg)
             assert all(p.dtype == np.dtype(precision) for p in model.parameters())
-            assert all(p.grad.dtype == np.dtype(precision) for p in model.parameters())
+            # the last step's gradients, one per parameter
+            assert all(tables[-1][p].dtype == np.dtype(precision) for p in model.parameters())
 
 
 class TestGradCheckModel:
