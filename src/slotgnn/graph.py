@@ -116,6 +116,39 @@ class BipartiteView:
         return self.src.ids[self.dst.indptr[t]: self.dst.indptr[t + 1]]
 
 
+@dataclass
+class Block:
+    """The rows one layer reads and writes.
+
+    ``inputs[name]`` lists, ascending, the nodes of each type whose state the
+    layer reads. ``outputs[name]`` holds the positions within ``inputs[name]``
+    of the nodes it writes, also ascending. ``views[rel]`` holds the edges into
+    the output rows of ``rel.dst`` in the graph's (target, source) order, with
+    sources numbered by position in ``inputs[rel.src]`` and targets by position
+    among the outputs of ``rel.dst``.
+    """
+
+    inputs: dict[str, np.ndarray]
+    outputs: dict[str, Segments]
+    views: dict[Relation, BipartiteView]
+
+
+@dataclass
+class Blocks:
+    """The per-layer blocks of a forward pass that returns some target rows.
+
+    ``layers[l]`` is the block of layer l + 1; the outputs of one block are
+    the inputs of the next, and the last one writes only the distinct
+    requested targets, ascending. ``heads[l]`` holds their positions among the
+    target rows of the state before layer l + 1 (``heads[-1]``, after the last
+    layer, is the identity), and ``order`` maps the rows as requested onto them.
+    """
+
+    layers: list[Block]
+    heads: list[Segments]
+    order: Segments
+
+
 class HeteroGraph:
     """Immutable typed graph with per-type features, labels and splits."""
 
@@ -142,6 +175,7 @@ class HeteroGraph:
             name: np.arange(n, dtype=np.int64) for name, n in counts.items()
         }
         self._views: dict[Relation, BipartiteView] = {}
+        self._blocks: dict[tuple[int, bytes | None], Blocks] = {}
 
     def bipartite(self, relation: Relation) -> BipartiteView:
         """CSR view over targets; built once, edges sorted by (target, source)."""
@@ -158,6 +192,78 @@ class HeteroGraph:
             )
             self._views[relation] = view
         return view
+
+    def block(self, outputs: dict[str, np.ndarray] | None = None) -> Block:
+        """The block of a layer that writes the ascending node ids ``outputs``
+        names per type; None means every node, the block of a full layer.
+
+        A layer reads the nodes it writes and the sources of every edge into
+        them.
+        """
+        if outputs is None:
+            outputs = {name: np.arange(n, dtype=np.int64) for name, n in self.counts.items()}
+        pairs = {
+            rel: _edges_into(self.bipartite(rel), outputs[rel.dst]) for rel in self.schema.relations
+        }
+        inputs = {
+            name: np.unique(np.concatenate(
+                [outputs[name]] + [src for rel, (src, _) in pairs.items() if rel.src == name]
+            ))
+            for name in self.schema.type_names()
+        }
+        views = {
+            rel: BipartiteView(
+                rel,
+                Segments(np.searchsorted(inputs[rel.src], src), inputs[rel.src].size),
+                Segments(np.searchsorted(outputs[rel.dst], dst), outputs[rel.dst].size),
+            )
+            for rel, (src, dst) in pairs.items()
+        }
+        positions = {
+            name: Segments(np.searchsorted(ids, outputs[name]), ids.size)
+            for name, ids in inputs.items()
+        }
+        return Block(inputs, positions, views)
+
+    def blocks(self, rows: np.ndarray | None, num_layers: int) -> Blocks:
+        """The blocks of a ``num_layers``-layer pass whose logits are the
+        target nodes ``rows``, in the order given (None: every target node).
+
+        Built backwards from the last layer, which writes only the requested
+        targets; each earlier layer writes what the next one reads, which is
+        GraphSAGE's per-layer node sets (Hamilton et al., 2017, Alg. 2) or
+        DGL's message-flow blocks. So a layer computes no node that cannot
+        reach a requested logit within the remaining layers.
+
+        Built on first use and cached per (``num_layers``, bytes of ``rows``).
+        An entry holds, per layer, the input node ids of every type, one
+        ``Segments`` per type for the output positions and two per relation
+        for the edges into the outputs; that is a few int64 arrays the size of
+        the nodes and edges within ``num_layers`` hops of the rows, each
+        ``Segments`` with a boolean CSR matrix of the same size.
+        """
+        key = (num_layers, None if rows is None else np.asarray(rows, dtype=np.int64).tobytes())
+        cached = self._blocks.get(key)
+        if cached is not None:
+            return cached
+        target = self.schema.target_type
+        n_target = self.counts[target]
+        rows = np.arange(n_target) if rows is None else np.asarray(rows, dtype=np.int64)
+        final, order = np.unique(rows, return_inverse=True)
+        if final.size and (final[0] < 0 or final[-1] >= n_target):
+            raise ValueError(f"rows must be ids of type {target!r}")
+        none = np.zeros(0, dtype=np.int64)
+        outputs = {name: final if name == target else none for name in self.schema.type_names()}
+        layers: list[Block] = []
+        for _ in range(num_layers):
+            layers.insert(0, self.block(outputs))
+            outputs = layers[0].inputs
+        heads = [
+            Segments(np.searchsorted(b.inputs[target], final), b.inputs[target].size)
+            for b in layers
+        ] + [Segments(np.arange(final.size), final.size)]
+        cached = self._blocks[key] = Blocks(layers, heads, Segments(order, final.size))
+        return cached
 
 
 @dataclass
@@ -384,16 +490,19 @@ def validate_schema(schema: Schema, raw: RawDataset) -> list[str]:
         labeled = set(rows[:, 0].tolist())
         seen: set[int] = set()
         for part in ("train", "valid", "test"):
-            part_ids = raw.splits.get(part, [])
-            for i in part_ids:
+            listed: set[int] = set()
+            for i in raw.splits.get(part, []):
                 if i < 0 or i >= n_target:
                     errors.append(f"splits.json: {part} id {i} out of range")
                 elif i not in labeled:
                     errors.append(f"splits.json: {part} id {i} has no label")
-            overlap = seen.intersection(part_ids)
+                if i in listed:
+                    errors.append(f"splits.json: {part} id {i} listed twice")
+                listed.add(i)
+            overlap = seen.intersection(listed)
             if overlap:
                 errors.append(f"splits.json: splits not disjoint (id {sorted(overlap)[0]})")
-            seen.update(part_ids)
+            seen.update(listed)
     return errors
 
 
@@ -631,7 +740,8 @@ def synthetic_generate(spec: SyntheticSpec, seed: int) -> HeteroGraph:
 
 def _edges_into(view: BipartiteView, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sources, targets) of the edges into ``targets``: their CSR slices,
-    concatenated without a Python loop."""
+    concatenated without a Python loop, so in (target, source) order when
+    ``targets`` ascend."""
     indptr = view.dst.indptr
     starts = indptr[targets]
     lengths = indptr[targets + 1] - starts

@@ -6,6 +6,11 @@ Messages are convex combinations of extracted source slots, one block per
 relation; blocks get a learnable per-relation encoding added, are concatenated
 in schema order, mapped once per target type, and appended to the previous
 sequence, which stays intact as a prefix.
+
+A layer computes only the output rows of its :class:`~slotgnn.graph.Block`:
+queries at the output rows of types that receive messages, keys and values at
+the input rows of types that send them, and nothing for relations into types
+with no output rows. A full layer is the block whose output rows are every node.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .graph import BipartiteView, HeteroGraph, Relation, Schema
+from .graph import BipartiteView, Block, HeteroGraph, Relation, Schema
 
 
 @dataclass
@@ -83,19 +88,23 @@ def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
 
 
 def project_qkv(
-    state: dict[str, T.Tensor], params: LayerParams
+    state: dict[str, T.Tensor],
+    params: LayerParams,
+    query_state: dict[str, T.Tensor] | None = None,
 ) -> tuple[dict[str, T.Tensor], dict[str, T.Tensor], dict[str, T.Tensor]]:
-    """Apply the per-type shared Q/K/V maps to every slot of every node."""
-    queries, keys, values = {}, {}, {}
-    for name, tens in state.items():
+    """Apply the per-type shared Q/K/V maps: keys and values to every slot of
+    every type in ``state``, queries to every slot of every type in
+    ``query_state`` (by default ``state``)."""
+    query_state = state if query_state is None else query_state
+
+    def affine(tens: T.Tensor, weights: tuple[T.Tensor, T.Tensor]) -> T.Tensor:
         if tens.shape[2] != params.dim:
             raise T.ShapeError(f"state width {tens.shape[2]} != params dim {params.dim}")
-        wq, bq = params.query[name]
-        wk, bk = params.key[name]
-        wv, bv = params.value[name]
-        queries[name] = T.add(T.matmul(tens, wq), bq)
-        keys[name] = T.add(T.matmul(tens, wk), bk)
-        values[name] = T.add(T.matmul(tens, wv), bv)
+        return T.add(T.matmul(tens, weights[0]), weights[1])
+
+    queries = {name: affine(tens, params.query[name]) for name, tens in query_state.items()}
+    keys = {name: affine(tens, params.key[name]) for name, tens in state.items()}
+    values = {name: affine(tens, params.value[name]) for name, tens in state.items()}
     return queries, keys, values
 
 
@@ -178,18 +187,31 @@ def layer_forward(
     scale_outside: bool = False,
     relation_encoding: bool = True,
     sequence_update: bool = True,
+    block: Block | None = None,
 ) -> dict[str, T.Tensor]:
     """Full layer: project, attend, extract, aggregate, encode, update.
 
-    With ``sequence_update`` off (the no-sequence ablation) the relation
-    blocks are averaged into a single slot instead of being appended.
+    ``state`` holds every type in schema order at the input rows of
+    ``block`` (by default ``graph.block()``, every node); the result holds
+    every type at its output rows, and a type with no output rows keeps an
+    empty tensor. With ``sequence_update`` off (the no-sequence ablation) the
+    relation blocks are averaged into a single slot instead of being appended.
     ``layer_index`` (from 1) only identifies the layer; no result depends on it.
     """
     schema = graph.schema
-    queries, keys, values = project_qkv(state, params)
+    block = graph.block() if block is None else block
+    prev = {name: T.gather(tens, block.outputs[name]) for name, tens in state.items()}
+    active = [rel for rel in schema.relations if block.views[rel].dst.num_segments]
+    senders = {rel.src for rel in active}
+    receivers = {rel.dst for rel in active}
+    queries, keys, values = project_qkv(
+        {name: tens for name, tens in state.items() if name in senders},
+        params,
+        {name: tens for name, tens in prev.items() if name in receivers},
+    )
     messages: dict[Relation, T.Tensor] = {}
-    for rel in schema.relations:
-        view = graph.bipartite(rel)
+    for rel in active:
+        view = block.views[rel]
         attn = relation_attention(
             keys[rel.src], queries[rel.dst], params.att[rel], view,
             mode=attention_norm, scale_outside=scale_outside,
@@ -198,18 +220,17 @@ def layer_forward(
         messages[rel] = aggregate_messages(attn, ext, view)
 
     out: dict[str, T.Tensor] = {}
-    for nt in schema.node_types:
-        name = nt.name
-        incoming = schema.relations_into(name)
-        if not incoming:
-            out[name] = state[name]
+    for name, tens in prev.items():
+        if name not in receivers:
+            out[name] = tens
             continue
         encoded = encode_relations(messages, params, schema, name, relation_encoding)
         if sequence_update:
-            out[name] = update_sequences(state[name], encoded, params.adopt[name])
+            out[name] = update_sequences(tens, encoded, params.adopt[name])
             continue
+        incoming = schema.relations_into(name)
         if len(incoming) > 1:
-            n, f = state[name].shape[:2]
+            n, f = tens.shape[:2]
             stacked = T.reshape(encoded, (n, len(incoming), f, params.dim))
             encoded = T.reduce_mean(stacked, axis=1)
         out[name] = T.matmul(encoded, params.adopt[name])

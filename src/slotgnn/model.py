@@ -62,17 +62,31 @@ class SlotModel:
         graph: HeteroGraph,
         training: bool = False,
         dropout_seed: tuple[int, ...] = (0,),
+        rows: np.ndarray | None = None,
     ) -> ModelOutput:
+        """Logits of the target nodes ``rows``, one row each in the order
+        given, repeats included; None means every target node in id order.
+
+        Each layer computes only the rows of its block in
+        ``graph.blocks(rows, layers)``: the nodes that can reach a requested
+        logit. A row's logits match the full pass up to the rounding of
+        BLAS products whose size follows the row count. ``fusion`` covers
+        the distinct requested rows, ascending.
+        """
         cfg = self.config
         target = self.schema.target_type
-        state = project_features(graph, self.proj)
+        plan = graph.blocks(rows, len(self.layers))
+        state = project_features(graph, self.proj, plan.layers[0].inputs)
         if not cfg.use_seq:
             state = {n: T.reduce_mean(t, axis=1, keepdims=True) for n, t in state.items()}
-        h0 = state[target]  # fusion queries use the pre-dropout layer-0 state
-        blocks = []
-        for index, params in enumerate(self.layers, start=1):
+        # fusion queries use the pre-dropout layer-0 state
+        h0 = T.gather(state[target], plan.heads[0])
+        per_layer = []
+        for index, (params, block) in enumerate(zip(self.layers, plan.layers), start=1):
             if training and cfg.dropout > 0.0:
-                state = slot_dropout(state, cfg.dropout, seed=(*dropout_seed, index), graph=graph)
+                state = slot_dropout(
+                    state, cfg.dropout, seed=(*dropout_seed, index), graph=graph, rows=block.inputs
+                )
             state = layer_forward(
                 state,
                 graph,
@@ -82,13 +96,15 @@ class SlotModel:
                 scale_outside=cfg.scale_outside,
                 relation_encoding=cfg.use_relation_encoding,
                 sequence_update=cfg.use_seq,
+                block=block,
             )
-            blocks.append(state[target])
+            if not cfg.use_seq:
+                per_layer.append(T.gather(state[target], plan.heads[index]))
 
         if cfg.use_seq:
             head_input = state[target]
         else:
-            head_input = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=1)
+            head_input = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=1)
 
         fusion_out: FusionOutput | None = None
         if cfg.use_fusion:
@@ -96,5 +112,5 @@ class SlotModel:
             fused = fusion_out.fused
         else:
             fused = mean_fuse(head_input)
-        logits = classify(fused, self.fusion_params)
+        logits = T.gather(classify(fused, self.fusion_params), plan.order)
         return ModelOutput(logits, fusion_out)

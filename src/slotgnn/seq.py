@@ -123,16 +123,23 @@ class InputProjection:
         return out
 
 
-def project_features(graph: HeteroGraph, proj: InputProjection) -> dict[str, T.Tensor]:
-    """Layer-0 sequences: slot f of node i is the affine image of its feature f."""
+def project_features(
+    graph: HeteroGraph, proj: InputProjection, rows: dict[str, np.ndarray] | None = None
+) -> dict[str, T.Tensor]:
+    """Layer-0 sequences: slot f of node i is the affine image of its feature f.
+
+    ``rows`` names the nodes to project per type (every node when None); the
+    result holds their sequences in that order, every type in schema order.
+    """
     state: dict[str, T.Tensor] = {}
     d = proj.dim
     for nt in graph.schema.node_types:
-        n = graph.counts[nt.name]
+        ids = np.arange(graph.counts[nt.name]) if rows is None else rows[nt.name]
+        n = ids.size
         if nt.num_features == 0:
             emb = proj.embeddings[nt.name]
-            rows = T.matmul(T.Tensor(np.ones((n, 1)), dtype=emb.dtype), emb)
-            state[nt.name] = T.reshape(rows, (n, 1, d))
+            shared = T.matmul(T.Tensor(np.ones((n, 1)), dtype=emb.dtype), emb)
+            state[nt.name] = T.reshape(shared, (n, 1, d))
         else:
             feats = graph.features[nt.name]
             if feats.shape[1] != nt.num_features or feats.shape[2] != nt.feature_dim:
@@ -143,7 +150,7 @@ def project_features(graph: HeteroGraph, proj: InputProjection) -> dict[str, T.T
             slots = []
             for f in range(nt.num_features):
                 w, b = proj.weights[(nt.name, f)]
-                slot = T.add(T.matmul(T.Tensor(feats[:, f, :], dtype=w.dtype), w), b)
+                slot = T.add(T.matmul(T.Tensor(feats[ids, f], dtype=w.dtype), w), b)
                 slots.append(T.reshape(slot, (n, 1, d)))
             state[nt.name] = slots[0] if len(slots) == 1 else T.concat(slots, axis=1)
     return state
@@ -154,13 +161,18 @@ def slot_dropout(
     p: float,
     seed: int,
     graph: HeteroGraph | None = None,
+    rows: dict[str, np.ndarray] | None = None,
 ) -> dict[str, T.Tensor]:
     """Zero whole slots with probability p, scaling survivors by 1/(1-p).
 
-    Masks are addressed by original node id: the uniform draw for a type
-    spans ids 0..max(orig_ids), and numpy fills it row by row, so a node
-    gets the same mask whether it is visited in a full-graph pass or inside
-    a sampled subgraph, and results do not depend on evaluation order.
+    ``state`` holds every node type in schema order, and the mask of the
+    type at position ``ti`` comes from the stream (seed, ti); a type with no
+    rows keeps its position. ``rows`` names the graph's nodes that ``state``
+    holds per type (every node when None). Masks are addressed by original
+    node id: the uniform draw for a type spans ids 0..max(orig_ids[rows]),
+    and numpy fills it row by row, so a node gets the same mask whether it
+    is visited in a full-graph pass, in a pass restricted to some rows or
+    inside a sampled subgraph, and results do not depend on evaluation order.
     Identity at p = 0.
     """
     if not 0.0 <= p < 1.0:
@@ -170,7 +182,9 @@ def slot_dropout(
     out: dict[str, T.Tensor] = {}
     for ti, (name, tens) in enumerate(state.items()):
         n, f, d = tens.shape
-        ids = np.arange(n) if graph is None else graph.orig_ids[name]
+        ids = np.arange(n) if rows is None else rows[name]
+        if graph is not None:
+            ids = graph.orig_ids[name][ids]
         rng = np.random.default_rng(np.random.SeedSequence([seed, ti]))
         keep = rng.random((ids.max(initial=-1) + 1, f))[ids] >= p
         mask = np.broadcast_to((keep / (1.0 - p))[:, :, None], (n, f, d))

@@ -95,13 +95,14 @@ class Tape:
 
     ``backward`` may be called once; the tape is consumed afterwards. It
     returns the gradient of every leaf (a requires_grad tensor that feeds a
-    recorded operation); leaves keep no gradient of their own.
+    recorded operation, or one in ``watch``); leaves keep no gradient of
+    their own.
     """
 
-    def __init__(self):
+    def __init__(self, watch: Iterable[Tensor] = ()):
         self.nodes: list[_Node] = []
         self.consumed = False
-        self._watched: dict[int, Tensor] = {}
+        self._watched: dict[int, Tensor] = {id(t): t for t in watch}
         self._prev_tape: Tape | None = None
 
     def __enter__(self) -> "Tape":
@@ -162,9 +163,19 @@ class Tape:
         }
 
 
-def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+def _make(
+    out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable, screen: bool = True
+) -> Tensor:
+    """Wrap an op's output and record it. Ops that only move values of their
+    inputs, which were screened when they were made, pass ``screen=False``."""
     requires = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
+    if screen:
+        out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
+    else:
+        out = Tensor.__new__(Tensor)
+        out.data, out.requires_grad, out.name, out._tape, out._node = (
+            out_data, requires, None, None, None
+        )
     if requires and _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(out, parents, backward_fn)
     return out
@@ -261,7 +272,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def back(g):
         return (g.reshape(old),)
 
-    return _make(a.data.reshape(shape), (a,), back)
+    return _make(a.data.reshape(shape), (a,), back, screen=False)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -271,7 +282,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     def back(g):
         return (g.transpose(inv),)
 
-    return _make(a.data.transpose(axes), (a,), back)
+    return _make(a.data.transpose(axes), (a,), back, screen=False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -297,7 +308,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             for i in range(len(sizes))
         )
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return _make(data, tuple(tensors), back, screen=False)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +392,8 @@ class Segments:
         self.indptr = np.zeros(num_segments + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
         self._nonempty = np.flatnonzero(counts)
+        # sorted, one row per segment: row r is segment r
+        self.identity = self.order is None and ids.size == self._nonempty.size == num_segments
         cols = np.arange(ids.size) if self.order is None else self.order
         self._matrix = scipy.sparse.csr_array(
             (np.ones(ids.size, dtype=bool), cols, self.indptr), shape=(num_segments, ids.size)
@@ -403,11 +417,14 @@ def gather(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0; the gradient sums back into each row.
 
     ``idx`` is an index array or a prebuilt :class:`Segments` over the rows
-    of ``a``; an array is turned into one only if backward runs.
+    of ``a``; an array is turned into one only if backward runs. An identity
+    ``Segments`` returns ``a`` itself.
     """
     if isinstance(idx, Segments):
         if idx.num_segments != a.shape[0]:
             raise ShapeError(f"gather: Segments has {idx.num_segments} segments, want {a.shape[0]}")
+        if idx.identity:
+            return a
         ids = idx.ids
     else:
         ids = np.asarray(idx, dtype=np.int64)
@@ -415,7 +432,7 @@ def gather(a: Tensor, idx) -> Tensor:
     def back(g):
         return ((idx if isinstance(idx, Segments) else Segments(ids, a.shape[0])).sum(g),)
 
-    return _make(a.data[ids], (a,), back)
+    return _make(a.data[ids], (a,), back, screen=False)
 
 
 def segment_sum(a: Tensor, seg: Segments) -> Tensor:

@@ -136,10 +136,9 @@ def evaluate(model: SlotModel, graph: HeteroGraph, split) -> dict[str, float]:
     """Deterministic metrics on one split: micro/macro F1, accuracy, mean loss."""
     ids = _split_ids(graph, split)
     multilabel = graph.schema.multilabel
-    out = model.forward(graph, training=False)
-    rows = T.gather(out.logits, ids)
-    mean_loss = head_loss(rows, graph.labels[ids], multilabel).item()
-    preds = predict(rows.data, multilabel)
+    logits = model.forward(graph, training=False, rows=ids).logits
+    mean_loss = head_loss(logits, graph.labels[ids], multilabel).item()
+    preds = predict(logits.data, multilabel)
     metrics = f1_metrics(preds, graph.labels[ids], graph.schema.num_classes, multilabel)
     result = metrics.to_dict()
     result["loss"] = mean_loss
@@ -147,9 +146,11 @@ def evaluate(model: SlotModel, graph: HeteroGraph, split) -> dict[str, float]:
 
 
 def _train_step(model, graph, local_ids, labels, lr, opt, dropout_seed, multilabel) -> float:
-    with T.Tape() as tape:
-        out = model.forward(graph, training=True, dropout_seed=dropout_seed)
-        batch_loss = head_loss(T.gather(out.logits, local_ids), labels, multilabel)
+    # parameters the pass does not reach, such as queries of a type no
+    # requested row needs, get zero gradients
+    with T.Tape(watch=model.parameters()) as tape:
+        out = model.forward(graph, training=True, dropout_seed=dropout_seed, rows=local_ids)
+        batch_loss = head_loss(out.logits, labels, multilabel)
         grads = tape.backward(batch_loss)
     opt.step(grads, lr)
     return batch_loss.item()
@@ -245,8 +246,8 @@ def grad_check_model(model: SlotModel, graph: HeteroGraph, h: float = 1e-5) -> d
     multilabel = graph.schema.multilabel
 
     def f() -> T.Tensor:
-        out = model.forward(graph, training=False)
-        return head_loss(T.gather(out.logits, ids), graph.labels[ids], multilabel)
+        out = model.forward(graph, training=False, rows=ids)
+        return head_loss(out.logits, graph.labels[ids], multilabel)
 
     report: dict[str, float] = {}
     for name, p in model.named_parameters():

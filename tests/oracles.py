@@ -80,6 +80,24 @@ def induced_pairs(edges: np.ndarray, keep_src: set[int], keep_dst: set[int]) -> 
     return sorted((int(s), int(t)) for s, t in edges if s in keep_src and t in keep_dst)
 
 
+def in_neighbourhoods(graph, rows, layers: int) -> list[dict[str, set[int]]]:
+    """Per layer, first layer first, the nodes of each type a layer reads when
+    the last one writes the target nodes ``rows``: the nodes the next layer
+    reads plus every source of an edge into them, by a scan of each edge list."""
+    reads = {name: set() for name in graph.counts}
+    reads[graph.schema.target_type] = {int(r) for r in rows}
+    per_layer: list[dict[str, set[int]]] = []
+    for _ in range(layers):
+        writes = reads
+        reads = {name: set(ids) for name, ids in writes.items()}
+        for rel in graph.schema.relations:
+            for s, t in graph.edges[rel]:
+                if int(t) in writes[rel.dst]:
+                    reads[rel.src].add(int(s))
+        per_layer.insert(0, reads)
+    return per_layer
+
+
 def two_hop_majority(
     first_hop: np.ndarray,
     second_hop: np.ndarray,

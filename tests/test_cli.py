@@ -224,6 +224,19 @@ class TestTrainCommand:
         assert "nodes_item.csv line 7" in capsys.readouterr().err
 
 
+    def test_split_id_listed_twice_exits_3(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for p in Path(dataset).iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        splits = json.loads((broken / "splits.json").read_text())
+        splits["train"].append(splits["train"][0])
+        (broken / "splits.json").write_text(json.dumps(splits))
+        code = main(["train", "--dataset", str(broken), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"splits.json: train id {splits['train'][0]} listed twice" in capsys.readouterr().err
+
+
 class TestEvalExplainCommands:
     @pytest.fixture(scope="class")
     def trained(self, dataset, tmp_path_factory):

@@ -229,6 +229,16 @@ class TestBadInput:
         with pytest.raises(DatasetError, match=want):
             load_dataset(tmp_path)
 
+    def test_id_listed_twice_in_one_split(self, graph, tmp_path):
+        save_dataset(graph, tmp_path)
+        path = tmp_path / "splits.json"
+        splits = json.loads(path.read_text())
+        twice = splits["train"][3]
+        splits["train"].append(twice)
+        path.write_text(json.dumps(splits))
+        with pytest.raises(DatasetError, match=rf"splits\.json: train id {twice} listed twice"):
+            load_dataset(tmp_path)
+
 
 class TestBipartiteView:
     def test_no_edges_all_slices_empty(self, graph):

@@ -436,6 +436,28 @@ class TestInvariants:
         with pytest.raises(T.NonFiniteError):
             T.scale(T.Tensor([3e38]), 10.0)  # overflows to inf in float32
 
+    def test_inf_from_matmul_raises(self):
+        a = T.Tensor([[3e38, 3e38]], requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
+            T.matmul(a, T.Tensor([[10.0], [10.0]]))
+
+    def test_value_moving_ops_skip_the_screen(self, monkeypatch):
+        # their inputs were screened when made, so moving values adds nothing
+        calls = []
+        screen = T._check_finite
+        monkeypatch.setattr(T, "_check_finite", lambda arr: calls.append(arr.shape) or screen(arr))
+        a = T.Tensor(np.ones((4, 3)), requires_grad=True)
+        assert calls == [(4, 3)]  # raw data is screened
+        with T.Tape():
+            T.reshape(a, (3, 4))
+            T.transpose(a, (1, 0))
+            T.gather(a, np.array([2, 0]))
+            T.gather(a, T.Segments(np.array([3, 1]), 4))
+            T.concat([a, a], axis=0)
+            assert calls == [(4, 3)]
+            T.add(a, a)
+        assert calls == [(4, 3), (4, 3)]
+
     def test_operations_deterministic(self):
         g = rng(21)
         a = g.normal(size=(6, 5)).astype(np.float32)
