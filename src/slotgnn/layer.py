@@ -11,6 +11,8 @@ A layer computes only the output rows of its :class:`~slotgnn.graph.Block`:
 queries at the output rows of types that receive messages, keys and values at
 the input rows of types that send them, and nothing for relations into types
 with no output rows. A full layer is the block whose output rows are every node.
+Per relation, two fused tape ops do the edge work: ``T.edge_attention`` (logits
+and edge softmax) and ``T.edge_aggregate`` (mix, sum into targets, merge heads).
 """
 
 from __future__ import annotations
@@ -128,12 +130,10 @@ def relation_attention(
     n_src, f_s, d = src_keys.shape
     rows = T.transpose(T.reshape(src_keys, (n_src * f_s, heads, d_h)), (1, 0, 2))
     kw = T.reshape(T.bmm(rows, att_weights), (heads, n_src, f_s, d_h))
-    kw = T.gather(T.transpose(kw, (1, 0, 2, 3)), view.src)
-    q = T.gather(split_heads(dst_queries, heads), view.dst)
-    logits = T.bmm(kw, T.transpose(q, (0, 1, 3, 2)))
-    if scale_outside:
-        return T.scale(T.edge_softmax(logits, view.dst, mode), 1.0 / math.sqrt(d))
-    return T.edge_softmax(T.scale(logits, 1.0 / math.sqrt(d_h)), view.dst, mode)
+    return T.edge_attention(
+        T.transpose(kw, (1, 0, 2, 3)), split_heads(dst_queries, heads), view.src, view.dst,
+        mode, 1.0 / math.sqrt(d if scale_outside else d_h), scale_outside,
+    )
 
 
 def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -> T.Tensor:
@@ -142,16 +142,9 @@ def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -
 
 
 def aggregate_messages(attn: T.Tensor, ext: T.Tensor, view: BipartiteView) -> T.Tensor:
-    """Sum attention-mixed source slots into each target: (n_dst, F_dst, d).
-
-    Targets with an empty neighborhood receive a zero block; sources are
-    visited in sorted order, so the reduction is bit-stable.
-    """
-    ext_h = T.gather(split_heads(ext, attn.shape[1]), view.src)
-    msg = T.bmm(T.transpose(attn, (0, 1, 3, 2)), ext_h)
-    summed = T.segment_sum(msg, view.dst)
-    n_dst, _, f_t, _ = summed.shape
-    return T.reshape(T.transpose(summed, (0, 2, 1, 3)), (n_dst, f_t, ext.shape[2]))
+    """Sum attention-mixed source slots into each target: (n_dst, F_dst, d),
+    a zero block for a target with no edges."""
+    return T.edge_aggregate(attn, ext, view.src, view.dst)
 
 
 def encode_relations(

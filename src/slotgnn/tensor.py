@@ -1,4 +1,4 @@
-"""Dense 2-D/3-D tensors with a reverse-mode autodiff tape.
+"""Dense 2-D to 4-D tensors with a reverse-mode autodiff tape.
 
 Only the operations the model actually needs are provided. Tensors wrap
 numpy arrays and are treated as immutable after creation. A tensor built
@@ -7,10 +7,15 @@ dtype of its inputs, so a model computes in its parameters' dtype.
 Recording happens on an explicit :class:`Tape` that is active for one
 forward pass. Reverse accumulation walks the tape in reverse creation
 order, which is a valid topological order because the tape is append-only.
+Message passing is two fused ops per relation, :func:`edge_attention` and
+:func:`edge_aggregate`, one tape node each: backward keeps only the attention
+weights and gathers again, and layouts change per node before a gather, so
+batched products read C-contiguous blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -234,7 +239,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b with b 2-D; a may be 2-D or a stack (3-D)."""
+    """Matrix product a @ b with b 2-D; a may be 2-D or a stack (3-D), run as
+    one flat (N*F, k) GEMM where numpy would run one per leading row."""
     if b.ndim != 2 or a.ndim not in (2, 3):
         raise ShapeError(f"matmul: unsupported ranks {a.ndim} @ {b.ndim}")
     if a.shape[-1] != b.shape[0]:
@@ -242,11 +248,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k, n = b.shape
 
     def back(g):
-        ga = g @ b.data.T
+        ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
         gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
         return ga, gb
 
-    return _make(a.data @ b.data, (a, b), back)
+    return _make((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), back)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -378,7 +384,7 @@ class Segments:
     ``np.maximum.reduceat`` over the non-empty segments, on the rows stably
     sorted by segment (the sort is kept only when ``ids`` is unsorted); empty
     segments get -inf. Build one per index array and reuse it: the graph's
-    views hold one per edge endpoint.
+    views hold one per edge endpoint. The matrix is built at the first sum.
     """
 
     def __init__(self, ids, num_segments: int):
@@ -394,10 +400,12 @@ class Segments:
         self._nonempty = np.flatnonzero(counts)
         # sorted, one row per segment: row r is segment r
         self.identity = self.order is None and ids.size == self._nonempty.size == num_segments
-        cols = np.arange(ids.size) if self.order is None else self.order
-        self._matrix = scipy.sparse.csr_array(
-            (np.ones(ids.size, dtype=bool), cols, self.indptr), shape=(num_segments, ids.size)
-        )
+
+    @functools.cached_property
+    def _matrix(self) -> scipy.sparse.csr_array:
+        cols = np.arange(self.ids.size) if self.order is None else self.order
+        ones = np.ones(cols.size, dtype=bool)
+        return scipy.sparse.csr_array((ones, cols, self.indptr), (self.num_segments, cols.size))
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """Per-segment sums of the rows of ``x``: (num_segments, *x.shape[1:])."""
@@ -435,65 +443,84 @@ def gather(a: Tensor, idx) -> Tensor:
     return _make(a.data[ids], (a,), back, screen=False)
 
 
-def segment_sum(a: Tensor, seg: Segments) -> Tensor:
-    """Sum rows of ``a`` into the ``seg.num_segments`` buckets of ``seg``.
+def _edge_rows(x: np.ndarray, seg: Segments) -> np.ndarray:
+    # per-node blocks onto the edges, C-contiguous: a layout change costs once per node
+    x = np.ascontiguousarray(x)
+    return x if seg.identity else x[seg.ids]
 
-    Rows are accumulated in storage order, so callers that need bit-stable
-    results across input permutations must present rows in a canonical order.
+
+def edge_attention(
+    kw: Tensor, q: Tensor, src: Segments, dst: Segments, mode: str = "joint",
+    scale: float = 1.0, scale_outside: bool = False,
+) -> Tensor:
+    """Attention blocks (E, H, F_s, F_t) of the edges ``src[e] -> dst[e]``.
+
+    ``kw`` (n_src, H, F_s, d_h) holds each source's keys times the attention
+    weights, ``q`` (n_dst, H, F_t, d_h) each target's queries. The logits
+    kw[s] q[t]^T are scaled before the softmax, or after it with
+    ``scale_outside``. ``joint`` normalizes over a target's (edge, source
+    slot) pairs per target slot, ``literal`` over its edges per slot pair.
     """
-    if seg.ids.shape[0] != a.shape[0]:
-        raise ShapeError("segment_sum: one segment id per row required")
-    ids = seg.ids
+    ids, joint = dst.ids, {"joint": True, "literal": False}[mode]
+    ends = (len(kw.data), len(q.data), len(src.ids), *kw.shape[1::2])
+    if kw.ndim != 4 or ends != (src.num_segments, dst.num_segments, len(ids), *q.shape[1::2]):
+        raise ShapeError(f"edge_attention: blocks {kw.shape} and {q.shape} do not fit the edges")
+
+    def pool(ufunc, a):
+        # joint: also reduce the source slots, slice by slice, as numpy's own
+        # reduction over a non-last axis is several times slower
+        if not joint:
+            return a
+        out = a[..., 0, :].copy()
+        for i in range(1, a.shape[-2]):
+            ufunc(out, a[..., i, :], out=out)
+        return out
+
+    def spread(a):  # per-target statistics back onto the edges
+        return np.expand_dims(a[ids], -2) if joint else a[ids]
+
+    x = _edge_rows(kw.data, src) @ _edge_rows(np.swapaxes(q.data, -1, -2), dst)
+    if not scale_outside:
+        x *= np.asarray(scale, dtype=x.dtype)
+    x -= spread(dst.max(pool(np.maximum, x)))
+    y = np.exp(x, out=x)
+    y /= spread(dst.sum(pool(np.add, y)))
 
     def back(g):
-        return (g[ids],)
+        g = g * scale if scale_outside else g
+        gx = y * (g - spread(dst.sum(pool(np.add, g * y))))
+        gx = gx if scale_outside else gx * scale
+        gqt = dst.sum(_edge_rows(np.swapaxes(kw.data, -1, -2), src) @ gx)
+        return src.sum(gx @ _edge_rows(q.data, dst)), np.swapaxes(gqt, -1, -2)
 
-    return _make(seg.sum(a.data), (a,), back)
+    return _make(y * np.asarray(scale, dtype=y.dtype) if scale_outside else y, (kw, q), back)
 
 
-def edge_softmax(logits: Tensor, seg: Segments, mode: str = "joint") -> Tensor:
-    """Normalize per-edge score blocks over each target's neighborhood.
-
-    ``logits`` has shape (E, F_s, F_t), or (E, H, F_s, F_t) with a head
-    axis normalized independently per head; ``seg`` groups the edges by
-    target. In ``joint`` mode the softmax runs over all (edge, source-slot)
-    pairs of one target, independently per target slot, so each target slot
-    receives a convex combination over its whole neighborhood. In ``literal``
-    mode it runs over edges only, independently per (source slot, target
-    slot) pair.
+def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> Tensor:
+    """Per target, the sum over its edges of attn[e]^T ext[s] per head:
+    (n_dst, F_t, d), zeros for a target without edges. ``attn`` is
+    (E, H, F_s, F_t), ``ext`` (n_src, F_s, d) with head m in columns
+    [m d/H, (m+1) d/H). Edges add in storage order. Backward gathers again.
     """
-    if logits.ndim not in (3, 4):
-        raise ShapeError(f"edge_softmax: want (E, [H,] F_s, F_t), got {logits.shape}")
-    ids = seg.ids
-    if ids.shape[0] != logits.shape[0]:
-        raise ShapeError("edge_softmax: one target id per edge required")
+    e, heads, f_s, f_t = attn.shape
+    n_src, n_dst, d = ext.shape[0], dst.num_segments, ext.shape[2]
+    if d % heads or ext.shape[:2] != (src.num_segments, f_s) or {len(src.ids), len(dst.ids)} != {e}:
+        raise ShapeError(f"edge_aggregate: {attn.shape} and {ext.shape} do not fit the edges")
 
-    x = logits.data
-    if mode == "joint":
-        # reduce the source-slot axis per edge, then the edges per target
-        m = seg.max(x.max(axis=-2))
-        z = np.exp(x - np.expand_dims(m[ids], -2))
-        denom = seg.sum(z.sum(axis=-2))
-        y = z / np.expand_dims(denom[ids], -2)
+    def split(x, n, f):  # (n, f, d) -> (n, H, d_h, f): each head's slots, transposed
+        return x.reshape(n, f, heads, d // heads).transpose(0, 2, 3, 1)
 
-        def back(g):
-            s = seg.sum((g * y).sum(axis=-2))
-            return (y * (g - np.expand_dims(s[ids], -2)),)
+    # ext^T attn per edge and head, so that both operands are C-contiguous
+    ext_t = split(ext.data, n_src, f_s)
+    msg_t = dst.sum(_edge_rows(ext_t, src) @ attn.data)
 
-    elif mode == "literal":
-        m = seg.max(x)
-        z = np.exp(x - m[ids])
-        denom = seg.sum(z)
-        y = z / denom[ids]
+    def back(g):
+        g_t = split(g, n_dst, f_t)
+        g_attn = _edge_rows(np.swapaxes(ext_t, -1, -2), src) @ _edge_rows(g_t, dst)
+        g_ext = src.sum(attn.data @ _edge_rows(np.swapaxes(g_t, -1, -2), dst))
+        return g_attn, g_ext.transpose(0, 2, 1, 3).reshape(ext.shape)
 
-        def back(g):
-            s = seg.sum(g * y)
-            return (y * (g - s[ids]),)
-
-    else:
-        raise ValueError(f"edge_softmax: unknown mode {mode!r}")
-
-    return _make(y, (logits,), back)
+    return _make(msg_t.transpose(0, 3, 1, 2).reshape(n_dst, f_t, d), (attn, ext), back)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,33 @@ class TestLayerForward:
         for name in g.counts:
             assert np.allclose(out[name].data, want[name], rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_many_source_slots_match_dense_reference(self, mode):
+        # nine source slots into one target slot: numpy would sum the slot
+        # axis pairwise here, the fused attention adds slot after slot
+        schema = Schema(
+            node_types=[NodeType("a", 9, 2), NodeType("t", 1, 2)],
+            relations=[Relation("a", "ra", "t")],
+            target_type="t",
+            num_classes=2,
+        )
+        rng = np.random.default_rng(80)
+        g = HeteroGraph(
+            schema, {"a": 3, "t": 3},
+            {"a": rng.normal(size=(3, 9, 2)).astype(np.float32),
+             "t": rng.normal(size=(3, 1, 2)).astype(np.float32)},
+            {schema.relations[0]: np.array([[2, 0], [0, 0], [1, 1], [2, 1]], dtype=np.int64)},
+            labels=np.zeros(3, dtype=np.int64), labeled_mask=np.ones(3, dtype=bool), splits={},
+        )
+        state = init_state(g, 4, seed=81)
+        params = make_params(g, 4, 2, seed=82)
+        out = layer_forward(state, g, params, layer_index=1, attention_norm=mode)
+        want = oracles.dense_layer_reference(
+            g, {n: t.data for n, t in state.items()}, params, mode=mode
+        )
+        for name in g.counts:
+            assert np.allclose(out[name].data, want[name], rtol=1e-5, atol=1e-6)
+
     def test_attention_mass_sums_per_mode(self):
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)

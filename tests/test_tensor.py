@@ -15,6 +15,19 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def edge_softmax(logits: T.Tensor, dst: T.Segments, mode: str) -> T.Tensor:
+    """The softmax of ``T.edge_attention`` alone: every edge is its own source
+    node and the queries are identities, so the logits kw q^T are ``logits``
+    exactly. ``logits`` is (E, F_s, F_t) or (E, H, F_s, F_t)."""
+    x = logits if logits.ndim == 4 else T.reshape(logits, (logits.shape[0], 1) + logits.shape[1:])
+    e, heads, _, f_t = x.shape
+    eye = np.broadcast_to(np.eye(f_t), (dst.num_segments, heads, f_t, f_t))
+    y = T.edge_attention(
+        x, T.Tensor(eye, dtype=logits.dtype), T.Segments(np.arange(e), e), dst, mode
+    )
+    return y if logits.ndim == 4 else T.reshape(y, logits.shape)
+
+
 class TestMatmul:
     def test_identity(self):
         a = T.Tensor(np.eye(2))
@@ -50,6 +63,53 @@ class TestMatmul:
 
         def f():
             y = T.bmm(a, b)
+            return T.reduce_sum(T.mul(y, y))
+
+        assert T.finite_diff_check(f, [a, b]) < 1e-6
+
+
+class TestFlatMatmul:
+    """A stack (N, F, k) @ (k, n) runs as one (N*F, k) GEMM. Each entry is then
+    a k-term dot product rounded by another kernel than the per-row one (a
+    matrix-vector kernel when F = 1), so entries are held to the rounding bound
+    of two such sums, 2 k eps (|a| @ |b|), not to the bit."""
+
+    @staticmethod
+    def assert_within_rounding(got, want, magnitude, terms):
+        eps = np.finfo(got.dtype).eps
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * terms * eps * magnitude)
+
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_stack_and_gradients_match_per_row_products(self, f):
+        g = rng(7)
+        n_rows, k, n = 6, 5, 4
+        a = T.Tensor(g.normal(size=(n_rows, f, k)), requires_grad=True)
+        b = T.Tensor(g.normal(size=(k, n)), requires_grad=True)
+        up = g.normal(size=(n_rows, f, n)).astype(np.float32)
+        with T.Tape() as tape:
+            y = T.matmul(a, b)
+            grads = tape.backward(T.reduce_sum(T.mul(y, T.Tensor(up))))
+        a_, b_ = a.data, b.data
+        self.assert_within_rounding(
+            y.data, np.stack([a_[i] @ b_ for i in range(n_rows)]), np.abs(a_) @ np.abs(b_), k
+        )
+        self.assert_within_rounding(
+            grads[a], np.stack([up[i] @ b_.T for i in range(n_rows)]), np.abs(up) @ np.abs(b_.T), n
+        )
+        self.assert_within_rounding(
+            grads[b],
+            sum(a_[i].T @ up[i] for i in range(n_rows)),
+            sum(np.abs(a_[i].T) @ np.abs(up[i]) for i in range(n_rows)),
+            n_rows * f,
+        )
+
+    def test_stack_gradients_match_finite_differences(self):
+        a = T.Tensor(rng(8).normal(size=(4, 3, 5)), requires_grad=True, dtype=np.float64)
+        b = T.Tensor(rng(9).normal(size=(5, 2)), requires_grad=True, dtype=np.float64)
+
+        def f():
+            y = T.matmul(a, b)
             return T.reduce_sum(T.mul(y, y))
 
         assert T.finite_diff_check(f, [a, b]) < 1e-6
@@ -282,13 +342,15 @@ class TestIndexedOps:
         assert np.allclose(grads[a], want)
 
     def test_segment_sum_forward_and_backward(self):
-        a = T.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2), requires_grad=True)
+        # edge_aggregate with one slot, one head and unit weights is a segment sum
+        a = T.Tensor(np.arange(6, dtype=np.float64).reshape(3, 1, 2), requires_grad=True)
         seg = T.Segments(np.array([1, 1, 0]), 2)
+        ones = T.Tensor(np.ones((3, 1, 1, 1)))
         with T.Tape() as tape:
-            out = T.segment_sum(a, seg)
-            assert np.array_equal(out.data, [[4.0, 5.0], [2.0, 4.0]])
+            out = T.edge_aggregate(ones, a, T.Segments(np.arange(3), 3), seg)
+            assert np.array_equal(out.data[:, 0], [[4.0, 5.0], [2.0, 4.0]])
             grads = tape.backward(T.reduce_sum(out))
-        assert np.allclose(grads[a], np.ones((3, 2)))
+        assert np.allclose(grads[a], np.ones((3, 1, 2)))
 
     @pytest.mark.parametrize("mode", ["joint", "literal"])
     def test_edge_softmax_gradient(self, mode):
@@ -297,7 +359,7 @@ class TestIndexedOps:
         dst = T.Segments(np.array([0, 1, 0, 1]), 2)
 
         def f():
-            y = T.edge_softmax(logits, dst, mode=mode)
+            y = edge_softmax(logits, dst, mode=mode)
             return T.reduce_sum(T.mul(y, y))
 
         assert T.finite_diff_check(f, [logits]) < 1e-6
@@ -306,7 +368,7 @@ class TestIndexedOps:
         g = rng(16)
         logits = T.Tensor(g.normal(size=(5, 2, 3)))
         dst = np.array([0, 0, 1, 1, 1])
-        y = T.edge_softmax(logits, T.Segments(dst, 3), mode="joint").data
+        y = edge_softmax(logits, T.Segments(dst, 3), mode="joint").data
         # per target slot j, mass over (incident edges x source slots) is 1
         for t in (0, 1):
             mask = dst == t
@@ -316,7 +378,7 @@ class TestIndexedOps:
         g = rng(17)
         logits = T.Tensor(g.normal(size=(5, 2, 3)))
         dst = np.array([0, 0, 1, 1, 1])
-        y = T.edge_softmax(logits, T.Segments(dst, 3), mode="literal").data
+        y = edge_softmax(logits, T.Segments(dst, 3), mode="literal").data
         for t in (0, 1):
             mask = dst == t
             assert np.allclose(y[mask].sum(axis=0), 1.0, atol=1e-6)
@@ -326,9 +388,9 @@ class TestIndexedOps:
     def test_edge_softmax_head_axis_matches_per_head_calls(self, mode):
         logits = rng(18).normal(size=(5, 3, 2, 4))
         dst = T.Segments(np.array([1, 0, 1, 1, 0]), 3)
-        y = T.edge_softmax(T.Tensor(logits), dst, mode=mode).data
+        y = edge_softmax(T.Tensor(logits), dst, mode=mode).data
         for h in range(3):
-            want = T.edge_softmax(T.Tensor(logits[:, h]), dst, mode=mode).data
+            want = edge_softmax(T.Tensor(logits[:, h]), dst, mode=mode).data
             assert np.array_equal(y[:, h], want)
 
     @pytest.mark.parametrize("mode", ["joint", "literal"])
@@ -337,10 +399,115 @@ class TestIndexedOps:
         dst = T.Segments(np.array([0, 1, 0, 1]), 2)
 
         def f():
-            y = T.edge_softmax(logits, dst, mode=mode)
+            y = edge_softmax(logits, dst, mode=mode)
             return T.reduce_sum(T.mul(y, y))
 
         assert T.finite_diff_check(f, [logits]) < 1e-6
+
+
+class TestFusedEdgeOps:
+    # five edges, sources unsorted and repeated, target 3 with no edges
+    SRC = np.array([2, 0, 2, 1, 3])
+    DST = np.array([0, 0, 1, 2, 2])
+
+    def graph(self, f_s=3, f_t=2, heads=2, d_h=2, seed=40, dtype=np.float64):
+        g = rng(seed)
+        kw = T.Tensor(g.normal(size=(4, heads, f_s, d_h)), requires_grad=True, dtype=dtype)
+        q = T.Tensor(g.normal(size=(4, heads, f_t, d_h)), requires_grad=True, dtype=dtype)
+        ext = T.Tensor(g.normal(size=(4, f_s, heads * d_h)), requires_grad=True, dtype=dtype)
+        return kw, q, ext, T.Segments(self.SRC, 4), T.Segments(self.DST, 4)
+
+    def reference(self, kw, q, ext, mode, scale, scale_outside):
+        """Per-edge logits, the softmax by its formula over each target's
+        group, and the messages summed edge by edge, in float64."""
+        kw, q, ext = (t.data.astype(np.float64) for t in (kw, q, ext))
+        heads, d_h = kw.shape[1], kw.shape[3]
+        logits = np.stack([kw[s] @ np.swapaxes(q[t], -1, -2) for s, t in zip(self.SRC, self.DST)])
+        logits *= 1.0 if scale_outside else scale
+        attn = np.zeros_like(logits)
+        for t in np.unique(self.DST):
+            mine = self.DST == t
+            if mode == "joint":  # over (edge, source slot) per head and target slot
+                block = np.moveaxis(logits[mine], 0, 1)  # (H, deg, F_s, F_t)
+                flat = block.reshape(heads, -1, block.shape[-1])
+                attn[mine] = np.moveaxis(
+                    oracles.softmax_formula(flat, axis=1).reshape(block.shape), 1, 0
+                )
+            else:
+                attn[mine] = oracles.softmax_formula(logits[mine], axis=0)
+        attn *= scale if scale_outside else 1.0
+        out = np.zeros((4, q.shape[2], ext.shape[2]))
+        for e, (s, t) in enumerate(zip(self.SRC, self.DST)):
+            for m in range(heads):
+                cols = slice(m * d_h, (m + 1) * d_h)
+                out[t, :, cols] += attn[e, m].T @ ext[s, :, cols]
+        return attn, out
+
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_gradients_match_finite_differences(self, mode, scale_outside):
+        kw, q, ext, src, dst = self.graph()
+        w = T.Tensor(rng(41).normal(size=(4, 2, 4)), dtype=np.float64)
+
+        def f():
+            attn = T.edge_attention(kw, q, src, dst, mode, 0.7, scale_outside)
+            return T.reduce_sum(T.mul(T.edge_aggregate(attn, ext, src, dst), w))
+
+        assert T.finite_diff_check(f, [kw, q, ext]) < 1e-6
+
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_match_per_edge_reference(self, mode, scale_outside):
+        kw, q, ext, src, dst = self.graph(seed=42)
+        attn = T.edge_attention(kw, q, src, dst, mode, 0.7, scale_outside)
+        out = T.edge_aggregate(attn, ext, src, dst)
+        want_attn, want_out = self.reference(kw, q, ext, mode, 0.7, scale_outside)
+        np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
+
+    def test_target_without_edges_gets_a_zero_block(self):
+        kw, q, ext, src, dst = self.graph(dtype=np.float32)
+        with T.Tape() as tape:
+            out = T.edge_aggregate(T.edge_attention(kw, q, src, dst), ext, src, dst)
+            grads = tape.backward(T.reduce_sum(T.mul(out, out)))
+        assert np.all(out.data[3] == 0) and np.all(out.data[:3] != 0)
+        assert np.all(grads[q][3] == 0)
+
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_many_source_slots_one_target_slot(self, mode):
+        # numpy sums 9 slots pairwise when the target slot axis has length 1;
+        # the fused op adds slot after slot
+        kw, q, ext, src, dst = self.graph(f_s=9, f_t=1, seed=43)
+        attn = T.edge_attention(kw, q, src, dst, mode, 0.7)
+        want_attn, want_out = self.reference(kw, q, ext, mode, 0.7, False)
+        np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            T.edge_aggregate(attn, ext, src, dst).data, want_out, rtol=1e-12, atol=1e-14
+        )
+        for t in range(3):
+            mass = attn.data[self.DST == t].sum(axis=(0, 2) if mode == "joint" else 0)
+            np.testing.assert_allclose(mass, 1.0, rtol=1e-12)
+
+        def f():
+            out = T.edge_aggregate(T.edge_attention(kw, q, src, dst, mode, 0.7), ext, src, dst)
+            return T.reduce_sum(T.mul(out, out))
+
+        assert T.finite_diff_check(f, [kw, q, ext]) < 1e-6
+
+    def test_each_op_records_one_tape_node(self):
+        kw, q, ext, src, dst = self.graph()
+        with T.Tape() as tape:
+            attn = T.edge_attention(kw, q, src, dst)
+            assert len(tape.nodes) == 1
+            T.edge_aggregate(attn, ext, src, dst)
+            assert len(tape.nodes) == 2
+
+    def test_overflowing_logit_raises(self):
+        kw, q, _, src, dst = self.graph(dtype=np.float32)
+        kw.data[2] = 3e38  # source 2's logits overflow float32 on edges 0 and 2
+        q.data[...] = 10.0
+        with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
+            T.edge_attention(kw, q, src, dst)
 
 
 class TestSegments:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slotgnn import tensor as T
-from slotgnn.config import TrainConfig
+from slotgnn.config import TrainConfig, from_profile
 from slotgnn.fixtures import GRADCHECK_SEED, gradcheck_graph
 from slotgnn.fusion import FusionParams, classify, f1_metrics, loss as head_loss, predict
 from slotgnn.graph import SyntheticSpec, synthetic_generate
@@ -211,6 +211,22 @@ class TestTrain:
         model = init_model(g, cfg)
         result = train(model, g, cfg)
         assert len(result.log) == 2
+
+    def test_desk_train_step_tape_size_is_pinned(self, monkeypatch):
+        # each relation's attention and its aggregation are one fused node
+        # apiece; a change that splits them into several ops shows up here
+        nodes = []
+        backward = T.Tape.backward
+
+        def counting(tape, loss):
+            nodes.append(len(tape.nodes))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(T.Tape, "backward", counting)
+        g = synthetic_generate(SyntheticSpec(), seed=101)
+        cfg = from_profile("desk").replace(epochs=1)
+        train(init_model(g, cfg), g, cfg)
+        assert nodes == [143]
 
 
 class TestEvaluate:
