@@ -33,9 +33,10 @@ def save_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | P
 
 
 def load_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | Path) -> None:
-    """Fill the given tensors from a checkpoint; names and shapes must match."""
+    """Fill the given tensors from a checkpoint; names and shapes must match, values be finite."""
     directory = Path(directory)
-    blob = (directory / "checkpoint.bin").read_bytes()
+    path = directory / "checkpoint.bin"
+    blob = path.read_bytes()
     params = dict(named_params)
     seen = set()
     for line in (directory / "checkpoint.idx").read_text().splitlines():
@@ -48,8 +49,12 @@ def load_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | P
             raise ValueError(f"parameter {name!r} has shape {p.shape}, checkpoint has {shape}")
         count = int(np.prod(shape)) if shape else 1
         dtype = np.dtype(dtype_s)
-        start = int(offset_s)
+        start, end = int(offset_s), int(offset_s) + count * dtype.itemsize
+        if not 0 <= start <= end <= len(blob):
+            raise ValueError(f"{path}: parameter {name!r} needs bytes {start}..{end} of {len(blob)}")
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
         p.data = arr.astype(p.data.dtype, copy=True)
         seen.add(name)
     missing = set(params) - seen

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import tensor as T
 from .graph import Schema
-from .layer import split_heads
 from .seq import BaseSlot, LayerSlot, MsgSlot, SlotLabel
 
 
@@ -50,6 +49,12 @@ class FusionParams:
 class FusionOutput:
     fused: T.Tensor
     attn: np.ndarray  # (nodes, heads, final slot count)
+
+
+def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
+    """(N, F, d) -> (N, heads, F, d/heads): each head's slice of every slot."""
+    n, f, d = x.shape
+    return T.transpose(T.reshape(x, (n, f, heads, d // heads)), (0, 2, 1, 3))
 
 
 def fuse(h0: T.Tensor, hl: T.Tensor, params: FusionParams) -> FusionOutput:

@@ -11,8 +11,10 @@ A layer computes only the output rows of its :class:`~slotgnn.graph.Block`:
 queries at the output rows of types that receive messages, keys and values at
 the input rows of types that send them, and nothing for relations into types
 with no output rows. A full layer is the block whose output rows are every node.
-Per relation, two fused tape ops do the edge work: ``T.edge_attention`` (logits
-and edge softmax) and ``T.edge_aggregate`` (mix, sum into targets, merge heads).
+Per relation, two fused tape ops do the edge work: ``T.edge_attention`` (K W,
+logits and edge softmax) and ``T.edge_aggregate`` (mix, sum into targets, merge
+heads). Both read keys, queries and values as the (n, F, d) blocks the
+projections make, so the layer itself changes no layout.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from .graph import BipartiteView, Block, HeteroGraph, Relation, Schema
 class LayerParams:
     """Learnable maps for one layer: type-wise Q/K/V/Adopt, relation-wise
     attention/extraction/encoding. Attention weights are one d_h x d_h block
-    per head."""
+    per head. Keys have no bias: it would add b W q_t to every logit of a
+    softmax group, in both modes, and so cancel."""
 
     query: dict[str, tuple[T.Tensor, T.Tensor]]
-    key: dict[str, tuple[T.Tensor, T.Tensor]]
+    key: dict[str, T.Tensor]
     value: dict[str, tuple[T.Tensor, T.Tensor]]
     adopt: dict[str, T.Tensor]
     att: dict[Relation, T.Tensor]  # stacked per-head blocks, (heads, d_h, d_h)
@@ -54,9 +57,9 @@ class LayerParams:
         for nt in schema.node_types:
             prefix = f"layer{index}.{nt.name}"
             for role, store in (("query", query), ("key", key), ("value", value)):
-                store[nt.name] = (
-                    T.xavier_uniform(rng, dim, dim, name=f"{prefix}.{role}.weight", dtype=dtype),
-                    T.zero_param((dim,), name=f"{prefix}.{role}.bias", dtype=dtype),
+                w = T.xavier_uniform(rng, dim, dim, name=f"{prefix}.{role}.weight", dtype=dtype)
+                store[nt.name] = w if role == "key" else (
+                    w, T.zero_param((dim,), name=f"{prefix}.{role}.bias", dtype=dtype)
                 )
             if schema.relations_into(nt.name):
                 adopt[nt.name] = T.xavier_uniform(rng, dim, dim, name=f"{prefix}.adopt", dtype=dtype)
@@ -72,21 +75,11 @@ class LayerParams:
         return LayerParams(query, key, value, adopt, att, ext, enc, heads, dim)
 
     def parameters(self) -> list[T.Tensor]:
-        out: list[T.Tensor] = []
-        for store in (self.query, self.key, self.value):
-            for w, b in store.values():
-                out.extend([w, b])
-        out.extend(self.adopt.values())
-        out.extend(self.att.values())
-        out.extend(self.ext.values())
-        out.extend(self.enc.values())
-        return out
-
-
-def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
-    """(N, F, d) -> (N, heads, F, d/heads): each head's slice of every slot."""
-    n, f, d = x.shape
-    return T.transpose(T.reshape(x, (n, f, heads, d // heads)), (0, 2, 1, 3))
+        query, value = ([t for pair in s.values() for t in pair] for s in (self.query, self.value))
+        return [
+            *query, *self.key.values(), *value, *self.adopt.values(),
+            *self.att.values(), *self.ext.values(), *self.enc.values(),
+        ]
 
 
 def project_qkv(
@@ -96,17 +89,15 @@ def project_qkv(
 ) -> tuple[dict[str, T.Tensor], dict[str, T.Tensor], dict[str, T.Tensor]]:
     """Apply the per-type shared Q/K/V maps: keys and values to every slot of
     every type in ``state``, queries to every slot of every type in
-    ``query_state`` (by default ``state``)."""
+    ``query_state`` (by default ``state``). Keys are linear, the others affine."""
     query_state = state if query_state is None else query_state
 
-    def affine(tens: T.Tensor, weights: tuple[T.Tensor, T.Tensor]) -> T.Tensor:
-        if tens.shape[2] != params.dim:
-            raise T.ShapeError(f"state width {tens.shape[2]} != params dim {params.dim}")
-        return T.add(T.matmul(tens, weights[0]), weights[1])
+    def affine(tens: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+        return T.add(T.matmul(tens, w), b)
 
-    queries = {name: affine(tens, params.query[name]) for name, tens in query_state.items()}
-    keys = {name: affine(tens, params.key[name]) for name, tens in state.items()}
-    values = {name: affine(tens, params.value[name]) for name, tens in state.items()}
+    queries = {name: affine(tens, *params.query[name]) for name, tens in query_state.items()}
+    keys = {name: T.matmul(tens, params.key[name]) for name, tens in state.items()}
+    values = {name: affine(tens, *params.value[name]) for name, tens in state.items()}
     return queries, keys, values
 
 
@@ -124,15 +115,12 @@ def relation_attention(
     Logits for edge (s, t) are K[s] W Q[t]^T per head; by default they are
     scaled by 1/sqrt(d_h) inside the softmax, with ``scale_outside`` moving a
     1/sqrt(d) factor after normalization instead. K W is computed once per
-    source node and then gathered onto the edges.
+    source node, inside the fused op, and then gathered onto the edges.
     """
     heads, d_h, _ = att_weights.shape
-    n_src, f_s, d = src_keys.shape
-    rows = T.transpose(T.reshape(src_keys, (n_src * f_s, heads, d_h)), (1, 0, 2))
-    kw = T.reshape(T.bmm(rows, att_weights), (heads, n_src, f_s, d_h))
     return T.edge_attention(
-        T.transpose(kw, (1, 0, 2, 3)), split_heads(dst_queries, heads), view.src, view.dst,
-        mode, 1.0 / math.sqrt(d if scale_outside else d_h), scale_outside,
+        src_keys, dst_queries, att_weights, view.src, view.dst, mode,
+        1.0 / math.sqrt(heads * d_h if scale_outside else d_h), scale_outside,
     )
 
 

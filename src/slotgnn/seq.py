@@ -159,21 +159,21 @@ def project_features(
 def slot_dropout(
     state: dict[str, T.Tensor],
     p: float,
-    seed: int,
+    seed: int | tuple[int, ...],
     graph: HeteroGraph | None = None,
     rows: dict[str, np.ndarray] | None = None,
 ) -> dict[str, T.Tensor]:
     """Zero whole slots with probability p, scaling survivors by 1/(1-p).
 
-    ``state`` holds every node type in schema order, and the mask of the
-    type at position ``ti`` comes from the stream (seed, ti); a type with no
-    rows keeps its position. ``rows`` names the graph's nodes that ``state``
-    holds per type (every node when None). Masks are addressed by original
-    node id: the uniform draw for a type spans ids 0..max(orig_ids[rows]),
-    and numpy fills it row by row, so a node gets the same mask whether it
-    is visited in a full-graph pass, in a pass restricted to some rows or
-    inside a sampled subgraph, and results do not depend on evaluation order.
-    Identity at p = 0.
+    ``state`` holds every node type in schema order. The mask of the type at
+    position ``ti`` comes from the stream (*seed, ti): ``SlotModel.forward``
+    passes (dropout root, layer), and an int seed acts as (seed,). A type with
+    no rows keeps its position. ``rows`` names the graph's nodes that ``state``
+    holds per type (every node when None). Masks are addressed by original node
+    id: the uniform draw for a type spans ids 0..max(orig_ids[rows]), and numpy
+    fills it row by row, so a node gets the same mask whether it is visited in
+    a full-graph pass, in a pass restricted to some rows or inside a sampled
+    subgraph, and results do not depend on evaluation order. Identity at p = 0.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")

@@ -7,10 +7,11 @@ dtype of its inputs, so a model computes in its parameters' dtype.
 Recording happens on an explicit :class:`Tape` that is active for one
 forward pass. Reverse accumulation walks the tape in reverse creation
 order, which is a valid topological order because the tape is append-only.
-Message passing is two fused ops per relation, :func:`edge_attention` and
-:func:`edge_aggregate`, one tape node each: backward keeps only the attention
-weights and gathers again, and layouts change per node before a gather, so
-batched products read C-contiguous blocks.
+Message passing is two fused ops per relation, :func:`edge_attention` (which
+forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
+blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). Backward keeps only
+the attention weights and K W and gathers again; layouts change once per node
+before a gather, so batched products read C-contiguous blocks.
 """
 
 from __future__ import annotations
@@ -205,18 +206,14 @@ def zero_param(shape: Sequence[int], name=None, dtype=np.float32) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also allows adding a length-d row vector to each row."""
-    if a.shape == b.shape:
-        def back(g):
-            return g, g
-        return _make(a.data + b.data, (a, b), back)
-    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        n = b.shape[0]
+    same = a.shape == b.shape
+    if not same and not (b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]):
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
-        def back(g):
-            return g, g.reshape(-1, n).sum(axis=0)
+    def back(g):
+        return g, g if same else g.reshape(-1, b.shape[0]).sum(axis=0)
 
-        return _make(a.data + b.data, (a, b), back)
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return _make(a.data + b.data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -322,21 +319,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # reductions and normalization
 
 
-def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        def back(g):
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
-
-        return _make(a.data.sum(), (a,), back)
-    if a.shape[axis] == 0:
-        raise ShapeError("reduce_sum: empty axis")
-
+def reduce_sum(a: Tensor) -> Tensor:
+    """Sum of every element: a scalar."""
     def back(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
+    return _make(a.data.sum(), (a,), back)
 
 
 def reduce_mean(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -449,22 +437,31 @@ def _edge_rows(x: np.ndarray, seg: Segments) -> np.ndarray:
     return x if seg.identity else x[seg.ids]
 
 
+def _heads_t(x: np.ndarray, heads: int) -> np.ndarray:
+    """(n, F, d) -> (n, H, d_h, F), a view: each head's columns of every slot, transposed."""
+    return x.reshape(*x.shape[:2], heads, -1).transpose(0, 2, 3, 1)
+
+
 def edge_attention(
-    kw: Tensor, q: Tensor, src: Segments, dst: Segments, mode: str = "joint",
+    keys: Tensor, q: Tensor, att: Tensor, src: Segments, dst: Segments, mode: str = "joint",
     scale: float = 1.0, scale_outside: bool = False,
 ) -> Tensor:
     """Attention blocks (E, H, F_s, F_t) of the edges ``src[e] -> dst[e]``.
 
-    ``kw`` (n_src, H, F_s, d_h) holds each source's keys times the attention
-    weights, ``q`` (n_dst, H, F_t, d_h) each target's queries. The logits
-    kw[s] q[t]^T are scaled before the softmax, or after it with
+    ``keys`` (n_src, F_s, d) and ``q`` (n_dst, F_t, d) hold head m in columns
+    [m d_h, (m+1) d_h); ``att`` (H, d_h, d_h) holds one weight block per head.
+    K W is one product per head over every (node, slot) row. The logits
+    (K W)[s] q[t]^T are scaled before the softmax, or after it with
     ``scale_outside``. ``joint`` normalizes over a target's (edge, source
     slot) pairs per target slot, ``literal`` over its edges per slot pair.
     """
     ids, joint = dst.ids, {"joint": True, "literal": False}[mode]
-    ends = (len(kw.data), len(q.data), len(src.ids), *kw.shape[1::2])
-    if kw.ndim != 4 or ends != (src.num_segments, dst.num_segments, len(ids), *q.shape[1::2]):
-        raise ShapeError(f"edge_attention: blocks {kw.shape} and {q.shape} do not fit the edges")
+    heads, d_h = att.shape[0], att.shape[-1]
+    d = heads * d_h
+    got = (keys.ndim, q.ndim, keys.shape[::2], q.shape[::2], att.shape, len(src.ids))
+    if got != (3, 3, (src.num_segments, d), (dst.num_segments, d), (heads, d_h, d_h), len(ids)):
+        raise ShapeError(f"edge_attention: {keys.shape}, {q.shape}, {att.shape} do not fit the edges")
+    n_s, f_s, _ = keys.shape
 
     def pool(ufunc, a):
         # joint: also reduce the source slots, slice by slice, as numpy's own
@@ -479,7 +476,11 @@ def edge_attention(
     def spread(a):  # per-target statistics back onto the edges
         return np.expand_dims(a[ids], -2) if joint else a[ids]
 
-    x = _edge_rows(kw.data, src) @ _edge_rows(np.swapaxes(q.data, -1, -2), dst)
+    rows = keys.data.reshape(n_s * f_s, heads, d_h).transpose(1, 0, 2)
+    kw = rows @ att.data  # (H, n_s F_s, d_h)
+    _check_finite(kw)
+    kw, q_t = kw.reshape(heads, n_s, f_s, d_h).transpose(1, 0, 2, 3), _heads_t(q.data, heads)
+    x = _edge_rows(kw, src) @ _edge_rows(q_t, dst)
     if not scale_outside:
         x *= np.asarray(scale, dtype=x.dtype)
     x -= spread(dst.max(pool(np.maximum, x)))
@@ -490,10 +491,14 @@ def edge_attention(
         g = g * scale if scale_outside else g
         gx = y * (g - spread(dst.sum(pool(np.add, g * y))))
         gx = gx if scale_outside else gx * scale
-        gqt = dst.sum(_edge_rows(np.swapaxes(kw.data, -1, -2), src) @ gx)
-        return src.sum(gx @ _edge_rows(q.data, dst)), np.swapaxes(gqt, -1, -2)
+        g_q = dst.sum(_edge_rows(np.swapaxes(kw, -1, -2), src) @ gx)
+        g_kw = src.sum(gx @ _edge_rows(np.swapaxes(q_t, -1, -2), dst))
+        g_kw = g_kw.transpose(1, 0, 2, 3).reshape(rows.shape)
+        g_keys = (g_kw @ np.swapaxes(att.data, -1, -2)).transpose(1, 0, 2).reshape(keys.shape)
+        return g_keys, g_q.transpose(0, 3, 1, 2).reshape(q.shape), np.swapaxes(rows, -1, -2) @ g_kw
 
-    return _make(y * np.asarray(scale, dtype=y.dtype) if scale_outside else y, (kw, q), back)
+    out = y * np.asarray(scale, dtype=y.dtype) if scale_outside else y
+    return _make(out, (keys, q, att), back)
 
 
 def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> Tensor:
@@ -503,19 +508,16 @@ def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> T
     [m d/H, (m+1) d/H). Edges add in storage order. Backward gathers again.
     """
     e, heads, f_s, f_t = attn.shape
-    n_src, n_dst, d = ext.shape[0], dst.num_segments, ext.shape[2]
+    n_dst, d = dst.num_segments, ext.shape[2]
     if d % heads or ext.shape[:2] != (src.num_segments, f_s) or {len(src.ids), len(dst.ids)} != {e}:
         raise ShapeError(f"edge_aggregate: {attn.shape} and {ext.shape} do not fit the edges")
 
-    def split(x, n, f):  # (n, f, d) -> (n, H, d_h, f): each head's slots, transposed
-        return x.reshape(n, f, heads, d // heads).transpose(0, 2, 3, 1)
-
     # ext^T attn per edge and head, so that both operands are C-contiguous
-    ext_t = split(ext.data, n_src, f_s)
+    ext_t = _heads_t(ext.data, heads)
     msg_t = dst.sum(_edge_rows(ext_t, src) @ attn.data)
 
     def back(g):
-        g_t = split(g, n_dst, f_t)
+        g_t = _heads_t(g, heads)
         g_attn = _edge_rows(np.swapaxes(ext_t, -1, -2), src) @ _edge_rows(g_t, dst)
         g_ext = src.sum(attn.data @ _edge_rows(np.swapaxes(g_t, -1, -2), dst))
         return g_attn, g_ext.transpose(0, 2, 1, 3).reshape(ext.shape)

@@ -205,13 +205,13 @@ def dense_layer_reference(
     for name, h in state.items():
         n, f, _ = h.shape
         wq, bq = params.query[name]
-        wk, bk = params.key[name]
+        wk = params.key[name]
         wv, bv = params.value[name]
         q_all[name] = np.array(
             [[h[i, j].astype(np.float64) @ wq.data + bq.data for j in range(f)] for i in range(n)]
         )
         k_all[name] = np.array(
-            [[h[i, j].astype(np.float64) @ wk.data + bk.data for j in range(f)] for i in range(n)]
+            [[h[i, j].astype(np.float64) @ wk.data for j in range(f)] for i in range(n)]
         )
         v_all[name] = np.array(
             [[h[i, j].astype(np.float64) @ wv.data + bv.data for j in range(f)] for i in range(n)]

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slotgnn import tensor as T
+from slotgnn.artifacts import load_checkpoint, save_checkpoint
 from slotgnn.cli import ConfigError, _overrides_from_args, build_parser, main, parse_config
 from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
 
@@ -278,6 +280,23 @@ class TestEvalExplainCommands:
         assert len(report["per_type"]["item"]) == 5
         assert (out / "report.txt").read_text().startswith("node type item")
 
+    def test_non_finite_checkpoint_names_the_parameter(self, dataset, trained, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for p in Path(trained).iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        name, _, offset, _ = (broken / "checkpoint.idx").read_text().splitlines()[3].split("\t")
+        with open(broken / "checkpoint.bin", "r+b") as fh:
+            fh.seek(int(offset))
+            fh.write(np.float32(np.nan).tobytes())
+        code = main([
+            "eval", "--dataset", str(dataset), "--checkpoint", str(broken),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint.bin" in err and repr(name) in err and "non-finite values" in err
+
     def test_explain_per_node(self, dataset, trained, tmp_path):
         out = tmp_path / "explain"
         main([
@@ -294,3 +313,30 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--out", str(out)]) == 0
         report = json.loads((out / "gradcheck.json").read_text())
         assert max(report.values()) < 1e-4
+
+
+class TestCheckpoint:
+    def saved(self, tmp_path):
+        params = [("a", T.Tensor(np.ones((2, 3)))), ("b", T.Tensor(np.arange(4.0)))]
+        save_checkpoint(params, tmp_path)
+        fresh = [(name, T.Tensor(np.zeros(p.shape))) for name, p in params]
+        return tmp_path / "checkpoint.bin", fresh
+
+    def test_round_trip(self, tmp_path):
+        _, fresh = self.saved(tmp_path)
+        load_checkpoint(fresh, tmp_path)
+        assert np.array_equal(fresh[1][1].data, np.arange(4.0))
+
+    def test_non_finite_value_names_file_and_parameter(self, tmp_path):
+        path, fresh = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[24 + 8:24 + 12] = np.float32(np.inf).tobytes()  # b[2]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"checkpoint\.bin: parameter 'b' holds non-finite"):
+            load_checkpoint(fresh, tmp_path)
+
+    def test_truncated_file_names_file_and_parameter(self, tmp_path):
+        path, fresh = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(ValueError, match=r"checkpoint\.bin: parameter 'b' needs bytes 24\.\.40"):
+            load_checkpoint(fresh, tmp_path)

@@ -78,10 +78,10 @@ class TestProjectQKV:
         state = init_state(g, 4)
         zero_state = {n: T.Tensor(np.zeros_like(t.data)) for n, t in state.items()}
         params = make_params(g, 4, 2)
-        w, b = params.key["t"]
+        w, b = params.value["t"]
         b.data = np.arange(4, dtype=b.data.dtype)
-        _, keys, _ = project_qkv(zero_state, params)
-        assert np.allclose(keys["t"].data, np.broadcast_to(b.data, keys["t"].shape))
+        _, _, values = project_qkv(zero_state, params)
+        assert np.allclose(values["t"].data, np.broadcast_to(b.data, values["t"].shape))
 
     def test_head_views_tile_the_full_projection(self):
         g = fig_one_graph(seed=3)
@@ -132,6 +132,32 @@ class TestRelationAttention:
         want = np.exp(logits - logits.max())
         want /= want.sum()
         assert np.allclose(attn.data[:, 0][:, 0, 0], want, atol=1e-6)
+
+    def test_records_one_tape_node(self):
+        g = fig_one_graph(seed=2)
+        rel = g.schema.relations[0]
+        params = make_params(g, 4, 2, seed=3)
+        q, k, _ = project_qkv(init_state(g, 4, seed=2), params)
+        with T.Tape() as tape:
+            relation_attention(k["a"], q["t"], params.att[rel], g.bipartite(rel))
+        assert len(tape.nodes) == 1
+
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_shifting_every_key_changes_nothing(self, mode, scale_outside):
+        # a vector added to every key adds b W q_t to every logit of a softmax
+        # group, so it cancels; this is why keys carry no bias
+        g = fig_one_graph(n_target=2, n_a=3)  # target 0 has two edges, target 1 one
+        rel = g.schema.relations[0]
+        params = make_params(g, 4, 2, seed=61)
+        rng = np.random.default_rng(62)
+        keys, queries = (T.Tensor(rng.normal(size=shape)) for shape in ((3, 3, 4), (2, 2, 4)))
+        shifted = T.Tensor(keys.data + rng.normal(size=4).astype(np.float32))
+        got, want = (
+            relation_attention(k, queries, params.att[rel], g.bipartite(rel), mode, scale_outside)
+            for k in (shifted, keys)
+        )
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("mode", ["joint", "literal"])
     def test_empty_neighborhood_yields_empty_block(self, mode):

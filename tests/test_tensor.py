@@ -17,14 +17,16 @@ def rng(seed=0):
 
 def edge_softmax(logits: T.Tensor, dst: T.Segments, mode: str) -> T.Tensor:
     """The softmax of ``T.edge_attention`` alone: every edge is its own source
-    node and the queries are identities, so the logits kw q^T are ``logits``
-    exactly. ``logits`` is (E, F_s, F_t) or (E, H, F_s, F_t)."""
+    node, and the attention weights and queries are identities, so the logits
+    (K W) q^T are ``logits`` exactly. ``logits`` is (E, F_s, F_t) or
+    (E, H, F_s, F_t)."""
     x = logits if logits.ndim == 4 else T.reshape(logits, (logits.shape[0], 1) + logits.shape[1:])
-    e, heads, _, f_t = x.shape
-    eye = np.broadcast_to(np.eye(f_t), (dst.num_segments, heads, f_t, f_t))
-    y = T.edge_attention(
-        x, T.Tensor(eye, dtype=logits.dtype), T.Segments(np.arange(e), e), dst, mode
-    )
+    e, heads, f_s, f_t = x.shape
+    keys = T.reshape(T.transpose(x, (0, 2, 1, 3)), (e, f_s, heads * f_t))
+    eye = np.eye(f_t)
+    q = T.Tensor(np.tile(eye, (dst.num_segments, 1, heads)), dtype=logits.dtype)
+    att = T.Tensor(np.tile(eye, (heads, 1, 1)), dtype=logits.dtype)
+    y = T.edge_attention(keys, q, att, T.Segments(np.arange(e), e), dst, mode)
     return y if logits.ndim == 4 else T.reshape(y, logits.shape)
 
 
@@ -412,17 +414,23 @@ class TestFusedEdgeOps:
 
     def graph(self, f_s=3, f_t=2, heads=2, d_h=2, seed=40, dtype=np.float64):
         g = rng(seed)
-        kw = T.Tensor(g.normal(size=(4, heads, f_s, d_h)), requires_grad=True, dtype=dtype)
-        q = T.Tensor(g.normal(size=(4, heads, f_t, d_h)), requires_grad=True, dtype=dtype)
+        keys = T.Tensor(g.normal(size=(4, f_s, heads * d_h)), requires_grad=True, dtype=dtype)
+        q = T.Tensor(g.normal(size=(4, f_t, heads * d_h)), requires_grad=True, dtype=dtype)
+        att = T.Tensor(g.normal(size=(heads, d_h, d_h)), requires_grad=True, dtype=dtype)
         ext = T.Tensor(g.normal(size=(4, f_s, heads * d_h)), requires_grad=True, dtype=dtype)
-        return kw, q, ext, T.Segments(self.SRC, 4), T.Segments(self.DST, 4)
+        return keys, q, att, ext, T.Segments(self.SRC, 4), T.Segments(self.DST, 4)
 
-    def reference(self, kw, q, ext, mode, scale, scale_outside):
+    def reference(self, keys, q, att, ext, mode, scale, scale_outside):
         """Per-edge logits, the softmax by its formula over each target's
         group, and the messages summed edge by edge, in float64."""
-        kw, q, ext = (t.data.astype(np.float64) for t in (kw, q, ext))
-        heads, d_h = kw.shape[1], kw.shape[3]
-        logits = np.stack([kw[s] @ np.swapaxes(q[t], -1, -2) for s, t in zip(self.SRC, self.DST)])
+        keys, q, att, ext = (t.data.astype(np.float64) for t in (keys, q, att, ext))
+        heads, d_h = att.shape[:2]
+
+        def split(x):  # (n, F, d) -> (n, H, F, d_h)
+            return x.reshape(x.shape[0], x.shape[1], heads, d_h).transpose(0, 2, 1, 3)
+
+        kw, qh = split(keys) @ att, split(q)
+        logits = np.stack([kw[s] @ np.swapaxes(qh[t], -1, -2) for s, t in zip(self.SRC, self.DST)])
         logits *= 1.0 if scale_outside else scale
         attn = np.zeros_like(logits)
         for t in np.unique(self.DST):
@@ -436,7 +444,7 @@ class TestFusedEdgeOps:
             else:
                 attn[mine] = oracles.softmax_formula(logits[mine], axis=0)
         attn *= scale if scale_outside else 1.0
-        out = np.zeros((4, q.shape[2], ext.shape[2]))
+        out = np.zeros((4, q.shape[1], ext.shape[2]))
         for e, (s, t) in enumerate(zip(self.SRC, self.DST)):
             for m in range(heads):
                 cols = slice(m * d_h, (m + 1) * d_h)
@@ -446,29 +454,29 @@ class TestFusedEdgeOps:
     @pytest.mark.parametrize("scale_outside", [False, True])
     @pytest.mark.parametrize("mode", ["joint", "literal"])
     def test_gradients_match_finite_differences(self, mode, scale_outside):
-        kw, q, ext, src, dst = self.graph()
+        keys, q, att, ext, src, dst = self.graph()
         w = T.Tensor(rng(41).normal(size=(4, 2, 4)), dtype=np.float64)
 
         def f():
-            attn = T.edge_attention(kw, q, src, dst, mode, 0.7, scale_outside)
+            attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7, scale_outside)
             return T.reduce_sum(T.mul(T.edge_aggregate(attn, ext, src, dst), w))
 
-        assert T.finite_diff_check(f, [kw, q, ext]) < 1e-6
+        assert T.finite_diff_check(f, [keys, q, att, ext]) < 1e-6
 
     @pytest.mark.parametrize("scale_outside", [False, True])
     @pytest.mark.parametrize("mode", ["joint", "literal"])
     def test_match_per_edge_reference(self, mode, scale_outside):
-        kw, q, ext, src, dst = self.graph(seed=42)
-        attn = T.edge_attention(kw, q, src, dst, mode, 0.7, scale_outside)
+        keys, q, att, ext, src, dst = self.graph(seed=42)
+        attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7, scale_outside)
         out = T.edge_aggregate(attn, ext, src, dst)
-        want_attn, want_out = self.reference(kw, q, ext, mode, 0.7, scale_outside)
+        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, scale_outside)
         np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
 
     def test_target_without_edges_gets_a_zero_block(self):
-        kw, q, ext, src, dst = self.graph(dtype=np.float32)
+        keys, q, att, ext, src, dst = self.graph(dtype=np.float32)
         with T.Tape() as tape:
-            out = T.edge_aggregate(T.edge_attention(kw, q, src, dst), ext, src, dst)
+            out = T.edge_aggregate(T.edge_attention(keys, q, att, src, dst), ext, src, dst)
             grads = tape.backward(T.reduce_sum(T.mul(out, out)))
         assert np.all(out.data[3] == 0) and np.all(out.data[:3] != 0)
         assert np.all(grads[q][3] == 0)
@@ -477,9 +485,9 @@ class TestFusedEdgeOps:
     def test_many_source_slots_one_target_slot(self, mode):
         # numpy sums 9 slots pairwise when the target slot axis has length 1;
         # the fused op adds slot after slot
-        kw, q, ext, src, dst = self.graph(f_s=9, f_t=1, seed=43)
-        attn = T.edge_attention(kw, q, src, dst, mode, 0.7)
-        want_attn, want_out = self.reference(kw, q, ext, mode, 0.7, False)
+        keys, q, att, ext, src, dst = self.graph(f_s=9, f_t=1, seed=43)
+        attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7)
+        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, False)
         np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(
             T.edge_aggregate(attn, ext, src, dst).data, want_out, rtol=1e-12, atol=1e-14
@@ -489,25 +497,48 @@ class TestFusedEdgeOps:
             np.testing.assert_allclose(mass, 1.0, rtol=1e-12)
 
         def f():
-            out = T.edge_aggregate(T.edge_attention(kw, q, src, dst, mode, 0.7), ext, src, dst)
+            out = T.edge_aggregate(T.edge_attention(keys, q, att, src, dst, mode, 0.7), ext, src, dst)
             return T.reduce_sum(T.mul(out, out))
 
-        assert T.finite_diff_check(f, [kw, q, ext]) < 1e-6
+        assert T.finite_diff_check(f, [keys, q, att, ext]) < 1e-6
 
     def test_each_op_records_one_tape_node(self):
-        kw, q, ext, src, dst = self.graph()
+        keys, q, att, ext, src, dst = self.graph()
         with T.Tape() as tape:
-            attn = T.edge_attention(kw, q, src, dst)
+            attn = T.edge_attention(keys, q, att, src, dst)
             assert len(tape.nodes) == 1
             T.edge_aggregate(attn, ext, src, dst)
             assert len(tape.nodes) == 2
 
     def test_overflowing_logit_raises(self):
-        kw, q, _, src, dst = self.graph(dtype=np.float32)
-        kw.data[2] = 3e38  # source 2's logits overflow float32 on edges 0 and 2
+        keys, q, att, _, src, dst = self.graph(dtype=np.float32)
+        att.data[...] = np.eye(2)  # K W is the keys, so only the logits overflow
+        keys.data[2] = 3e38  # source 2's logits overflow float32 on edges 0 and 2
         q.data[...] = 10.0
         with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
-            T.edge_attention(kw, q, src, dst)
+            T.edge_attention(keys, q, att, src, dst)
+
+    def test_overflowing_key_product_raises(self):
+        # K W of source 2 is -inf, but its logits are -inf and get weight 0
+        # next to source 0's, so the attention blocks would be finite: only
+        # the screen of K W itself catches the overflow
+        keys, q, att, _, _, _ = self.graph(dtype=np.float32)
+        att.data[...] = 10.0 * np.eye(2)
+        keys.data[2] = -3e38
+        q.data[...] = 1.0
+        src, dst = T.Segments(np.array([2, 0]), 4), T.Segments(np.array([0, 0]), 4)
+        with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
+            T.edge_attention(keys, q, att, src, dst)
+        att.data[...] = np.eye(2)
+        keys.data[2] = -1e3  # the same weights with a finite K W
+        assert np.all(np.isfinite(T.edge_attention(keys, q, att, src, dst).data))
+
+    def test_blocks_must_fit_the_edges(self):
+        keys, q, att, _, src, dst = self.graph()
+        with pytest.raises(T.ShapeError):
+            T.edge_attention(keys, q, T.Tensor(np.ones((2, 2, 3))), src, dst)
+        with pytest.raises(T.ShapeError):
+            T.edge_attention(keys, q, att, src, T.Segments(self.DST, 5))
 
 
 class TestSegments:
@@ -600,7 +631,7 @@ class TestLosses:
 
 class TestInvariants:
     def test_nan_detection(self):
-        with pytest.raises(T.NonFiniteError):
+        with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
             T.scale(T.Tensor([3e38]), 10.0)  # overflows to inf in float32
 
     def test_inf_from_matmul_raises(self):
