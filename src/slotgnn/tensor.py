@@ -439,7 +439,7 @@ def _edge_rows(x: np.ndarray, seg: Segments) -> np.ndarray:
 
 def _heads_t(x: np.ndarray, heads: int) -> np.ndarray:
     """(n, F, d) -> (n, H, d_h, F), a view: each head's columns of every slot, transposed."""
-    return x.reshape(*x.shape[:2], heads, -1).transpose(0, 2, 3, 1)
+    return x.reshape(*x.shape[:2], heads, x.shape[2] // heads).transpose(0, 2, 3, 1)
 
 
 def edge_attention(

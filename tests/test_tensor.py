@@ -502,6 +502,17 @@ class TestFusedEdgeOps:
 
         assert T.finite_diff_check(f, [keys, q, att, ext]) < 1e-6
 
+    def test_no_source_nodes_give_zero_blocks(self):
+        # a block can hold no rows of a source type: zero-size operands throughout
+        keys, q, att, ext, _, _ = self.graph()
+        keys, ext = (T.Tensor(t.data[:0], requires_grad=True) for t in (keys, ext))
+        src, dst = T.Segments(np.zeros(0, dtype=np.int64), 0), T.Segments(np.zeros(0), 4)
+        with T.Tape() as tape:
+            out = T.edge_aggregate(T.edge_attention(keys, q, att, src, dst), ext, src, dst)
+            grads = tape.backward(T.reduce_sum(T.mul(out, out)))
+        assert out.shape == (4, 2, 4) and np.all(out.data == 0)
+        assert grads[keys].shape == (0, 3, 4) and np.all(grads[att] == 0)
+
     def test_each_op_records_one_tape_node(self):
         keys, q, att, ext, src, dst = self.graph()
         with T.Tape() as tape:
