@@ -497,8 +497,7 @@ def edge_attention(
         g_keys = (g_kw @ np.swapaxes(att.data, -1, -2)).transpose(1, 0, 2).reshape(keys.shape)
         return g_keys, g_q.transpose(0, 3, 1, 2).reshape(q.shape), np.swapaxes(rows, -1, -2) @ g_kw
 
-    out = y * np.asarray(scale, dtype=y.dtype) if scale_outside else y
-    return _make(out, (keys, q, att), back)
+    return _make(y * np.asarray(scale, dtype=y.dtype) if scale_outside else y, (keys, q, att), back)
 
 
 def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> Tensor:
