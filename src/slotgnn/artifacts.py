@@ -32,24 +32,40 @@ def save_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | P
     return ["checkpoint.bin", "checkpoint.idx"]
 
 
+def _index_entry(
+    line: str, index: Path, number: int
+) -> tuple[str, tuple[int, ...], int, np.dtype]:
+    """One `name shape offset dtype` line of the index, checked field by field."""
+    try:
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+        name, shape_s, offset_s, dtype_s = fields
+        shape = tuple(int(s) for s in shape_s.split(",")) if shape_s != "scalar" else ()
+        dtype = np.dtype(dtype_s)
+        if dtype.kind not in "fiu":
+            raise ValueError(f"dtype {dtype_s!r} is not numeric")
+        return name, shape, int(offset_s), dtype
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{index}: line {number}: {exc}") from None
+
+
 def load_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | Path) -> None:
     """Fill the given tensors from a checkpoint; names and shapes must match, values be finite."""
     directory = Path(directory)
-    path = directory / "checkpoint.bin"
+    path, index = directory / "checkpoint.bin", directory / "checkpoint.idx"
     blob = path.read_bytes()
     params = dict(named_params)
     seen = set()
-    for line in (directory / "checkpoint.idx").read_text().splitlines():
-        name, shape_s, offset_s, dtype_s = line.split("\t")
-        shape = tuple(int(s) for s in shape_s.split(",")) if shape_s != "scalar" else ()
+    for number, line in enumerate(index.read_text().splitlines(), start=1):
+        name, shape, start, dtype = _index_entry(line, index, number)
         p = params.get(name)
         if p is None:
             raise KeyError(f"checkpoint contains unknown parameter {name!r}")
         if p.shape != shape:
             raise ValueError(f"parameter {name!r} has shape {p.shape}, checkpoint has {shape}")
         count = int(np.prod(shape)) if shape else 1
-        dtype = np.dtype(dtype_s)
-        start, end = int(offset_s), int(offset_s) + count * dtype.itemsize
+        end = start + count * dtype.itemsize
         if not 0 <= start <= end <= len(blob):
             raise ValueError(f"{path}: parameter {name!r} needs bytes {start}..{end} of {len(blob)}")
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start).reshape(shape)

@@ -3,11 +3,14 @@
 The fusion query comes from the layer-0 sequence, keys/values from the final
 sequence; the per-head attention row over final slots doubles as a per-node
 importance estimate of each provenance chain, which the report aggregates.
+With one query per node the key and value maps are applied on the node, not
+on each slot: (h W_k) q = h (W_k q) and sum_f a_f h_f W_v = (sum_f a_f h_f) W_v,
+in the one tape op :func:`tensor.slot_fusion`. The attention rows are the
+same weights as before, kept as (nodes, heads, final slot count).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,26 +54,14 @@ class FusionOutput:
     attn: np.ndarray  # (nodes, heads, final slot count)
 
 
-def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
-    """(N, F, d) -> (N, heads, F, d/heads): each head's slice of every slot."""
-    n, f, d = x.shape
-    return T.transpose(T.reshape(x, (n, f, heads, d // heads)), (0, 2, 1, 3))
-
-
 def fuse(h0: T.Tensor, hl: T.Tensor, params: FusionParams) -> FusionOutput:
     """Attention-compress the final sequence, queried by the mean layer-0 slot."""
-    n, f_l, d = hl.shape
+    n, _, d = hl.shape
     if h0.shape[0] != n or h0.shape[2] != d:
         raise T.ShapeError(f"fuse: layer-0 {h0.shape} incompatible with final {hl.shape}")
-    heads = params.heads
-    d_h = d // heads
-    q = T.reshape(T.reduce_mean(T.matmul(h0, params.fq), axis=1), (n, heads, d_h, 1))
-    k = split_heads(T.matmul(hl, params.fk), heads)
-    v = split_heads(T.matmul(hl, params.fv), heads)
-    logits = T.scale(T.reshape(T.bmm(k, q), (n, heads, f_l)), 1.0 / math.sqrt(d_h))
-    attn = T.softmax(logits, axis=2)
-    mixed = T.bmm(T.reshape(attn, (n, heads, 1, f_l)), v)
-    return FusionOutput(T.reshape(mixed, (n, d)), attn.data)
+    q = T.reduce_mean(T.matmul(h0, params.fq), axis=1)
+    fused, attn = T.slot_fusion(q, hl, params.fk, params.fv, params.heads)
+    return FusionOutput(fused, attn)
 
 
 def mean_fuse(hl: T.Tensor) -> T.Tensor:

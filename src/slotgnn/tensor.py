@@ -11,7 +11,8 @@ Message passing is two fused ops per relation, :func:`edge_attention` (which
 forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
 blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). Backward keeps only
 the attention weights and K W and gathers again; layouts change once per node
-before a gather, so batched products read C-contiguous blocks.
+before a gather, so batched products read C-contiguous blocks. The fusion
+head is one more fused op, :func:`slot_fusion`, on the same layout.
 """
 
 from __future__ import annotations
@@ -245,24 +246,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k, n = b.shape
 
     def back(g):
-        ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
-        gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-        return ga, gb
+        g = g.reshape(-1, n)
+        return (g @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ g
 
     return _make((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), back)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over matching leading dims: (..., m, k) @ (..., k, n)."""
-    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} @ {b.shape}")
-
-    def back(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return ga, gb
-
-    return _make(a.data @ b.data, (a, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +509,61 @@ def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> T
         return g_attn, g_ext.transpose(0, 2, 1, 3).reshape(ext.shape)
 
     return _make(msg_t.transpose(0, 3, 1, 2).reshape(n_dst, f_t, d), (attn, ext), back)
+
+
+def slot_fusion(
+    q: Tensor, hl: Tensor, fk: Tensor, fv: Tensor, heads: int
+) -> tuple[Tensor, np.ndarray]:
+    """One query per node attending over its F slots: the fused rows (n, d)
+    and the attention weights (n, H, F).
+
+    ``q`` is (n, d), ``hl`` (n, F, d) and ``fk``, ``fv`` (d, d), head m on
+    columns C = [m d_h, (m+1) d_h). The key and value maps move onto the
+    node, as (hl fk[:, C]) q[C] = hl (fk[:, C] q[C]) and sum_f a_f hl_f fv[:, C]
+    = (sum_f a_f hl_f) fv[:, C]: per head, r = q[:, C] fk[:, C]^T, the logits
+    r hl^T / sqrt(d_h) take a softmax over the slots, z = attn hl, and
+    out[:, C] = z fv[:, C]. The d x d products run over n rows, not n F.
+    """
+    n, f, d = hl.shape
+    if q.shape != (n, d) or fk.shape != (d, d) or fv.shape != (d, d) or d % heads or not f:
+        shapes = f"{q.shape}, {hl.shape}, {fk.shape}, {fv.shape}"
+        raise ShapeError(f"slot_fusion: {shapes} with {heads} heads do not fit")
+    d_h = d // heads
+    c = np.asarray(1.0 / math.sqrt(d_h), dtype=hl.dtype)
+    # per head: q (H, n, d_h), fk (H, d_h, d) and fv (H, d, d_h), each a view
+    q_h = q.data.reshape(n, heads, d_h).transpose(1, 0, 2)
+    fk_h = fk.data.reshape(d, heads, d_h).transpose(1, 2, 0)
+    fv_h = fv.data.reshape(d, heads, d_h).transpose(1, 0, 2)
+    r = q_h @ np.ascontiguousarray(fk_h)  # (H, n, d)
+    r_n = r.transpose(1, 0, 2)  # (n, H, d)
+    x = (hl.data @ np.swapaxes(r_n, 1, 2)).transpose(1, 0, 2)
+    # the weights are laid out (F, n, H), so the softmax reduces whole slices
+    attn = np.multiply(x, c, out=np.empty(x.shape, dtype=x.dtype))
+    _check_finite(attn)
+    attn -= attn.max(axis=0)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=0)
+    attn_n = attn.transpose(1, 0, 2)  # (n, F, H)
+    z = np.swapaxes(attn_n, 1, 2) @ hl.data  # (n, H, d)
+    z_h = z.transpose(1, 0, 2)
+    out = (z_h @ fv_h).transpose(1, 0, 2).reshape(n, d)
+
+    def back(g):
+        g_h = g.reshape(n, heads, d_h).transpose(1, 0, 2)
+        g_fv = (np.swapaxes(z_h, 1, 2) @ g_h).transpose(1, 0, 2).reshape(d, d)
+        g_z = (g_h @ np.swapaxes(fv_h, 1, 2)).transpose(1, 0, 2)  # (n, H, d)
+        g_a = np.ascontiguousarray((hl.data @ np.swapaxes(g_z, 1, 2)).transpose(1, 0, 2))
+        g_x = attn * (g_a - (g_a * attn).sum(axis=0))
+        g_x *= c
+        g_x_n = g_x.transpose(1, 0, 2)
+        g_hl = attn_n @ g_z
+        g_hl += g_x_n @ r_n
+        g_r = (np.swapaxes(g_x_n, 1, 2) @ hl.data).transpose(1, 0, 2)  # (H, n, d)
+        g_q = (g_r @ np.swapaxes(fk_h, 1, 2)).transpose(1, 0, 2).reshape(n, d)
+        g_fk = (np.swapaxes(g_r, 1, 2) @ q_h).transpose(1, 0, 2).reshape(d, d)
+        return g_q, g_hl, g_fk, g_fv
+
+    return _make(out, (q, hl, fk, fv), back), attn.transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,26 @@ class TestEvalExplainCommands:
         err = capsys.readouterr().err
         assert "checkpoint.bin" in err and repr(name) in err and "non-finite values" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda fields: fields[:1],
+        lambda fields: fields[:3] + ["float33"],
+    ], ids=["one-field", "unknown-dtype"])
+    def test_bad_index_line_names_the_file_and_line(self, dataset, trained, tmp_path, capsys, edit):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for p in Path(trained).iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        lines = (broken / "checkpoint.idx").read_text().splitlines()
+        lines[1] = "\t".join(edit(lines[1].split("\t")))
+        (broken / "checkpoint.idx").write_text("\n".join(lines) + "\n")
+        code = main([
+            "eval", "--dataset", str(dataset), "--checkpoint", str(broken),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{broken / 'checkpoint.idx'}: line 2: " in err
+
     def test_explain_per_node(self, dataset, trained, tmp_path):
         out = tmp_path / "explain"
         main([

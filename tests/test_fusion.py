@@ -110,6 +110,79 @@ class TestFuse:
         assert np.allclose(mean_fuse(hl).data, hl.data.mean(axis=1), atol=1e-7)
 
 
+class TestSlotFusion:
+    """``T.slot_fusion``: the whole head after the query, one tape node."""
+
+    def inputs(self, n=3, f=9, heads=8, d=16, seed=20, dtype=np.float64):
+        g = np.random.default_rng(seed)
+        q = T.Tensor(g.normal(size=(n, d)), requires_grad=True, dtype=dtype)
+        hl = T.Tensor(g.normal(size=(n, f, d)), requires_grad=True, dtype=dtype)
+        fk = T.Tensor(g.normal(size=(d, d)) / 4, requires_grad=True, dtype=dtype)
+        fv = T.Tensor(g.normal(size=(d, d)) / 4, requires_grad=True, dtype=dtype)
+        return q, hl, fk, fv
+
+    @pytest.mark.parametrize("f,heads", [(1, 1), (9, 8)])
+    def test_gradients_match_finite_differences(self, f, heads):
+        q, hl, fk, fv = self.inputs(f=f, heads=heads)
+        w = T.Tensor(np.random.default_rng(21).normal(size=(3, 16)), dtype=np.float64)
+
+        def loss_fn():
+            out, _ = T.slot_fusion(q, hl, fk, fv, heads)
+            return T.reduce_sum(T.mul(out, w))
+
+        assert T.finite_diff_check(loss_fn, [q, hl, fk, fv]) < 1e-6
+
+    @pytest.mark.parametrize("f,heads", [(1, 1), (9, 8)])
+    def test_matches_dense_reference(self, f, heads):
+        params = FusionParams.create(16, 3, heads, np.random.default_rng(22), np.float64)
+        g = np.random.default_rng(23)
+        h0 = T.Tensor(g.normal(size=(4, 2, 16)), dtype=np.float64)
+        hl = T.Tensor(g.normal(size=(4, f, 16)), dtype=np.float64)
+        out = fuse(h0, hl, params)
+        want_fused, want_attn = oracles.dense_fuse_reference(h0.data, hl.data, params)
+        assert out.attn.shape == (4, heads, f)
+        np.testing.assert_allclose(out.fused.data, want_fused, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out.attn, want_attn.transpose(1, 0, 2), rtol=1e-12, atol=1e-14)
+
+    def test_records_one_tape_node(self):
+        q, hl, fk, fv = self.inputs()
+        with T.Tape() as tape:
+            T.slot_fusion(q, hl, fk, fv, 8)
+            assert len(tape.nodes) == 1
+
+    def test_zero_rows(self):
+        _, _, fk, fv = self.inputs()
+        q, hl = (
+            T.Tensor(np.zeros(shape), requires_grad=True, dtype=np.float64)
+            for shape in [(0, 16), (0, 9, 16)]
+        )
+        with T.Tape() as tape:
+            out, attn = T.slot_fusion(q, hl, fk, fv, 8)
+            grads = tape.backward(T.reduce_sum(T.mul(out, out)))
+        assert out.shape == (0, 16) and attn.shape == (0, 8, 9)
+        assert grads[q].shape == (0, 16) and grads[hl].shape == (0, 9, 16)
+        assert np.all(grads[fk] == 0) and np.all(grads[fv] == 0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_logit_raises(self, sign):
+        # with the sign -1 only slot 2's logit overflows, to -inf, and gets
+        # weight 0: the fused rows would be finite, so only the logit screen
+        # catches it
+        q, hl, fk, fv = self.inputs(dtype=np.float32)
+        fk.data[...] = np.eye(16)
+        q.data[...] = 10.0
+        hl.data[0, 2] = sign * 3e38
+        with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
+            T.slot_fusion(q, hl, fk, fv, 8)
+
+    def test_shapes_must_fit(self):
+        q, hl, fk, fv = self.inputs()
+        with pytest.raises(T.ShapeError):
+            T.slot_fusion(q, hl, fk, fv, 3)
+        with pytest.raises(T.ShapeError):
+            T.slot_fusion(q, T.Tensor(hl.data[:, :0]), fk, fv, 8)
+
+
 class TestClassify:
     def test_zero_weights_give_bias(self):
         params = make_params(dim=4, classes=3)

@@ -59,16 +59,6 @@ class TestMatmul:
         for i in range(5):
             assert np.allclose(got[i], oracles.naive_matmul(a[i], b), atol=1e-5)
 
-    def test_bmm_leading_batch_dims_match_finite_differences(self):
-        a = T.Tensor(rng(5).normal(size=(2, 3, 4, 2)), requires_grad=True, dtype=np.float64)
-        b = T.Tensor(rng(6).normal(size=(2, 3, 2, 5)), requires_grad=True, dtype=np.float64)
-
-        def f():
-            y = T.bmm(a, b)
-            return T.reduce_sum(T.mul(y, y))
-
-        assert T.finite_diff_check(f, [a, b]) < 1e-6
-
 
 class TestFlatMatmul:
     """A stack (N, F, k) @ (k, n) runs as one (N*F, k) GEMM. Each entry is then
