@@ -112,9 +112,6 @@ class BipartiteView:
     src: Segments
     dst: Segments
 
-    def neighbors(self, t: int) -> np.ndarray:
-        return self.src.ids[self.dst.indptr[t]: self.dst.indptr[t + 1]]
-
 
 @dataclass
 class Block:

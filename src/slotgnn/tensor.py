@@ -9,10 +9,14 @@ forward pass. Reverse accumulation walks the tape in reverse creation
 order, which is a valid topological order because the tape is append-only.
 Message passing is two fused ops per relation, :func:`edge_attention` (which
 forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
-blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). Backward keeps only
-the attention weights and K W and gathers again; layouts change once per node
-before a gather, so batched products read C-contiguous blocks. The fusion
-head is one more fused op, :func:`slot_fusion`, on the same layout.
+blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). Only the logits and
+the attention gradient are taken edge by edge, as batched products of blocks
+gathered onto the edges. Every sum of weighted source blocks into targets (the
+messages, and in backward the value, query and K W gradients) is one sparse
+times dense product with the attention, or its softmax-input gradient, as a
+block-diagonal edge matrix (g-SpMM, Wang et al., arXiv:1909.01315). Backward
+keeps only the attention weights and K W. The fusion head is one more fused
+op, :func:`slot_fusion`, on the same layout.
 """
 
 from __future__ import annotations
@@ -227,15 +231,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), back)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def back(g):
-        return (g * c,)
-
-    return _make(a.data * np.asarray(c, dtype=a.dtype), (a,), back)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product a @ b with b 2-D; a may be 2-D or a stack (3-D), run as
     one flat (N*F, k) GEMM where numpy would run one per leading row."""
@@ -360,6 +355,9 @@ class Segments:
     sorted by segment (the sort is kept only when ``ids`` is unsorted); empty
     segments get -inf. Build one per index array and reuse it: the graph's
     views hold one per edge endpoint. The matrix is built at the first sum.
+    The target ``Segments`` of a view also keep the index arrays of its edge
+    matrix (:meth:`edge_index`), one pair per source ``Segments``, head count
+    and slot shape, built at the first product and freed with the view.
     """
 
     def __init__(self, ids, num_segments: int):
@@ -375,6 +373,7 @@ class Segments:
         self._nonempty = np.flatnonzero(counts)
         # sorted, one row per segment: row r is segment r
         self.identity = self.order is None and ids.size == self._nonempty.size == num_segments
+        self._edge_index: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @functools.cached_property
     def _matrix(self) -> scipy.sparse.csr_array:
@@ -394,6 +393,32 @@ class Segments:
             rows = x if self.order is None else x[self.order]
             out[self._nonempty] = np.maximum.reduceat(rows, self.indptr[self._nonempty], axis=0)
         return out
+
+    def edge_index(
+        self, src: "Segments", heads: int, f_s: int, f_t: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The index arrays of :func:`_edge_matrix` for the edges from ``src``
+        into these segments, in int32 when they fit: the column indices of one
+        target slot's rows, (H, 1, E F_s), which every target slot repeats,
+        and ``indptr``."""
+        key = (src, heads, f_s, f_t)
+        if key not in self._edge_index:
+            sources = src.ids if self.order is None else src.ids[self.order]
+            self._edge_index[key] = _build_edge_index(
+                sources, self.indptr, src.num_segments, heads, f_s, f_t
+            )
+        return self._edge_index[key]
+
+
+def _build_edge_index(sources, indptr, n_src, heads, f_s, f_t) -> tuple[np.ndarray, np.ndarray]:
+    # row (m, j, t) lists the columns (m, s, i) of t's edges in order, i fastest
+    e, n_dst = sources.size, indptr.size - 1
+    fits = max(heads * f_t * e * f_s, heads * f_s * n_src, heads * f_t * n_dst) < 2**31
+    idx = np.int32 if fits else np.int64
+    nodes = np.arange(heads, dtype=idx)[:, None] * n_src + sources.astype(idx)  # (H, E)
+    cols = nodes[..., None] * f_s + np.arange(f_s, dtype=idx)
+    starts = (np.arange(heads * f_t, dtype=idx)[:, None] * e + indptr[:-1].astype(idx)) * f_s
+    return cols.reshape(heads, 1, e * f_s), np.append(starts.reshape(-1), idx(cols.size * f_t))
 
 
 def gather(a: Tensor, idx) -> Tensor:
@@ -429,6 +454,48 @@ def _heads_t(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(*x.shape[:2], heads, x.shape[2] // heads).transpose(0, 2, 3, 1)
 
 
+# the edge matrix's row order (head, slot, node) and column order (head, node,
+# slot), as transposes of node blocks split into heads (n, F, H, d_h)
+_TARGETS, _SOURCES = (2, 1, 0, 3), (2, 0, 1, 3)
+
+
+def _head_rows(x: np.ndarray, heads: int, axes=_TARGETS) -> np.ndarray:
+    """(n, F, d) -> C-contiguous rows of width d_h in the order ``axes``."""
+    n, f, d = x.shape
+    return x.reshape(n, f, heads, d // heads).transpose(axes).reshape(-1, d // heads)
+
+
+def _node_blocks(rows: np.ndarray, heads: int, n: int, f: int) -> np.ndarray:
+    """(n, F, H d_h), C-contiguous, from ``_TARGETS`` rows: the inverse of
+    :func:`_head_rows` (the transpose swaps two axes, so it undoes itself)."""
+    d_h = rows.shape[-1]
+    return rows.reshape(heads, f, n, d_h).transpose(_TARGETS).reshape(n, f, heads * d_h)
+
+
+def _edge_matrix(
+    w: np.ndarray, src: Segments, dst: Segments, transpose: bool = False
+) -> scipy.sparse.csr_array | scipy.sparse.csc_array:
+    """The per-edge blocks ``w`` (E, H, F_s, F_t) as one sparse matrix, block
+    diagonal over heads: row (m, j, t) holds w[e, m, i, j] in column (m, s, i)
+    for each edge e = (s, t) and source slot i. Times source blocks as
+    ``_SOURCES`` rows it sums w^T x over each target's edges into ``_TARGETS``
+    rows, which its transpose sends back onto the sources; either way no
+    block is copied onto the edges. A CSR matrix, or with ``transpose`` its
+    transpose, read as CSC from the same arrays.
+    """
+    e, heads, f_s, f_t = w.shape
+    cols, indptr = dst.edge_index(src, heads, f_s, f_t)
+    arrays = (
+        (w if dst.order is None else w[dst.order]).transpose(1, 3, 0, 2).reshape(-1),
+        np.repeat(cols, f_t, axis=1).reshape(-1),
+        indptr,
+    )
+    shape = (heads * f_t * dst.num_segments, heads * f_s * src.num_segments)
+    if transpose:
+        return scipy.sparse.csc_array(arrays, shape=shape[::-1])
+    return scipy.sparse.csr_array(arrays, shape=shape)
+
+
 def edge_attention(
     keys: Tensor, q: Tensor, att: Tensor, src: Segments, dst: Segments, mode: str = "joint",
     scale: float = 1.0, scale_outside: bool = False,
@@ -441,6 +508,8 @@ def edge_attention(
     (K W)[s] q[t]^T are scaled before the softmax, or after it with
     ``scale_outside``. ``joint`` normalizes over a target's (edge, source
     slot) pairs per target slot, ``literal`` over its edges per slot pair.
+    Backward takes the query and K W gradients as one sparse product each
+    with the softmax-input gradient as the edge matrix.
     """
     ids, joint = dst.ids, {"joint": True, "literal": False}[mode]
     heads, d_h = att.shape[0], att.shape[-1]
@@ -466,8 +535,8 @@ def edge_attention(
     rows = keys.data.reshape(n_s * f_s, heads, d_h).transpose(1, 0, 2)
     kw = rows @ att.data  # (H, n_s F_s, d_h)
     _check_finite(kw)
-    kw, q_t = kw.reshape(heads, n_s, f_s, d_h).transpose(1, 0, 2, 3), _heads_t(q.data, heads)
-    x = _edge_rows(kw, src) @ _edge_rows(q_t, dst)
+    kw_e = kw.reshape(heads, n_s, f_s, d_h).transpose(1, 0, 2, 3)
+    x = _edge_rows(kw_e, src) @ _edge_rows(_heads_t(q.data, heads), dst)
     if not scale_outside:
         x *= np.asarray(scale, dtype=x.dtype)
     x -= spread(dst.max(pool(np.maximum, x)))
@@ -478,11 +547,11 @@ def edge_attention(
         g = g * scale if scale_outside else g
         gx = y * (g - spread(dst.sum(pool(np.add, g * y))))
         gx = gx if scale_outside else gx * scale
-        g_q = dst.sum(_edge_rows(np.swapaxes(kw, -1, -2), src) @ gx)
-        g_kw = src.sum(gx @ _edge_rows(np.swapaxes(q_t, -1, -2), dst))
-        g_kw = g_kw.transpose(1, 0, 2, 3).reshape(rows.shape)
+        a = _edge_matrix(gx, src, dst)
+        g_q = _node_blocks(a @ kw.reshape(-1, d_h), heads, dst.num_segments, q.shape[1])
+        g_kw = (a.T @ _head_rows(q.data, heads)).reshape(rows.shape)
         g_keys = (g_kw @ np.swapaxes(att.data, -1, -2)).transpose(1, 0, 2).reshape(keys.shape)
-        return g_keys, g_q.transpose(0, 3, 1, 2).reshape(q.shape), np.swapaxes(rows, -1, -2) @ g_kw
+        return g_keys, g_q, np.swapaxes(rows, -1, -2) @ g_kw
 
     return _make(y * np.asarray(scale, dtype=y.dtype) if scale_outside else y, (keys, q, att), back)
 
@@ -491,24 +560,26 @@ def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> T
     """Per target, the sum over its edges of attn[e]^T ext[s] per head:
     (n_dst, F_t, d), zeros for a target without edges. ``attn`` is
     (E, H, F_s, F_t), ``ext`` (n_src, F_s, d) with head m in columns
-    [m d/H, (m+1) d/H). Edges add in storage order. Backward gathers again.
+    [m d/H, (m+1) d/H). The sum is one sparse product with the attention as
+    the edge matrix, adding a target's edges in storage order and the source
+    slots of each edge in turn; backward sends the gradient back through its
+    transpose, and only the attention gradient is taken edge by edge.
     """
     e, heads, f_s, f_t = attn.shape
     n_dst, d = dst.num_segments, ext.shape[2]
     if d % heads or ext.shape[:2] != (src.num_segments, f_s) or {len(src.ids), len(dst.ids)} != {e}:
         raise ShapeError(f"edge_aggregate: {attn.shape} and {ext.shape} do not fit the edges")
 
-    # ext^T attn per edge and head, so that both operands are C-contiguous
-    ext_t = _heads_t(ext.data, heads)
-    msg_t = dst.sum(_edge_rows(ext_t, src) @ attn.data)
+    msg = _edge_matrix(attn.data, src, dst) @ _head_rows(ext.data, heads, _SOURCES)
 
     def back(g):
-        g_t = _heads_t(g, heads)
-        g_attn = _edge_rows(np.swapaxes(ext_t, -1, -2), src) @ _edge_rows(g_t, dst)
-        g_ext = src.sum(attn.data @ _edge_rows(np.swapaxes(g_t, -1, -2), dst))
-        return g_attn, g_ext.transpose(0, 2, 1, 3).reshape(ext.shape)
+        ext_t = _heads_t(ext.data, heads)
+        g_attn = _edge_rows(np.swapaxes(ext_t, -1, -2), src) @ _edge_rows(_heads_t(g, heads), dst)
+        g_ext = _edge_matrix(attn.data, src, dst, transpose=True) @ _head_rows(g, heads)
+        g_ext = g_ext.reshape(heads, src.num_segments, f_s, d // heads).transpose(1, 2, 0, 3)
+        return g_attn, g_ext.reshape(ext.shape)
 
-    return _make(msg_t.transpose(0, 3, 1, 2).reshape(n_dst, f_t, d), (attn, ext), back)
+    return _make(_node_blocks(msg, heads, n_dst, f_t), (attn, ext), back)
 
 
 def slot_fusion(

@@ -174,6 +174,8 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
         weight_decay=config.weight_decay,
     )
     train_ids = _split_ids(graph, "train")
+    # a graph without a valid split logs NaN metrics; any other fault raises
+    has_valid = graph.splits.get("valid", train_ids[:0]).size > 0
     multilabel = graph.schema.multilabel
     full = config.batch_mode == "full"
     steps_per_epoch = 1 if full else config.batches_per_epoch
@@ -207,13 +209,10 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
                 ))
                 step += 1
             entry = {"epoch": epoch, "loss": float(np.mean(losses)), "lr": lr}
-            try:
+            entry["val_micro_f1"] = entry["val_macro_f1"] = math.nan
+            if has_valid:
                 val = evaluate(model, graph, "valid")
-                entry["val_micro_f1"] = val["micro_f1"]
-                entry["val_macro_f1"] = val["macro_f1"]
-            except (KeyError, ValueError):
-                entry["val_micro_f1"] = math.nan
-                entry["val_macro_f1"] = math.nan
+                entry["val_micro_f1"], entry["val_macro_f1"] = val["micro_f1"], val["macro_f1"]
         except (T.NonFiniteError, OptimizerError):
             for (_, p), saved in zip(opt.params, snapshot):
                 p.data = saved

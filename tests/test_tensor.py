@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotgnn import tensor as T
+from slotgnn.config import from_profile
+from slotgnn.graph import SyntheticSpec, load_dataset, save_dataset, synthetic_generate
+from slotgnn.training import evaluate, init_model, train
 
 from . import oracles
 
@@ -193,7 +196,7 @@ class TestBackward:
         w = T.Tensor(np.ones((2, 2)), requires_grad=True)
         unused = T.Tensor(np.ones((2, 2)), requires_grad=True)
         with T.Tape() as tape:
-            _ = T.scale(unused, 2.0)  # recorded but not on the loss path
+            _ = T.mul(unused, T.Tensor(np.full((2, 2), 2.0)))  # recorded but not on the loss path
             loss = T.reduce_sum(w)
             table = tape.backward(loss)
         assert np.array_equal(table[unused], np.zeros((2, 2)))
@@ -225,7 +228,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         w = T.Tensor([1.0, 2.0], requires_grad=True)
         with T.Tape() as tape:
-            y = T.scale(w, 2.0)
+            y = T.mul(w, T.Tensor([2.0, 2.0]))
             with pytest.raises(T.ShapeError):
                 tape.backward(y)
 
@@ -298,7 +301,7 @@ class TestFiniteDiffCheck:
 
         def f():
             state["calls"] += 1
-            return T.reduce_sum(T.scale(w, float(state["calls"])))
+            return T.reduce_sum(T.mul(w, T.Tensor([float(state["calls"])], dtype=np.float64)))
 
         with pytest.raises(ValueError, match="deterministic"):
             T.finite_diff_check(f, [w])
@@ -398,19 +401,24 @@ class TestIndexedOps:
 
 
 class TestFusedEdgeOps:
-    # five edges, sources unsorted and repeated, target 3 with no edges
+    # five edges, sources unsorted and repeated, target 3 with no edges; in
+    # storage order the targets are sorted, shuffled they are not, so the
+    # edge matrix is built through the targets' sort
     SRC = np.array([2, 0, 2, 1, 3])
     DST = np.array([0, 0, 1, 2, 2])
+    SHUFFLE = np.array([3, 0, 4, 2, 1])
 
-    def graph(self, f_s=3, f_t=2, heads=2, d_h=2, seed=40, dtype=np.float64):
+    def graph(self, f_s=3, f_t=2, heads=2, d_h=2, seed=40, dtype=np.float64, shuffled=False):
         g = rng(seed)
         keys = T.Tensor(g.normal(size=(4, f_s, heads * d_h)), requires_grad=True, dtype=dtype)
         q = T.Tensor(g.normal(size=(4, f_t, heads * d_h)), requires_grad=True, dtype=dtype)
         att = T.Tensor(g.normal(size=(heads, d_h, d_h)), requires_grad=True, dtype=dtype)
         ext = T.Tensor(g.normal(size=(4, f_s, heads * d_h)), requires_grad=True, dtype=dtype)
-        return keys, q, att, ext, T.Segments(self.SRC, 4), T.Segments(self.DST, 4)
+        order = self.SHUFFLE if shuffled else np.arange(5)
+        return keys, q, att, ext, T.Segments(self.SRC[order], 4), T.Segments(self.DST[order], 4)
 
-    def reference(self, keys, q, att, ext, mode, scale, scale_outside):
+    @staticmethod
+    def reference(keys, q, att, ext, mode, scale, scale_outside, src, dst):
         """Per-edge logits, the softmax by its formula over each target's
         group, and the messages summed edge by edge, in float64."""
         keys, q, att, ext = (t.data.astype(np.float64) for t in (keys, q, att, ext))
@@ -420,11 +428,11 @@ class TestFusedEdgeOps:
             return x.reshape(x.shape[0], x.shape[1], heads, d_h).transpose(0, 2, 1, 3)
 
         kw, qh = split(keys) @ att, split(q)
-        logits = np.stack([kw[s] @ np.swapaxes(qh[t], -1, -2) for s, t in zip(self.SRC, self.DST)])
+        logits = np.stack([kw[s] @ np.swapaxes(qh[t], -1, -2) for s, t in zip(src.ids, dst.ids)])
         logits *= 1.0 if scale_outside else scale
         attn = np.zeros_like(logits)
-        for t in np.unique(self.DST):
-            mine = self.DST == t
+        for t in np.unique(dst.ids):
+            mine = dst.ids == t
             if mode == "joint":  # over (edge, source slot) per head and target slot
                 block = np.moveaxis(logits[mine], 0, 1)  # (H, deg, F_s, F_t)
                 flat = block.reshape(heads, -1, block.shape[-1])
@@ -434,17 +442,24 @@ class TestFusedEdgeOps:
             else:
                 attn[mine] = oracles.softmax_formula(logits[mine], axis=0)
         attn *= scale if scale_outside else 1.0
-        out = np.zeros((4, q.shape[1], ext.shape[2]))
-        for e, (s, t) in enumerate(zip(self.SRC, self.DST)):
+        return attn, TestFusedEdgeOps.mix(attn, ext, src, dst, heads)
+
+    @staticmethod
+    def mix(attn, ext, src, dst, heads):
+        """attn[e]^T ext[s] per head, summed into each target edge by edge."""
+        d_h = ext.shape[2] // heads
+        out = np.zeros((dst.num_segments, attn.shape[3], ext.shape[2]))
+        for e, (s, t) in enumerate(zip(src.ids, dst.ids)):
             for m in range(heads):
                 cols = slice(m * d_h, (m + 1) * d_h)
-                out[t, :, cols] += attn[e, m].T @ ext[s, :, cols]
-        return attn, out
+                out[t, :, cols] += attn[e, m].T.astype(np.float64) @ ext[s, :, cols]
+        return out
 
+    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("scale_outside", [False, True])
     @pytest.mark.parametrize("mode", ["joint", "literal"])
-    def test_gradients_match_finite_differences(self, mode, scale_outside):
-        keys, q, att, ext, src, dst = self.graph()
+    def test_gradients_match_finite_differences(self, mode, scale_outside, shuffled):
+        keys, q, att, ext, src, dst = self.graph(shuffled=shuffled)
         w = T.Tensor(rng(41).normal(size=(4, 2, 4)), dtype=np.float64)
 
         def f():
@@ -453,15 +468,100 @@ class TestFusedEdgeOps:
 
         assert T.finite_diff_check(f, [keys, q, att, ext]) < 1e-6
 
+    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("scale_outside", [False, True])
     @pytest.mark.parametrize("mode", ["joint", "literal"])
-    def test_match_per_edge_reference(self, mode, scale_outside):
-        keys, q, att, ext, src, dst = self.graph(seed=42)
+    def test_match_per_edge_reference(self, mode, scale_outside, shuffled):
+        keys, q, att, ext, src, dst = self.graph(seed=42, shuffled=shuffled)
+        assert (dst.order is not None) == shuffled
         attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7, scale_outside)
         out = T.edge_aggregate(attn, ext, src, dst)
-        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, scale_outside)
+        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, scale_outside, src, dst)
         np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_one_source_slot_three_target_slots(self, mode, shuffled):
+        # the shape of a second layer's relation out of a type that receives none
+        keys, q, att, ext, src, dst = self.graph(f_s=1, f_t=3, seed=44, shuffled=shuffled)
+        attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7)
+        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, False, src, dst)
+        np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
+        out = T.edge_aggregate(attn, ext, src, dst)
+        assert out.shape == (4, 3, 4)
+        np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
+        w = T.Tensor(rng(45).normal(size=(4, 3, 4)), dtype=np.float64)
+
+        def f():
+            attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7)
+            return T.reduce_sum(T.mul(T.edge_aggregate(attn, ext, src, dst), w))
+
+        assert T.finite_diff_check(f, [keys, q, att, ext]) < 1e-6
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_float32_aggregate_within_rounding_of_float64(self, shuffled):
+        # each entry is a sum of products, rounded once per term: the
+        # messages sum deg(t) F_s terms per target, the ext gradient
+        # outdeg(s) F_t per source and the attention gradient d_h per edge;
+        # each is held to 2 k eps (sum of |terms|), as in TestFlatMatmul
+        _, _, _, ext, src, dst = self.graph(f_s=3, f_t=2, heads=2, d_h=3, seed=46,
+                                            dtype=np.float32, shuffled=shuffled)
+        g = rng(47)
+        attn = T.Tensor(g.uniform(0, 1, size=(5, 2, 3, 2)), requires_grad=True)
+        up = g.normal(size=(4, 2, 6)).astype(np.float32)
+        with T.Tape() as tape:
+            out = T.edge_aggregate(attn, ext, src, dst)
+            grads = tape.backward(T.reduce_sum(T.mul(out, T.Tensor(up))))
+        eps = np.finfo(np.float32).eps
+        a, x = attn.data, ext.data
+        terms = np.bincount(dst.ids, minlength=4).max() * 3
+        bound = 2 * terms * eps * self.mix(np.abs(a), np.abs(x), src, dst, 2)
+        assert out.dtype == np.float32
+        assert np.all(np.abs(out.data - self.mix(a, x, src, dst, 2)) <= bound)
+        # ext gradient: the transposed mix, each source summing over its edges
+        want_ext, mag_ext = np.zeros((4, 3, 6)), np.zeros((4, 3, 6))
+        want_attn, mag_attn = np.zeros(a.shape), np.zeros(a.shape)
+        for e, (s, t) in enumerate(zip(src.ids, dst.ids)):
+            for m in range(2):
+                cols = slice(3 * m, 3 * m + 3)
+                a_em, u = a[e, m].astype(np.float64), up[t, :, cols].astype(np.float64)
+                want_ext[s, :, cols] += a_em @ u
+                mag_ext[s, :, cols] += np.abs(a_em) @ np.abs(u)
+                want_attn[e, m] = x[s, :, cols].astype(np.float64) @ u.T
+                mag_attn[e, m] = np.abs(x[s, :, cols]).astype(np.float64) @ np.abs(u.T)
+        terms = np.bincount(src.ids, minlength=4).max() * 2
+        assert np.all(np.abs(grads[ext] - want_ext) <= 2 * terms * eps * mag_ext)
+        assert np.all(np.abs(grads[attn] - want_attn) <= 2 * 3 * eps * mag_attn)
+
+    def test_edge_index_built_once_per_view_and_shape(self, monkeypatch, tmp_path):
+        builds, wanted = [], set()
+        build, lookup = T._build_edge_index, T.Segments.edge_index
+
+        def counting_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        def recording_lookup(dst, src, *shape):
+            wanted.add((id(dst), id(src), *shape))
+            return lookup(dst, src, *shape)
+
+        monkeypatch.setattr(T, "_build_edge_index", counting_build)
+        monkeypatch.setattr(T.Segments, "edge_index", recording_lookup)
+        g = synthetic_generate(SyntheticSpec(), seed=101)
+        save_dataset(g, tmp_path)
+        loaded = load_dataset(tmp_path)
+        for rel in loaded.schema.relations:
+            loaded.bipartite(rel)
+        assert builds == []  # loading and the views leave the index to the first product
+        cfg = from_profile("desk").replace(epochs=1)
+        model = init_model(loaded, cfg)
+        train(model, loaded, cfg)  # one full-batch step and evaluate("valid")
+        evaluate(model, loaded, "test")
+        built = len(builds)
+        evaluate(model, loaded, "test")
+        assert len(builds) == built  # the test blocks' views kept theirs
+        assert 0 < len(builds) == len(wanted)
 
     def test_target_without_edges_gets_a_zero_block(self):
         keys, q, att, ext, src, dst = self.graph(dtype=np.float32)
@@ -477,7 +577,7 @@ class TestFusedEdgeOps:
         # the fused op adds slot after slot
         keys, q, att, ext, src, dst = self.graph(f_s=9, f_t=1, seed=43)
         attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7)
-        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, False)
+        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, False, src, dst)
         np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(
             T.edge_aggregate(attn, ext, src, dst).data, want_out, rtol=1e-12, atol=1e-14
@@ -633,7 +733,7 @@ class TestLosses:
 class TestInvariants:
     def test_nan_detection(self):
         with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
-            T.scale(T.Tensor([3e38]), 10.0)  # overflows to inf in float32
+            T.mul(T.Tensor([3e38]), T.Tensor([10.0]))  # overflows to inf in float32
 
     def test_inf_from_matmul_raises(self):
         a = T.Tensor([[3e38, 3e38]], requires_grad=True)

@@ -213,6 +213,27 @@ class TestTrain:
         result = train(model, g, cfg)
         assert len(result.log) == 2
 
+    @pytest.mark.parametrize("valid", [None, []])
+    def test_no_valid_split_logs_nan(self, valid):
+        g = small_planted()
+        g.splits.pop("valid")
+        if valid is not None:
+            g.splits["valid"] = np.array(valid, dtype=np.int64)
+        cfg = quick_cfg(epochs=2)
+        result = train(init_model(g, cfg), g, cfg)
+        assert len(result.log) == 2 and not result.diverged
+        for entry in result.log:
+            assert math.isnan(entry["val_micro_f1"]) and math.isnan(entry["val_macro_f1"])
+
+    def test_bad_validation_label_raises(self):
+        # a label outside the schema's classes is a fault of the data, not a
+        # missing split, so it must not turn into NaN metrics
+        g = small_planted()
+        g.labels[g.splits["valid"][0]] = g.schema.num_classes
+        cfg = quick_cfg(epochs=1)
+        with pytest.raises(ValueError, match="label index out of range"):
+            train(init_model(g, cfg), g, cfg)
+
     def test_desk_train_step_tape_size_is_pinned(self, monkeypatch):
         # each relation's attention (K W included), its aggregation and the
         # fusion head after its query are one fused node apiece; a change that
