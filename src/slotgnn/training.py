@@ -175,7 +175,7 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
     )
     train_ids = _split_ids(graph, "train")
     # a graph without a valid split logs NaN metrics; any other fault raises
-    has_valid = graph.splits.get("valid", train_ids[:0]).size > 0
+    has_valid = len(graph.splits.get("valid", ())) > 0
     multilabel = graph.schema.multilabel
     full = config.batch_mode == "full"
     steps_per_epoch = 1 if full else config.batches_per_epoch

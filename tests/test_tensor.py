@@ -455,12 +455,9 @@ class TestFusedEdgeOps:
                 out[t, :, cols] += attn[e, m].T.astype(np.float64) @ ext[s, :, cols]
         return out
 
-    @pytest.mark.parametrize("shuffled", [False, True])
-    @pytest.mark.parametrize("scale_outside", [False, True])
-    @pytest.mark.parametrize("mode", ["joint", "literal"])
-    def test_gradients_match_finite_differences(self, mode, scale_outside, shuffled):
-        keys, q, att, ext, src, dst = self.graph(shuffled=shuffled)
-        w = T.Tensor(rng(41).normal(size=(4, 2, 4)), dtype=np.float64)
+    def check_gradients(self, mode, scale_outside, **graph):
+        keys, q, att, ext, src, dst = self.graph(**graph)
+        w = T.Tensor(rng(41).normal(size=(4, q.shape[1], 4)), dtype=np.float64)
 
         def f():
             attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7, scale_outside)
@@ -468,36 +465,37 @@ class TestFusedEdgeOps:
 
         assert T.finite_diff_check(f, [keys, q, att, ext]) < 1e-6
 
-    @pytest.mark.parametrize("shuffled", [False, True])
-    @pytest.mark.parametrize("scale_outside", [False, True])
-    @pytest.mark.parametrize("mode", ["joint", "literal"])
-    def test_match_per_edge_reference(self, mode, scale_outside, shuffled):
-        keys, q, att, ext, src, dst = self.graph(seed=42, shuffled=shuffled)
-        assert (dst.order is not None) == shuffled
+    def check_reference(self, mode, scale_outside, **graph):
+        keys, q, att, ext, src, dst = self.graph(**graph)
         attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7, scale_outside)
         out = T.edge_aggregate(attn, ext, src, dst)
         want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, scale_outside, src, dst)
         np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_gradients_match_finite_differences(self, mode, scale_outside):
+        self.check_gradients(mode, scale_outside)
+
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_match_per_edge_reference(self, mode, scale_outside):
+        self.check_reference(mode, scale_outside, seed=42)
+
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_shuffled_edges_match_reference_and_finite_differences(self, mode, scale_outside):
+        assert self.graph(shuffled=True)[-1].order is not None
+        self.check_reference(mode, scale_outside, seed=42, shuffled=True)
+        self.check_gradients(mode, scale_outside, shuffled=True)
+
     @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("mode", ["joint", "literal"])
     def test_one_source_slot_three_target_slots(self, mode, shuffled):
         # the shape of a second layer's relation out of a type that receives none
-        keys, q, att, ext, src, dst = self.graph(f_s=1, f_t=3, seed=44, shuffled=shuffled)
-        attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7)
-        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, False, src, dst)
-        np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
-        out = T.edge_aggregate(attn, ext, src, dst)
-        assert out.shape == (4, 3, 4)
-        np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
-        w = T.Tensor(rng(45).normal(size=(4, 3, 4)), dtype=np.float64)
-
-        def f():
-            attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7)
-            return T.reduce_sum(T.mul(T.edge_aggregate(attn, ext, src, dst), w))
-
-        assert T.finite_diff_check(f, [keys, q, att, ext]) < 1e-6
+        self.check_reference(mode, False, f_s=1, f_t=3, seed=44, shuffled=shuffled)
+        self.check_gradients(mode, False, f_s=1, f_t=3, seed=44, shuffled=shuffled)
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_float32_aggregate_within_rounding_of_float64(self, shuffled):
