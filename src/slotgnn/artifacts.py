@@ -51,7 +51,8 @@ def _index_entry(
 
 
 def load_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | Path) -> None:
-    """Fill the given tensors from a checkpoint; names and shapes must match, values be finite."""
+    """Fill the given tensors in place from a checkpoint; names and shapes
+    must match, values be finite."""
     directory = Path(directory)
     path, index = directory / "checkpoint.bin", directory / "checkpoint.idx"
     blob = path.read_bytes()
@@ -71,7 +72,7 @@ def load_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | P
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
-        p.data = arr.astype(p.data.dtype, copy=True)
+        p.data[...] = arr
         seen.add(name)
     missing = set(params) - seen
     if missing:

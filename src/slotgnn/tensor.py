@@ -1,9 +1,11 @@
 """Dense 2-D to 4-D tensors with a reverse-mode autodiff tape.
 
 Only the operations the model actually needs are provided. Tensors wrap
-numpy arrays and are treated as immutable after creation. A tensor built
-from raw data is float32 unless given a dtype; an op's output keeps the
-dtype of its inputs, so a model computes in its parameters' dtype.
+numpy arrays and are treated as immutable after creation, except the
+parameters: once an optimizer is built, each parameter's array is a view
+into the optimizer's one parameter vector, updated in place between tapes.
+A tensor built from raw data is float32 unless given a dtype; an op's output
+keeps the dtype of its inputs, so a model computes in its parameters' dtype.
 Recording happens on an explicit :class:`Tape` that is active for one
 forward pass. Reverse accumulation walks the tape in reverse creation
 order, which is a valid topological order because the tape is append-only.
@@ -260,16 +262,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), back, screen=False)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def back(g):
-        return (g.transpose(inv),)
-
-    return _make(a.data.transpose(axes), (a,), back, screen=False)
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     """Concatenate along ``axis``; slices stay recoverable at their offsets."""
     if not tensors:
@@ -298,7 +290,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and normalization
+# reductions
 
 
 def reduce_sum(a: Tensor) -> Tensor:
@@ -321,22 +313,6 @@ def reduce_mean(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g / n, a.shape).astype(a.dtype, copy=True),)
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
-
-
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Exp-normalization along ``axis`` with max-subtraction for stability."""
-    if axis < -a.ndim or axis >= a.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for rank {a.ndim}")
-    if a.shape[axis] == 0:
-        raise ShapeError("softmax: empty axis")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _make(y, (a,), back)
 
 
 # ---------------------------------------------------------------------------

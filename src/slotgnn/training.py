@@ -48,7 +48,18 @@ def init_model(graph: HeteroGraph, config: TrainConfig) -> SlotModel:
 
 
 class AdamW:
-    """Adam with decoupled weight decay applied before the moment update."""
+    """Adam with decoupled weight decay applied before the moment update.
+
+    The optimizer owns one contiguous vector of the parameters' values, in
+    the order given, and rebinds each parameter's ``data`` to a view of its
+    slice; the moments ``m`` and ``v`` and the gradient are vectors of the
+    same layout. A step is a few in-place vector operations, in this order:
+    ``w *= 1 - lr wd``; ``m = b1 m + (1 - b1) g``; ``v = b2 v + ((1 - b2) g) g``;
+    ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` with ``c = 1 - b ** t``.
+    Write parameters in place (``p.data[...] = x``) once the optimizer is
+    built; a rebound parameter would silently stop training, so a step
+    refuses it.
+    """
 
     def __init__(
         self,
@@ -60,30 +71,70 @@ class AdamW:
     ):
         self.params = list(named_params)
         self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
-        self.m = [np.zeros_like(p.data) for _, p in self.params]
-        self.v = [np.zeros_like(p.data) for _, p in self.params]
+        dtypes = {p.dtype for _, p in self.params}
+        if len(dtypes) != 1:
+            raise ValueError(
+                f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}"
+            )
+        self.vector = np.concatenate([p.data.reshape(-1) for _, p in self.params])
+        self.m = np.zeros_like(self.vector)
+        self.v = np.zeros_like(self.vector)
+        self._grad = np.empty_like(self.vector)
+        self._scratch = np.empty_like(self.vector)
+        self._views, self._grad_views = [], []
+        offset = 0
+        for _, p in self.params:
+            end = offset + p.data.size
+            p.data = self.vector[offset:end].reshape(p.shape)
+            self._views.append(p.data)
+            self._grad_views.append(self._grad[offset:end].reshape(p.shape))
+            offset = end
         self.t = 0
+
+    def _gather(self, grads: dict[T.Tensor, np.ndarray]) -> None:
+        """Copy the gradient table into the gradient vector and screen it."""
+        for (name, p), view, g_view in zip(self.params, self._views, self._grad_views):
+            if p.data is not view:
+                raise OptimizerError(
+                    f"parameter {name!r} no longer views the optimizer's vector; "
+                    "write into p.data[...] instead of rebinding it"
+                )
+            g_view[...] = grads.get(p, 0)
+        # one sum screens the whole vector; only a non-finite sum, which may
+        # also be a finite vector that overflowed, is searched slice by slice
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(self._grad.sum()):
+                return
+        for (name, _), g_view in zip(self.params, self._grad_views):
+            if not np.all(np.isfinite(g_view)):
+                raise OptimizerError(f"non-finite gradient in parameter {name!r}")
 
     def step(self, grads: dict[T.Tensor, np.ndarray], lr: float) -> None:
         """One update from the gradient table ``Tape.backward`` returns; a
-        parameter missing from it gets a zero gradient."""
+        parameter missing from it gets a zero gradient. A step that raises
+        has changed nothing."""
+        self._gather(grads)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for i, (name, p) in enumerate(self.params):
-            g = grads.get(p)
-            if g is not None and not np.all(np.isfinite(g)):
-                raise OptimizerError(f"non-finite gradient in parameter {name!r}")
-            if self.weight_decay:
-                p.data = p.data * (1.0 - lr * self.weight_decay)
-            if g is None:
-                g = np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        w, m, v, g, tmp = self.vector, self.m, self.v, self._grad, self._scratch
+        if self.weight_decay:
+            w *= 1.0 - lr * self.weight_decay
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        # the gradient is spent: its vector now holds the denominator
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, c1, out=tmp)
+        tmp *= lr
+        tmp /= g
+        w -= tmp
 
 
 def onecycle_lr(
@@ -186,7 +237,7 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
     stall = 0
     step = 0
     for epoch in range(1, config.epochs + 1):
-        snapshot = [p.data.copy() for _, p in opt.params]
+        snapshot = opt.vector.copy()
         losses = []
         try:
             for _ in range(steps_per_epoch):
@@ -214,8 +265,7 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
                 val = evaluate(model, graph, "valid")
                 entry["val_micro_f1"], entry["val_macro_f1"] = val["micro_f1"], val["macro_f1"]
         except (T.NonFiniteError, OptimizerError):
-            for (_, p), saved in zip(opt.params, snapshot):
-                p.data = saved
+            opt.vector[...] = snapshot
             result.diverged = True
             break
         result.log.append(entry)

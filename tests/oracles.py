@@ -30,6 +30,27 @@ def softmax_formula(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def adamw_reference_step(
+    params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01
+):
+    """One AdamW step tensor by tensor, each operation a new array: decay,
+    then the moments, then the bias-corrected update. ``params``, ``m`` and
+    ``v`` are lists of arrays, replaced in place in the lists; a ``None``
+    gradient counts as zero. ``t`` is the step number after this step."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for i, g in enumerate(grads):
+        if weight_decay:
+            params[i] = params[i] * (1.0 - lr * weight_decay)
+        if g is None:
+            g = np.zeros_like(params[i])
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        m_hat = m[i] / c1
+        v_hat = v[i] / c2
+        params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Coordinate-wise central difference of a scalar function of x."""
     g = np.zeros_like(x, dtype=np.float64)

@@ -8,6 +8,7 @@ from slotgnn import tensor as T
 from slotgnn.artifacts import load_checkpoint, save_checkpoint
 from slotgnn.cli import ConfigError, _overrides_from_args, build_parser, main, parse_config
 from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
+from slotgnn.training import AdamW
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +347,16 @@ class TestCheckpoint:
         _, fresh = self.saved(tmp_path)
         load_checkpoint(fresh, tmp_path)
         assert np.array_equal(fresh[1][1].data, np.arange(4.0))
+
+    def test_load_writes_into_the_optimizer_vector(self, tmp_path):
+        _, fresh = self.saved(tmp_path)
+        opt = AdamW(fresh, weight_decay=0.0)
+        views = [p.data for _, p in fresh]
+        load_checkpoint(fresh, tmp_path)
+        for (_, p), view in zip(fresh, views):
+            assert p.data is view and np.shares_memory(p.data, opt.vector)
+        assert np.array_equal(opt.vector, np.concatenate([np.ones(6), np.arange(4.0)]))
+        opt.step({}, lr=0.1)  # still trains: no parameter was rebound
 
     def test_non_finite_value_names_file_and_parameter(self, tmp_path):
         path, fresh = self.saved(tmp_path)

@@ -25,12 +25,28 @@ def edge_softmax(logits: T.Tensor, dst: T.Segments, mode: str) -> T.Tensor:
     (E, H, F_s, F_t)."""
     x = logits if logits.ndim == 4 else T.reshape(logits, (logits.shape[0], 1) + logits.shape[1:])
     e, heads, f_s, f_t = x.shape
-    keys = T.reshape(T.transpose(x, (0, 2, 1, 3)), (e, f_s, heads * f_t))
+    # keys (E, F_s, H F_t) are the logits with the head and source-slot axes
+    # swapped: a product with a 0/1 permutation matrix, which moves values exactly
+    n = heads * f_s * f_t
+    order = np.arange(n).reshape(heads, f_s, f_t).transpose(1, 0, 2).reshape(-1)
+    perm = T.Tensor(np.eye(n)[:, order], dtype=logits.dtype)
+    keys = T.reshape(T.matmul(T.reshape(x, (e, n)), perm), (e, f_s, heads * f_t))
     eye = np.eye(f_t)
     q = T.Tensor(np.tile(eye, (dst.num_segments, 1, heads)), dtype=logits.dtype)
     att = T.Tensor(np.tile(eye, (heads, 1, 1)), dtype=logits.dtype)
     y = T.edge_attention(keys, q, att, T.Segments(np.arange(e), e), dst, mode)
     return y if logits.ndim == 4 else T.reshape(y, logits.shape)
+
+
+def slot_softmax(rows, dtype=np.float32) -> np.ndarray:
+    """The softmax over slots inside ``T.slot_fusion`` alone, per row of
+    ``rows`` (n, F): one head of width 1, unit queries and unit key and value
+    maps, so the slot logits are ``rows`` exactly."""
+    rows = np.asarray(rows, dtype=dtype)
+    one = T.Tensor(np.ones((1, 1)), dtype=dtype)
+    hl = T.Tensor(rows.reshape(rows.shape + (1,)), dtype=dtype)
+    q = T.Tensor(np.ones((rows.shape[0], 1)), dtype=dtype)
+    return T.slot_fusion(q, hl, one, one, heads=1)[1][:, 0]
 
 
 class TestMatmul:
@@ -112,32 +128,32 @@ class TestFlatMatmul:
 
 class TestSoftmax:
     def test_uniform(self):
-        y = T.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=0).data
+        y = slot_softmax([[0.0, 0.0, 0.0]])[0]
         assert np.allclose(y, [1 / 3] * 3)
 
     def test_large_logit_stability(self):
-        y = T.softmax(T.Tensor([1000.0, 0.0]), axis=0).data
+        y = slot_softmax([[1000.0, 0.0]])[0]
         assert np.all(np.isfinite(y))
         assert y[0] > 0.999 and y[1] < 1e-6
 
     def test_matches_formula(self):
         x = np.array([1.0, 2.0, 3.0])
-        y = T.softmax(T.Tensor(x), axis=0).data
+        y = slot_softmax([x])[0]
         assert np.allclose(y, oracles.softmax_formula(x, 0), atol=1e-7)
 
     def test_empty_axis(self):
         with pytest.raises(T.ShapeError):
-            T.softmax(T.Tensor(np.zeros((2, 0))), axis=1)
+            slot_softmax(np.zeros((2, 0)))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_rows_sum_to_one(self, values):
-        y = T.softmax(T.Tensor(values), axis=0).data
+        y = slot_softmax([values])[0]
         assert np.all(y >= 0)
         assert abs(float(y.sum()) - 1.0) < 1e-6
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_rows_sum_to_one_float64(self, values):
-        y = T.softmax(T.Tensor(values, dtype=np.float64), axis=0).data
+        y = slot_softmax([values], dtype=np.float64)[0]
         assert abs(float(y.sum()) - 1.0) < 1e-12
 
 
@@ -206,11 +222,11 @@ class TestBackward:
         x = T.Tensor(rng(10).normal(size=(4, 3)), dtype=np.float64)
 
         def value():
-            h = T.softmax(T.matmul(x, w), axis=1)
+            h = T.reduce_mean(T.mul(T.matmul(x, w), T.matmul(x, w)), axis=1)
             return float(T.reduce_sum(T.mul(h, h)).data)
 
         with T.Tape() as tape:
-            h = T.softmax(T.matmul(x, w), axis=1)
+            h = T.reduce_mean(T.mul(T.matmul(x, w), T.matmul(x, w)), axis=1)
             loss = T.reduce_sum(T.mul(h, h))
             grad = tape.backward(loss)[w]
         fd = oracles.central_diff(value, w.data)
@@ -239,7 +255,7 @@ class TestBackward:
         gc.disable()
         try:
             with T.Tape() as tape:
-                hidden = T.softmax(T.matmul(x, w), axis=1)
+                hidden = T.matmul(x, w)
                 loss = T.reduce_sum(T.mul(hidden, hidden))
                 tape.backward(loss)
             ref = weakref.ref(hidden)
@@ -290,8 +306,8 @@ class TestFiniteDiffCheck:
         y = np.array([0, 1, 0, 1, 1])
 
         def f():
-            h = T.softmax(T.add(T.matmul(x, w1), b1), axis=1)
-            return T.softmax_cross_entropy(T.matmul(h, w2), y)
+            z = T.add(T.matmul(x, w1), b1)
+            return T.softmax_cross_entropy(T.matmul(T.mul(z, z), w2), y)
 
         assert T.finite_diff_check(f, [w1, b1, w2]) < 1e-6
 
@@ -747,7 +763,6 @@ class TestInvariants:
         assert calls == [(4, 3)]  # raw data is screened
         with T.Tape():
             T.reshape(a, (3, 4))
-            T.transpose(a, (1, 0))
             T.gather(a, np.array([2, 0]))
             T.gather(a, T.Segments(np.array([3, 1]), 4))
             T.concat([a, a], axis=0)
@@ -761,8 +776,8 @@ class TestInvariants:
         b = g.normal(size=(5, 4)).astype(np.float32)
 
         def run():
-            h = T.softmax(T.matmul(T.Tensor(a), T.Tensor(b)), axis=1)
-            return T.reduce_mean(h, axis=0).data.tobytes()
+            h = T.matmul(T.Tensor(a), T.Tensor(b))
+            return T.reduce_mean(T.mul(h, h), axis=0).data.tobytes()
 
         assert run() == run()
 
@@ -774,9 +789,12 @@ class TestInvariants:
         b = T.Tensor(g.normal(size=(3,)), requires_grad=True, dtype=np.float64)
         x = T.Tensor(g.normal(size=(2, 3)), dtype=np.float64)
         labels = g.integers(0, 3, size=2)
+        # the bounded nonlinearity: per column, an attention over four slots
+        slots = T.Tensor(g.normal(size=(2, 4, 3)), dtype=np.float64)
+        eye = T.Tensor(np.eye(3), dtype=np.float64)
 
         def f():
-            h = T.softmax(T.add(T.matmul(x, w), b), axis=1)
+            h, _ = T.slot_fusion(T.add(T.matmul(x, w), b), slots, eye, eye, heads=3)
             return T.softmax_cross_entropy(T.matmul(h, w), labels)
 
         with T.Tape() as tape:

@@ -77,6 +77,93 @@ class TestAdamW:
         with pytest.raises(OptimizerError, match="'w'"):
             opt.step({p: np.array([[np.nan]])}, lr=0.1)
 
+    SHAPES = {"a": (3, 4), "b": (5,), "c": (2, 3, 2), "d": (), "e": (1, 7)}
+
+    def mixed_params(self, dtype, seed=0):
+        g = np.random.default_rng(seed)
+        return [
+            (name, T.Tensor(g.normal(size=shape), requires_grad=True, name=name, dtype=dtype))
+            for name, shape in self.SHAPES.items()
+        ]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vector_step_matches_per_tensor_reference_to_the_bit(self, dtype, weight_decay):
+        named = self.mixed_params(dtype)
+        ref = [p.data.copy() for _, p in named]
+        ref_m = [np.zeros_like(x) for x in ref]
+        ref_v = [np.zeros_like(x) for x in ref]
+        opt = AdamW(named, beta1=0.8, beta2=0.99, eps=1e-6, weight_decay=weight_decay)
+        g = np.random.default_rng(1)
+        for t, lr in enumerate([0.1, 0.03, 0.5, 1e-4, 0.2], start=1):
+            grads = [
+                g.normal(scale=10.0 ** g.integers(-4, 3), size=x.shape).astype(dtype) for x in ref
+            ]
+            grads[t % len(grads)] = None  # a different parameter misses its gradient each step
+            opt.step({p: gr for (_, p), gr in zip(named, grads) if gr is not None}, lr)
+            oracles.adamw_reference_step(
+                ref, ref_m, ref_v, grads, t, lr, beta1=0.8, beta2=0.99, eps=1e-6,
+                weight_decay=weight_decay,
+            )
+            offset = 0
+            for (name, p), want, want_m, want_v in zip(named, ref, ref_m, ref_v):
+                end = offset + want.size
+                assert p.data.dtype == want.dtype and p.data.shape == want.shape, name
+                assert p.data.tobytes() == want.tobytes(), (t, name)
+                assert opt.m[offset:end].tobytes() == want_m.tobytes(), (t, name)
+                assert opt.v[offset:end].tobytes() == want_v.tobytes(), (t, name)
+                offset = end
+        assert opt.t == 5
+
+    def test_parameters_become_views_of_one_vector(self):
+        named = self.mixed_params(np.float32)
+        before = [p.data.copy() for _, p in named]
+        opt = AdamW(named)
+        assert opt.vector.size == sum(x.size for x in before)
+        for (_, p), want in zip(named, before):
+            assert np.shares_memory(p.data, opt.vector)
+            assert p.data.shape == want.shape and np.array_equal(p.data, want)
+
+    def test_failed_step_changes_nothing(self):
+        named = self.mixed_params(np.float64)
+        opt = AdamW(named)
+        opt.step({p: np.ones_like(p.data) for _, p in named}, lr=0.1)
+        state = [opt.vector.copy(), opt.m.copy(), opt.v.copy()]
+        grads = {p: np.full_like(p.data, 2.0) for _, p in named}
+        last_name, last = named[-1]
+        grads[last] = grads[last].copy()
+        grads[last].flat[-1] = np.nan
+        with pytest.raises(OptimizerError, match=f"'{last_name}'"):
+            opt.step(grads, lr=0.1)
+        assert opt.t == 1
+        for got, want in zip([opt.vector, opt.m, opt.v], state):
+            assert got.tobytes() == want.tobytes()
+
+    def test_finite_gradient_whose_sum_overflows_is_accepted(self):
+        # the one-sum screen fails, but every slice is finite: not an error
+        p = T.Tensor(np.ones(4), requires_grad=True, name="w")  # float32
+        grad = np.full(4, 3e38, dtype=np.float32)
+        ref, ref_m, ref_v = [p.data.copy()], [np.zeros(4, np.float32)], [np.zeros(4, np.float32)]
+        with np.errstate(over="ignore"):  # g * g overflows in v, as it always did
+            AdamW([("w", p)]).step({p: grad}, lr=0.1)
+            oracles.adamw_reference_step(ref, ref_m, ref_v, [grad], 1, 0.1)
+        assert p.data.tobytes() == ref[0].tobytes()
+
+    def test_rebound_parameter_raises(self):
+        named = self.mixed_params(np.float32)
+        opt = AdamW(named)
+        name, p = named[2]
+        p.data = p.data.copy()
+        with pytest.raises(OptimizerError, match=f"'{name}' no longer views"):
+            opt.step({}, lr=0.1)
+        assert opt.t == 0
+
+    def test_parameters_of_mixed_dtypes_rejected(self):
+        p = T.Tensor(np.ones(2), requires_grad=True, dtype=np.float32)
+        q = T.Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
+        with pytest.raises(ValueError, match="one dtype"):
+            AdamW([("p", p), ("q", q)])
+
 
 class TestOneCycle:
     def test_peak_is_max_lr(self):
@@ -174,6 +261,48 @@ class TestTrain:
         assert result.diverged
         for _, p in model.named_parameters():
             assert np.all(np.isfinite(p.data))
+
+    @staticmethod
+    def record_steps(monkeypatch):
+        """Wrap AdamW.step; returns the optimizers seen and the parameter
+        vector after each completed step (the first entry is the start)."""
+        opts, states = [], []
+        step = AdamW.step
+
+        def recording_step(opt, grads, lr):
+            if not opts:
+                opts.append(opt)
+                states.append(opt.vector.copy())
+            step(opt, grads, lr)
+            states.append(opt.vector.copy())
+
+        monkeypatch.setattr(AdamW, "step", recording_step)
+        return opts, states
+
+    def test_parameters_stay_views_after_train(self, monkeypatch):
+        opts, states = self.record_steps(monkeypatch)
+        g = small_planted()
+        cfg = quick_cfg(epochs=3)
+        model = init_model(g, cfg)
+        train(model, g, cfg)
+        (opt,) = opts
+        for p in model.parameters():
+            assert np.shares_memory(p.data, opt.vector)
+        assert opt.vector.tobytes() == states[-1].tobytes()
+
+    def test_divergence_restores_the_epoch_start_in_place(self, monkeypatch):
+        opts, states = self.record_steps(monkeypatch)
+        g = small_planted()
+        cfg = quick_cfg(epochs=6, max_lr=1e12, lr_div=1.0, dropout=0.0)
+        model = init_model(g, cfg)
+        with np.errstate(all="ignore"):  # the learning rate overflows on purpose
+            result = train(model, g, cfg)
+        assert result.diverged
+        (opt,) = opts
+        for p in model.parameters():
+            assert np.shares_memory(p.data, opt.vector)
+        # one step per epoch: the failing epoch started after len(log) steps
+        assert opt.vector.tobytes() == states[len(result.log)].tobytes()
 
     def test_early_stopping(self):
         g = small_planted()
