@@ -15,9 +15,11 @@ prefix and with ``no-`` in front when the default is true: ``use_seq`` is
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import difflib
 import json
+import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +32,12 @@ from .graph import DatasetError, load_dataset
 from .training import evaluate, grad_check_model, init_model, train
 
 GRADCHECK_LIMIT = 1e-4
+
+# glibc's mallopt parameters (malloc.h) and the values the CLI gives them:
+# free heap top kept before trimming, and the smallest block that gets its own
+# mapping (32 MB is the ceiling of glibc's own sliding threshold on 64-bit)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+KEEP_TRIM_BYTES, KEEP_MMAP_BYTES = 256 << 20, 32 << 20
 
 
 class ConfigError(Exception):
@@ -303,8 +311,25 @@ def run(command: str, config: RunConfig) -> int:
     return handler(config, out)
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc keep the memory a training step frees for the next step.
+
+    By default it returns the freed top of the heap, and every block above
+    its mmap threshold, to the OS after each step, and the next step faults
+    them back in page by page. Raising both thresholds once keeps them
+    mapped. Does nothing off glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, KEEP_TRIM_BYTES)
+    mallopt(M_MMAP_THRESHOLD, KEEP_MMAP_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         config = parse_config(args.config, _overrides_from_args(args))
         if args.out is None and config.out == "runs/out":

@@ -70,7 +70,7 @@ def mean_fuse(hl: T.Tensor) -> T.Tensor:
 
 
 def classify(fused: T.Tensor, params: FusionParams) -> T.Tensor:
-    return T.add(T.matmul(fused, params.classifier_weight), params.classifier_bias)
+    return T.affine(fused, params.classifier_weight, params.classifier_bias)
 
 
 def loss(logits: T.Tensor, labels: np.ndarray, multilabel: bool = False) -> T.Tensor:

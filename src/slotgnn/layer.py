@@ -91,13 +91,9 @@ def project_qkv(
     every type in ``state``, queries to every slot of every type in
     ``query_state`` (by default ``state``). Keys are linear, the others affine."""
     query_state = state if query_state is None else query_state
-
-    def affine(tens: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
-        return T.add(T.matmul(tens, w), b)
-
-    queries = {name: affine(tens, *params.query[name]) for name, tens in query_state.items()}
+    queries = {name: T.affine(tens, *params.query[name]) for name, tens in query_state.items()}
     keys = {name: T.matmul(tens, params.key[name]) for name, tens in state.items()}
-    values = {name: affine(tens, *params.value[name]) for name, tens in state.items()}
+    values = {name: T.affine(tens, *params.value[name]) for name, tens in state.items()}
     return queries, keys, values
 
 

@@ -150,7 +150,7 @@ def project_features(
             slots = []
             for f in range(nt.num_features):
                 w, b = proj.weights[(nt.name, f)]
-                slot = T.add(T.matmul(T.Tensor(feats[ids, f], dtype=w.dtype), w), b)
+                slot = T.affine(T.Tensor(feats[ids, f], dtype=w.dtype), w, b)
                 slots.append(T.reshape(slot, (n, 1, d)))
             state[nt.name] = slots[0] if len(slots) == 1 else T.concat(slots, axis=1)
     return state
@@ -173,7 +173,9 @@ def slot_dropout(
     id: the uniform draw for a type spans ids 0..max(orig_ids[rows]), and numpy
     fills it row by row, so a node gets the same mask whether it is visited in
     a full-graph pass, in a pass restricted to some rows or inside a sampled
-    subgraph, and results do not depend on evaluation order. Identity at p = 0.
+    subgraph, and results do not depend on evaluation order. The mask is one
+    scale per slot, (n, F, 1), which the product spreads over the slot's d
+    columns. Identity at p = 0.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -181,12 +183,11 @@ def slot_dropout(
         return state
     out: dict[str, T.Tensor] = {}
     for ti, (name, tens) in enumerate(state.items()):
-        n, f, d = tens.shape
+        n, f = tens.shape[:2]
         ids = np.arange(n) if rows is None else rows[name]
         if graph is not None:
             ids = graph.orig_ids[name][ids]
         rng = np.random.default_rng(np.random.SeedSequence([seed, ti]))
         keep = rng.random((ids.max(initial=-1) + 1, f))[ids] >= p
-        mask = np.broadcast_to((keep / (1.0 - p))[:, :, None], (n, f, d))
-        out[name] = T.mul(tens, T.Tensor(np.ascontiguousarray(mask), dtype=tens.dtype))
+        out[name] = T.mul(tens, T.Tensor((keep / (1.0 - p))[:, :, None], dtype=tens.dtype))
     return out

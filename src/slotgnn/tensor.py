@@ -16,9 +16,12 @@ the attention gradient are taken edge by edge, as batched products of blocks
 gathered onto the edges. Every sum of weighted source blocks into targets (the
 messages, and in backward the value, query and K W gradients) is one sparse
 times dense product with the attention, or its softmax-input gradient, as a
-block-diagonal edge matrix (g-SpMM, Wang et al., arXiv:1909.01315). Backward
-keeps only the attention weights and K W. The fusion head is one more fused
-op, :func:`slot_fusion`, on the same layout.
+block-diagonal edge matrix (g-SpMM, Wang et al., arXiv:1909.01315). The
+structure of that matrix depends only on the view's edges and the shape, so
+the view keeps it from the first product on, and a product lends it only its
+data. Backward keeps only the attention weights and K W. The fusion head is
+one more fused op, :func:`slot_fusion`, on the same layout, and so is each
+affine map, :func:`affine`.
 """
 
 from __future__ import annotations
@@ -224,11 +227,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    """Elementwise product; ``b`` may have length 1 on axes where ``a`` does
+    not, as a per-slot scale (n, F, 1) of blocks (n, F, d) does. An input that
+    requires no gradient gets none."""
+    if a.ndim != b.ndim or any(m not in (n, 1) for n, m in zip(a.shape, b.shape)):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    spread = tuple(i for i, (n, m) in enumerate(zip(a.shape, b.shape)) if n != m)
 
     def back(g):
-        return g * b.data, g * a.data
+        g_b = None
+        if b.requires_grad:
+            g_b = g * a.data
+            g_b = g_b.sum(axis=spread, keepdims=True) if spread else g_b
+        return (g * b.data if a.requires_grad else None), g_b
 
     return _make(a.data * b.data, (a, b), back)
 
@@ -247,6 +258,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ g
 
     return _make((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), back)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, the length-n bias ``b`` added to every row of the product:
+    ``add(matmul(x, w), b)`` to the bit, as one tape node. ``x`` may be 2-D or
+    a stack (3-D); it gets no gradient when it requires none."""
+    if w.ndim != 2 or x.ndim not in (2, 3) or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape} do not fit")
+    k, n = w.shape
+    rows = x.data.reshape(-1, k)
+    out = rows @ w.data
+    out += b.data
+
+    def back(g):
+        g = g.reshape(-1, n)
+        g_x = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return g_x, rows.T @ g, g.sum(axis=0)
+
+    return _make(out.reshape(x.shape[:-1] + (n,)), (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +358,13 @@ class Segments:
     members in ascending row order, so it adds in the same order as
     ``np.add.at``, to the bit, in the dtype of the rows it sums. ``max`` runs
     ``np.maximum.reduceat`` over the non-empty segments, on the rows stably
-    sorted by segment (the sort is kept only when ``ids`` is unsorted); empty
-    segments get -inf. Build one per index array and reuse it: the graph's
-    views hold one per edge endpoint. The matrix is built at the first sum.
-    The target ``Segments`` of a view also keep the index arrays of its edge
-    matrix (:meth:`edge_index`), one pair per source ``Segments``, head count
+    sorted by segment; empty segments get -inf. Build one per index array and
+    reuse it: the graph's views hold one per edge endpoint. Nothing is built
+    before it is read: the sort (``order``, None when ``ids`` is sorted) at
+    the first ``max``, ``sum`` or edge product, and the matrix at the first
+    ``sum``, so the sources of a view, which are only read by id, are never
+    sorted. The target ``Segments`` of a view also keep the structure of its
+    edge matrix (:meth:`edge_index`), one per source ``Segments``, head count
     and slot shape, built at the first product and freed with the view.
     """
 
@@ -342,14 +374,19 @@ class Segments:
             raise ShapeError(f"segment ids must be a vector in [0, {num_segments})")
         self.ids = ids
         self.num_segments = num_segments
-        self.order = None if np.all(ids[1:] >= ids[:-1]) else np.argsort(ids, kind="stable")
+        self.sorted = bool(np.all(ids[1:] >= ids[:-1]))
         counts = np.bincount(ids, minlength=num_segments)
         self.indptr = np.zeros(num_segments + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
         self._nonempty = np.flatnonzero(counts)
         # sorted, one row per segment: row r is segment r
-        self.identity = self.order is None and ids.size == self._nonempty.size == num_segments
-        self._edge_index: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.identity = self.sorted and ids.size == self._nonempty.size == num_segments
+        self._edge_index: dict[tuple, _EdgeIndex] = {}
+
+    @functools.cached_property
+    def order(self) -> np.ndarray | None:
+        """The rows stably sorted by segment, or None when ``ids`` is sorted."""
+        return None if self.sorted else np.argsort(self.ids, kind="stable")
 
     @functools.cached_property
     def _matrix(self) -> scipy.sparse.csr_array:
@@ -370,13 +407,11 @@ class Segments:
             out[self._nonempty] = np.maximum.reduceat(rows, self.indptr[self._nonempty], axis=0)
         return out
 
-    def edge_index(
-        self, src: "Segments", heads: int, f_s: int, f_t: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The index arrays of :func:`_edge_matrix` for the edges from ``src``
-        into these segments, in int32 when they fit: the column indices of one
-        target slot's rows, (H, 1, E F_s), which every target slot repeats,
-        and ``indptr``."""
+    def edge_index(self, src: "Segments", heads: int, f_s: int, f_t: int) -> "_EdgeIndex":
+        """The structure of the edge matrix (see :func:`_edge_products`) of
+        the edges from ``src`` into these segments, for ``heads`` heads, F_s
+        source slots and F_t target slots: built at the first product, kept
+        for the next ones."""
         key = (src, heads, f_s, f_t)
         if key not in self._edge_index:
             sources = src.ids if self.order is None else src.ids[self.order]
@@ -386,7 +421,30 @@ class Segments:
         return self._edge_index[key]
 
 
-def _build_edge_index(sources, indptr, n_src, heads, f_s, f_t) -> tuple[np.ndarray, np.ndarray]:
+class _EdgeIndex:
+    """An edge matrix without its data. ``cols`` holds the column indices of
+    one target slot's rows, (H, 1, E F_s), which every target slot repeats,
+    in int32 when they fit. ``csr`` is the matrix and ``csc`` its transpose
+    over the same ``indptr``, built at the first product that needs it. A
+    product lends a matrix its data and the repeated columns only while it
+    runs (:func:`_lend`), so between products neither matrix holds any."""
+
+    def __init__(self, cols: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        self.cols, self._indptr, self._shape = cols, indptr, shape
+        self.csr = self._empty(scipy.sparse.csr_array, shape)
+
+    @functools.cached_property
+    def csc(self) -> scipy.sparse.csc_array:
+        return self._empty(scipy.sparse.csc_array, self._shape[::-1])
+
+    def _empty(self, kind, shape):
+        empty = (np.zeros(0), np.zeros(0, dtype=self.cols.dtype), np.zeros_like(self._indptr))
+        m = kind(empty, shape=shape)
+        m.indptr, m.data, m.indices = self._indptr, None, None
+        return m
+
+
+def _build_edge_index(sources, indptr, n_src, heads, f_s, f_t) -> _EdgeIndex:
     # row (m, j, t) lists the columns (m, s, i) of t's edges in order, i fastest
     e, n_dst = sources.size, indptr.size - 1
     fits = max(heads * f_t * e * f_s, heads * f_s * n_src, heads * f_t * n_dst) < 2**31
@@ -394,7 +452,11 @@ def _build_edge_index(sources, indptr, n_src, heads, f_s, f_t) -> tuple[np.ndarr
     nodes = np.arange(heads, dtype=idx)[:, None] * n_src + sources.astype(idx)  # (H, E)
     cols = nodes[..., None] * f_s + np.arange(f_s, dtype=idx)
     starts = (np.arange(heads * f_t, dtype=idx)[:, None] * e + indptr[:-1].astype(idx)) * f_s
-    return cols.reshape(heads, 1, e * f_s), np.append(starts.reshape(-1), idx(cols.size * f_t))
+    return _EdgeIndex(
+        cols.reshape(heads, 1, e * f_s),
+        np.append(starts.reshape(-1), idx(cols.size * f_t)),
+        (heads * f_t * n_dst, heads * f_s * n_src),
+    )
 
 
 def gather(a: Tensor, idx) -> Tensor:
@@ -448,28 +510,37 @@ def _node_blocks(rows: np.ndarray, heads: int, n: int, f: int) -> np.ndarray:
     return rows.reshape(heads, f, n, d_h).transpose(_TARGETS).reshape(n, f, heads * d_h)
 
 
-def _edge_matrix(
-    w: np.ndarray, src: Segments, dst: Segments, transpose: bool = False
-) -> scipy.sparse.csr_array | scipy.sparse.csc_array:
-    """The per-edge blocks ``w`` (E, H, F_s, F_t) as one sparse matrix, block
+def _edge_products(
+    w: np.ndarray, src: Segments, dst: Segments,
+    right: np.ndarray | None = None, left: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``A @ right`` and ``A^T @ left`` (None for an operand not given), with
+    the per-edge blocks ``w`` (E, H, F_s, F_t) as one sparse matrix A, block
     diagonal over heads: row (m, j, t) holds w[e, m, i, j] in column (m, s, i)
     for each edge e = (s, t) and source slot i. Times source blocks as
-    ``_SOURCES`` rows it sums w^T x over each target's edges into ``_TARGETS``
-    rows, which its transpose sends back onto the sources; either way no
-    block is copied onto the edges. A CSR matrix, or with ``transpose`` its
-    transpose, read as CSC from the same arrays.
+    ``_SOURCES`` rows A sums w^T x over each target's edges into ``_TARGETS``
+    rows, and A^T sends ``_TARGETS`` rows back onto the sources; either way no
+    block is copied onto the edges. ``w`` is laid out once for both products,
+    into the structure that ``dst`` keeps for these edges and this shape.
     """
     e, heads, f_s, f_t = w.shape
-    cols, indptr = dst.edge_index(src, heads, f_s, f_t)
-    arrays = (
-        (w if dst.order is None else w[dst.order]).transpose(1, 3, 0, 2).reshape(-1),
-        np.repeat(cols, f_t, axis=1).reshape(-1),
-        indptr,
+    ix = dst.edge_index(src, heads, f_s, f_t)
+    data = (w if dst.order is None else w[dst.order]).transpose(1, 3, 0, 2).reshape(-1)
+    indices = np.repeat(ix.cols, f_t, axis=1).reshape(-1)
+    return (
+        None if right is None else _lend(ix.csr, data, indices, right),
+        None if left is None else _lend(ix.csc, data, indices, left),
     )
-    shape = (heads * f_t * dst.num_segments, heads * f_s * src.num_segments)
-    if transpose:
-        return scipy.sparse.csc_array(arrays, shape=shape[::-1])
-    return scipy.sparse.csr_array(arrays, shape=shape)
+
+
+def _lend(matrix, data: np.ndarray, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` with ``data`` and ``indices`` lent to ``matrix`` for the
+    product only."""
+    matrix.data, matrix.indices = data, indices
+    try:
+        return matrix @ x
+    finally:
+        matrix.data, matrix.indices = None, None
 
 
 def edge_attention(
@@ -484,8 +555,9 @@ def edge_attention(
     (K W)[s] q[t]^T are scaled before the softmax, or after it with
     ``scale_outside``. ``joint`` normalizes over a target's (edge, source
     slot) pairs per target slot, ``literal`` over its edges per slot pair.
-    Backward takes the query and K W gradients as one sparse product each
-    with the softmax-input gradient as the edge matrix.
+    Backward lays the softmax-input gradient out once as the edge matrix and
+    takes the query gradient from it and the K W gradient from its transpose,
+    one sparse product each, in the structure ``dst`` keeps for these edges.
     """
     ids, joint = dst.ids, {"joint": True, "literal": False}[mode]
     heads, d_h = att.shape[0], att.shape[-1]
@@ -523,9 +595,9 @@ def edge_attention(
         g = g * scale if scale_outside else g
         gx = y * (g - spread(dst.sum(pool(np.add, g * y))))
         gx = gx if scale_outside else gx * scale
-        a = _edge_matrix(gx, src, dst)
-        g_q = _node_blocks(a @ kw.reshape(-1, d_h), heads, dst.num_segments, q.shape[1])
-        g_kw = (a.T @ _head_rows(q.data, heads)).reshape(rows.shape)
+        g_q, g_kw = _edge_products(gx, src, dst, kw.reshape(-1, d_h), _head_rows(q.data, heads))
+        g_q = _node_blocks(g_q, heads, dst.num_segments, q.shape[1])
+        g_kw = g_kw.reshape(rows.shape)
         g_keys = (g_kw @ np.swapaxes(att.data, -1, -2)).transpose(1, 0, 2).reshape(keys.shape)
         return g_keys, g_q, np.swapaxes(rows, -1, -2) @ g_kw
 
@@ -539,19 +611,20 @@ def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> T
     [m d/H, (m+1) d/H). The sum is one sparse product with the attention as
     the edge matrix, adding a target's edges in storage order and the source
     slots of each edge in turn; backward sends the gradient back through its
-    transpose, and only the attention gradient is taken edge by edge.
+    transpose, and only the attention gradient is taken edge by edge. The
+    matrix's structure is the one ``dst`` keeps for these edges and shape.
     """
     e, heads, f_s, f_t = attn.shape
     n_dst, d = dst.num_segments, ext.shape[2]
     if d % heads or ext.shape[:2] != (src.num_segments, f_s) or {len(src.ids), len(dst.ids)} != {e}:
         raise ShapeError(f"edge_aggregate: {attn.shape} and {ext.shape} do not fit the edges")
 
-    msg = _edge_matrix(attn.data, src, dst) @ _head_rows(ext.data, heads, _SOURCES)
+    msg, _ = _edge_products(attn.data, src, dst, right=_head_rows(ext.data, heads, _SOURCES))
 
     def back(g):
         ext_t = _heads_t(ext.data, heads)
         g_attn = _edge_rows(np.swapaxes(ext_t, -1, -2), src) @ _edge_rows(_heads_t(g, heads), dst)
-        g_ext = _edge_matrix(attn.data, src, dst, transpose=True) @ _head_rows(g, heads)
+        _, g_ext = _edge_products(attn.data, src, dst, left=_head_rows(g, heads))
         g_ext = g_ext.reshape(heads, src.num_segments, f_s, d // heads).transpose(1, 2, 0, 3)
         return g_attn, g_ext.reshape(ext.shape)
 

@@ -95,6 +95,15 @@ def csr_slices_by_filter(edges: np.ndarray, num_targets: int) -> list[list[int]]
     return [sorted(lst) for lst in out]
 
 
+def segment_reduce_by_scan(ids, x: np.ndarray, num_segments: int, op, init) -> np.ndarray:
+    """Per-segment reduction of the rows of x: each segment starts at ``init``
+    and folds in its rows with ``op`` in the order a scan of ``ids`` meets them."""
+    out = np.full((num_segments,) + x.shape[1:], init, dtype=x.dtype)
+    for r, s in enumerate(ids):
+        out[s] = op(out[s], x[r])
+    return out
+
+
 def induced_pairs(edges: np.ndarray, keep_src: set[int], keep_dst: set[int]) -> list[tuple[int, int]]:
     """The (source, target) pairs, repeats included, whose endpoints are both
     kept, sorted; a linear scan of the edge list."""

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,3 +372,29 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:30])
         with pytest.raises(ValueError, match=r"checkpoint\.bin: parameter 'b' needs bytes 24\.\.40"):
             load_checkpoint(fresh, tmp_path)
+
+
+class TestKeepFreedMemory:
+    @staticmethod
+    def fake_libc(monkeypatch, libc):
+        from slotgnn import cli
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: (libc, "2.36"))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        return calls
+
+    def test_main_raises_both_glibc_thresholds_once(self, monkeypatch, tmp_path):
+        calls = self.fake_libc(monkeypatch, "glibc")
+        assert main(["train", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 2
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+
+    def test_skipped_off_glibc(self, monkeypatch, tmp_path):
+        calls = self.fake_libc(monkeypatch, "")
+        main(["train", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path)])
+        assert calls == []

@@ -175,6 +175,34 @@ class TestSlotDropout:
             rows = sub.orig_ids[name]
             assert np.array_equal(sub_out[name].data, full_out[name].data[rows])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_per_slot_scale_equals_the_materialized_mask_product(self, dtype):
+        # the (n, F, 1) scale gives the bytes of a product with the whole
+        # (n, F, d) mask, forward and backward
+        from slotgnn.graph import sample_subgraph, synthetic_generate, SyntheticSpec
+
+        g = synthetic_generate(SyntheticSpec(num_targets=30, num_mid=12, num_attr=6, num_junk=6), 0)
+        sub = sample_subgraph(g, g.splits["train"][:5], depth=2, budget=4, seed=1).graph
+        p, seed, draw = 0.3, (5, 1), np.random.default_rng(2)
+        state = {
+            n: T.Tensor(draw.normal(size=(sub.counts[n], 3, 4)), requires_grad=True, dtype=dtype)
+            for n in sub.counts
+        }
+        ups = {n: T.Tensor(draw.normal(size=t.shape), dtype=dtype) for n, t in state.items()}
+        with T.Tape() as tape:
+            out = slot_dropout(state, p, seed=seed, graph=sub)
+            parts = [T.reduce_sum(T.mul(out[n], ups[n])) for n in state]
+            grads = tape.backward(T.reduce_sum(T.concat([T.reshape(x, (1,)) for x in parts], 0)))
+        for ti, (name, tens) in enumerate(state.items()):
+            ids = sub.orig_ids[name]
+            rng = np.random.default_rng(np.random.SeedSequence([seed, ti]))
+            keep = rng.random((ids.max(initial=-1) + 1, 3))[ids] >= p
+            mask = np.broadcast_to((keep / (1.0 - p))[:, :, None], tens.shape)
+            mask = T.Tensor(np.ascontiguousarray(mask), dtype=dtype)
+            assert out[name].dtype == dtype
+            assert out[name].data.tobytes() == T.mul(tens, mask).data.tobytes()
+            assert grads[tens].tobytes() == (ups[name].data * mask.data).tobytes()
+
     def test_mask_stream_is_pinned(self):
         # type ti's kept slots are the draw default_rng([seed, ti]).random((n, f)) >= p
         # over the root graph's n nodes, read at each node's original id

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +125,102 @@ class TestFlatMatmul:
             return T.reduce_sum(T.mul(y, y))
 
         assert T.finite_diff_check(f, [a, b]) < 1e-6
+
+
+class TestAffine:
+    @staticmethod
+    def operands(shape, dtype=np.float32, seed=50):
+        g = rng(seed)
+        x = T.Tensor(g.normal(size=shape), requires_grad=True, dtype=dtype)
+        w = T.Tensor(g.normal(size=(shape[-1], 4)), requires_grad=True, dtype=dtype)
+        b = T.Tensor(g.normal(size=4), requires_grad=True, dtype=dtype)
+        return x, w, b
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 3, 5)])
+    def test_forward_and_gradients_equal_add_of_matmul_to_the_bit(self, shape, dtype):
+        x, w, b = self.operands(shape, dtype)
+        up = T.Tensor(rng(51).normal(size=shape[:-1] + (4,)), dtype=dtype)
+        outs, tables = [], []
+        for f in (T.affine, lambda x, w, b: T.add(T.matmul(x, w), b)):
+            with T.Tape() as tape:
+                y = f(x, w, b)
+                tables.append(tape.backward(T.reduce_sum(T.mul(y, up))))
+            outs.append(y.data)
+        assert outs[0].dtype == dtype and outs[0].tobytes() == outs[1].tobytes()
+        for p in (x, w, b):
+            got, want = tables[0][p], tables[1][p]
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_tape_node_and_no_gradient_for_a_constant_input(self):
+        x, w, b = self.operands((6, 3, 5))
+        x.requires_grad = False
+        with T.Tape() as tape:
+            y = T.affine(x, w, b)
+            assert len(tape.nodes) == 1
+            g_x, g_w, g_b = tape.nodes[0].backward(np.ones(y.shape, dtype=y.dtype))
+        assert g_x is None and g_w.shape == w.shape and g_b.shape == b.shape
+
+    def test_gradients_match_finite_differences(self):
+        x, w, b = self.operands((4, 3, 5), np.float64, seed=52)
+
+        def f():
+            y = T.affine(x, w, b)
+            return T.reduce_sum(T.mul(y, y))
+
+        assert T.finite_diff_check(f, [x, w, b]) < 1e-6
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((6, 5), (5, 4), (3,)),  # bias of another width
+        ((6, 5), (5, 4), (1, 4)),  # bias not a vector
+        ((6, 5), (4, 4), (4,)),  # inner dims differ
+        ((6, 5), (5,), (5,)),  # weight not a matrix
+        ((5,), (5, 4), (4,)),  # input a vector
+        ((2, 6, 3, 5), (5, 4), (4,)),  # input of rank 4
+    ])
+    def test_bad_shapes_raise(self, x_shape, w_shape, b_shape):
+        x, w, b = (T.Tensor(np.ones(s)) for s in (x_shape, w_shape, b_shape))
+        with pytest.raises(T.ShapeError):
+            T.affine(x, w, b)
+
+
+class TestMul:
+    def test_per_slot_scale_broadcasts_and_its_gradient_sums(self):
+        g = rng(53)
+        a = T.Tensor(g.normal(size=(3, 2, 4)), requires_grad=True, dtype=np.float64)
+        s = T.Tensor(g.normal(size=(3, 2, 1)), requires_grad=True, dtype=np.float64)
+        up = g.normal(size=(3, 2, 4))
+        with T.Tape() as tape:
+            y = T.mul(a, s)
+            grads = tape.backward(T.reduce_sum(T.mul(y, T.Tensor(up, dtype=np.float64))))
+        assert np.array_equal(y.data, a.data * s.data)
+        assert np.array_equal(grads[a], up * s.data)
+        assert np.array_equal(grads[s], (up * a.data).sum(axis=2, keepdims=True))
+
+        def f():
+            y = T.mul(a, s)
+            return T.reduce_sum(T.mul(y, y))
+
+        assert T.finite_diff_check(f, [a, s]) < 1e-6
+
+    def test_input_without_gradient_gets_none(self):
+        a = T.Tensor(np.ones((3, 2, 4)), requires_grad=True)
+        s, b = T.Tensor(np.full((3, 2, 1), 2.0)), T.Tensor(np.ones((3, 2, 4)))
+        g = np.ones((3, 2, 4), dtype=np.float32)
+        with T.Tape() as tape:
+            T.mul(a, s)
+            T.mul(b, a)
+            (g_a, g_s), (g_b, g_a2) = (node.backward(g) for node in tape.nodes)
+        assert g_s is None and g_b is None
+        assert np.array_equal(g_a, 2.0 * g) and np.array_equal(g_a2, g)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 2, 4), (3, 2, 2)), ((3, 2, 4), (3, 8)), ((3, 2, 1), (3, 2, 4)), ((3, 2, 4), (4,)),
+    ])
+    def test_bad_shapes_raise(self, a_shape, b_shape):
+        with pytest.raises(T.ShapeError):
+            T.mul(T.Tensor(np.ones(a_shape)), T.Tensor(np.ones(b_shape)))
 
 
 class TestSoftmax:
@@ -577,6 +674,44 @@ class TestFusedEdgeOps:
         assert len(builds) == built  # the test blocks' views kept theirs
         assert 0 < len(builds) == len(wanted)
 
+    @staticmethod
+    def fresh_edge_matrix(w, src, dst):
+        """The edge matrix of ``T._edge_products`` entry by entry, handed to
+        scipy anew: row (m, j, t) lists the edges into t in storage order and
+        each edge's source slots i, at column (m, s, i)."""
+        e, heads, f_s, f_t = w.shape
+        n_s, n_t = src.num_segments, dst.num_segments
+        data, indices, indptr = [], [], [0]
+        for m in range(heads):
+            for j in range(f_t):
+                for t in range(n_t):
+                    for k in np.flatnonzero(dst.ids == t):
+                        for i in range(f_s):
+                            data.append(w[k, m, i, j])
+                            indices.append((m * n_s + src.ids[k]) * f_s + i)
+                    indptr.append(len(data))
+        arrays = (np.array(data, dtype=w.dtype), np.array(indices), np.array(indptr))
+        return scipy.sparse.csr_array(arrays, shape=(heads * f_t * n_t, heads * f_s * n_s))
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_products_equal_a_fresh_matrix_to_the_bit(self, dtype, shuffled):
+        *_, src, dst = self.graph(shuffled=shuffled)
+        heads, f_s, f_t, d_h = 2, 3, 2, 3
+        g = rng(48)
+        for _ in range(2):  # the second call's data must replace the first's
+            w = g.normal(size=(5, heads, f_s, f_t)).astype(dtype)
+            right = g.normal(size=(heads * 4 * f_s, d_h)).astype(dtype)
+            left = g.normal(size=(heads * f_t * 4, d_h)).astype(dtype)
+            fresh = self.fresh_edge_matrix(w, src, dst)
+            got_right, got_left = T._edge_products(w, src, dst, right, left)
+            for got, want in ((got_right, fresh @ right), (got_left, fresh.T @ left)):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            assert T._edge_products(w, src, dst, right=right)[1] is None
+        (index,) = dst._edge_index.values()
+        for m in (index.csr, index.csc):
+            assert m.data is None and m.indices is None  # nothing of a call stays
+
     def test_target_without_edges_gets_a_zero_block(self):
         keys, q, att, ext, src, dst = self.graph(dtype=np.float32)
         with T.Tape() as tape:
@@ -685,6 +820,46 @@ class TestSegments:
         got_max = seg.max(x)
         assert got_max.dtype == dtype
         assert np.array_equal(got_max, want_max)
+
+    def test_order_is_sorted_only_when_read(self):
+        seg = T.Segments(np.array([2, 0, 2, 1]), 3)
+        assert not seg.sorted and "order" not in vars(seg)
+        seg.max(np.ones((4, 1)))
+        assert np.array_equal(vars(seg)["order"], [1, 3, 0, 2])
+        assert T.Segments(np.array([0, 0, 2]), 3).order is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unsorted_reductions_and_edge_matrix_match_the_scan_oracles(self, dtype):
+        g = rng(34)
+        src_ids, dst_ids = g.integers(0, 5, size=40), g.integers(0, 6, size=40)
+        src, dst = T.Segments(src_ids, 5), T.Segments(dst_ids, 7)  # target 6 has no edges
+        assert not dst.sorted
+        x = g.normal(size=(40, 3, 2)).astype(dtype)
+        assert np.array_equal(dst.sum(x), oracles.segment_reduce_by_scan(dst_ids, x, 7, np.add, 0))
+        assert np.array_equal(
+            dst.max(x), oracles.segment_reduce_by_scan(dst_ids, x, 7, np.maximum, -np.inf)
+        )
+        # with unit weights, row (m, j, t) of the edge matrix times the one-hot
+        # source of each column (m, s, i) counts F_s per edge s -> t
+        heads, f_s, f_t = 2, 2, 3
+        onehot = np.tile(np.repeat(np.eye(5, dtype=dtype), f_s, axis=0), (heads, 1))
+        counts, _ = T._edge_products(np.ones((40, heads, f_s, f_t), dtype=dtype), src, dst, onehot)
+        counts = counts.reshape(heads, f_t, 7, 5)
+        edges = np.stack([src_ids, dst_ids], axis=1)
+        for t, sources in enumerate(oracles.csr_slices_by_filter(edges, 7)):
+            assert np.all(counts[:, :, t] == f_s * np.bincount(sources, minlength=5))
+
+    def test_no_source_segments_sorted_in_a_desk_train_step(self):
+        # only reductions into targets read ``order``; the sources of a view
+        # are read by id, so their sort would be wasted
+        g = synthetic_generate(SyntheticSpec(), seed=101)
+        cfg = from_profile("desk").replace(epochs=1)
+        train(init_model(g, cfg), g, cfg)  # one full-batch step and evaluate("valid")
+        blocks = [b for plan in g._blocks.values() for b in plan.layers]
+        views = list(g._views.values()) + [view for b in blocks for view in b.views.values()]
+        sources = [view.src for view in views]
+        assert len(g._blocks) == 2 and any(not s.sorted for s in sources)
+        assert not any("order" in vars(s) for s in sources)
 
     def test_ops_accept_segments_or_ids(self):
         a = T.Tensor(rng(33).normal(size=(4, 2)))

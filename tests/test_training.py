@@ -364,9 +364,10 @@ class TestTrain:
             train(init_model(g, cfg), g, cfg)
 
     def test_desk_train_step_tape_size_is_pinned(self, monkeypatch):
-        # each relation's attention (K W included), its aggregation and the
-        # fusion head after its query are one fused node apiece; a change that
-        # splits them into several ops shows up here
+        # each relation's attention (K W included), its aggregation, the
+        # fusion head after its query and every affine map (product and bias)
+        # are one fused node apiece; a change that splits them into several
+        # ops shows up here
         nodes = []
         backward = T.Tape.backward
 
@@ -378,7 +379,7 @@ class TestTrain:
         g = synthetic_generate(SyntheticSpec(), seed=101)
         cfg = from_profile("desk").replace(epochs=1)
         train(init_model(g, cfg), g, cfg)
-        assert nodes == [83]
+        assert nodes == [70]
 
 
 class TestEvaluate:
