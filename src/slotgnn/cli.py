@@ -176,6 +176,13 @@ def _final_metrics(model, graph):
     raise ConfigError("graph has no non-empty split to evaluate")
 
 
+def _write_manifest(run: RunConfig, out: Path, command: str, outputs: list[str], dataset_hash=None):
+    """manifest.json over ``outputs``, with the hash of the run's dataset
+    unless ``dataset_hash`` is given."""
+    dataset_hash = dataset_hash or artifacts.dataset_fingerprint(run.dataset)
+    artifacts.write_manifest(out, command, run.echo(), run.train.seed, dataset_hash, outputs)
+
+
 def cmd_train(run: RunConfig, out: Path) -> int:
     graph = _load_graph(run)
     model = init_model(graph, run.train)
@@ -189,11 +196,7 @@ def cmd_train(run: RunConfig, out: Path) -> int:
     outputs += ["log.json", "config.json"]
     metrics, split = _final_metrics(model, graph)
     artifacts.write_json(metrics, out / "metrics.json")
-    outputs.append("metrics.json")
-    artifacts.write_manifest(
-        out, "train", run.echo(), run.train.seed,
-        artifacts.dataset_fingerprint(run.dataset), outputs + ["manifest.json"],
-    )
+    _write_manifest(run, out, "train", outputs + ["metrics.json"])
     print(f"trained {run.train.epochs} epochs; {split} metrics: {metrics}")
     return 1 if result.diverged else 0
 
@@ -203,10 +206,7 @@ def cmd_eval(run: RunConfig, out: Path) -> int:
     model = _restore_model(run, graph)
     metrics = evaluate(model, graph, run.split)
     artifacts.write_json(metrics, out / "metrics.json")
-    artifacts.write_manifest(
-        out, "eval", run.echo(), run.train.seed,
-        artifacts.dataset_fingerprint(run.dataset), ["metrics.json", "manifest.json"],
-    )
+    _write_manifest(run, out, "eval", ["metrics.json"])
     print(json.dumps(metrics, sort_keys=True))
     return 0
 
@@ -223,11 +223,7 @@ def cmd_explain(run: RunConfig, out: Path) -> int:
     )
     artifacts.write_json(report.to_json(), out / "report.json")
     (out / "report.txt").write_text(report.render_text())
-    artifacts.write_manifest(
-        out, "explain", run.echo(), run.train.seed,
-        artifacts.dataset_fingerprint(run.dataset),
-        ["report.json", "report.txt", "manifest.json"],
-    )
+    _write_manifest(run, out, "explain", ["report.json", "report.txt"])
     print(report.render_text(), end="")
     return 0
 
@@ -244,10 +240,7 @@ def cmd_gradcheck(run: RunConfig, out: Path) -> int:
     model = init_model(graph, run.train)
     report = grad_check_model(model, graph)
     artifacts.write_json(report, out / "gradcheck.json")
-    artifacts.write_manifest(
-        out, "gradcheck", run.echo(), run.train.seed, dataset_hash,
-        ["gradcheck.json", "manifest.json"],
-    )
+    _write_manifest(run, out, "gradcheck", ["gradcheck.json"], dataset_hash)
     width = max(len(name) for name in report)
     for name in sorted(report, key=lambda n: -report[n]):
         print(f"{name.ljust(width)}  {report[name]:.3e}")

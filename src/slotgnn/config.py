@@ -36,12 +36,13 @@ class TrainConfig:
     early_stop_patience: int = 0  # 0 disables early stopping
 
     def validate(self) -> None:
+        """Raise ValueError naming the first setting out of range; NaN is in no range."""
+        for text, (allowed, names) in _RANGES.items():
+            for name in names.split():
+                if not allowed(getattr(self, name)):
+                    raise ValueError(f"{name} must be {text}, got {getattr(self, name)!r}")
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} must be divisible by heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.epochs < 1 or self.layers < 1:
-            raise ValueError("epochs and layers must be at least 1")
         for f in dataclasses.fields(self):
             choices = f.metadata.get("choices")
             if choices and getattr(self, f.name) not in choices:
@@ -49,6 +50,16 @@ class TrainConfig:
 
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)
+
+
+_RANGES = {
+    "at least 1": (lambda v: v >= 1, "dim heads layers epochs batch_size batches_per_epoch "
+                   "sample_depth sample_budget"),
+    "positive": (lambda v: v > 0, "max_lr lr_div lr_final_div eps"),
+    "non-negative": (lambda v: v >= 0, "weight_decay early_stop_patience"),
+    "in [0, 1]": (lambda v: 0 <= v <= 1, "start_fraction"),
+    "in [0, 1)": (lambda v: 0 <= v < 1, "dropout beta1 beta2"),
+}
 
 
 # "desk" keeps runs laptop-sized; "paper" restores the published scale.

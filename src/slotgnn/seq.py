@@ -51,12 +51,6 @@ class LayerSlot:
 SlotLabel = Union[BaseSlot, MsgSlot, LayerSlot]
 
 
-def sequence_length(schema: Schema, type_name: str, layer: int) -> int:
-    """Closed form of the slot-count recurrence F_l = F_{l-1} * (len(R)+1)."""
-    growth = len(schema.relations_into(type_name)) + 1
-    return schema.base_slots(type_name) * growth ** layer
-
-
 def slot_labels(schema: Schema, num_layers: int) -> dict[str, list[list[SlotLabel]]]:
     """Provenance tables for layers 0..num_layers, per node type.
 

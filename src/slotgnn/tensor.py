@@ -21,7 +21,11 @@ structure of that matrix depends only on the view's edges and the shape, so
 the view keeps it from the first product on, and a product lends it only its
 data. Backward keeps only the attention weights and K W. The fusion head is
 one more fused op, :func:`slot_fusion`, on the same layout, and so is each
-affine map, :func:`affine`.
+affine map, :func:`affine`. Only raw data, the logits a loss reads and the
+loss it returns are screened for NaN and inf (:class:`NonFiniteError`), one
+pass each; an op's output is not. A non-finite value an op makes reaches the
+logits, unless a softmax gives a -inf weight 0, so the fused ops screen what
+their softmax reads: K W in :func:`edge_attention`, logits in :func:`slot_fusion`.
 """
 
 from __future__ import annotations
@@ -54,17 +58,12 @@ _ACTIVE_TAPE: "Tape | None" = None
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    # cheap screen first: any nan/inf makes the sum non-finite, and a finite
-    # sum that merely overflowed is cleared by the precise pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(arr.sum()):
-            return
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("non-finite value produced")
 
 
 class Tensor:
-    """A dense real tensor, optionally tracked by the active tape."""
+    """A dense real tensor, optionally taped; screened for NaN and inf if built from raw data."""
 
     __slots__ = ("data", "requires_grad", "name", "_tape", "_node", "__weakref__")
 
@@ -179,19 +178,12 @@ class Tape:
         }
 
 
-def _make(
-    out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable, screen: bool = True
-) -> Tensor:
-    """Wrap an op's output and record it. Ops that only move values of their
-    inputs, which were screened when they were made, pass ``screen=False``."""
+def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+    """Wrap an op's output, unscreened (see the module docstring), and record it."""
     requires = any(p.requires_grad for p in parents)
-    if screen:
-        out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
-    else:
-        out = Tensor.__new__(Tensor)
-        out.data, out.requires_grad, out.name, out._tape, out._node = (
-            out_data, requires, None, None, None
-        )
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad = out_data, requires
+    out.name = out._tape = out._node = None
     if requires and _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(out, parents, backward_fn)
     return out
@@ -289,7 +281,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def back(g):
         return (g.reshape(old),)
 
-    return _make(a.data.reshape(shape), (a,), back, screen=False)
+    return _make(a.data.reshape(shape), (a,), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -316,7 +308,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         )
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make(data, tuple(tensors), back, screen=False)
+    return _make(data, tuple(tensors), back)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +470,7 @@ def gather(a: Tensor, idx) -> Tensor:
     def back(g):
         return ((idx if isinstance(idx, Segments) else Segments(ids, a.shape[0])).sum(g),)
 
-    return _make(a.data[ids], (a,), back, screen=False)
+    return _make(a.data[ids], (a,), back)
 
 
 def _edge_rows(x: np.ndarray, seg: Segments) -> np.ndarray:
@@ -699,11 +691,14 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise ValueError("label index out of range")
     x = logits.data
+    # a -inf logit of another class leaves the loss finite, so screen both
+    _check_finite(x)
     m = x.max(axis=1, keepdims=True)
     z = x - m
     lse = np.log(np.exp(z).sum(axis=1)) + m[:, 0]
     losses = lse - x[np.arange(n), labels]
     out_data = np.asarray(losses.mean(), dtype=x.dtype)
+    _check_finite(out_data)
 
     def back(g):
         p = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
@@ -719,8 +714,10 @@ def logistic_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.shape != logits.shape:
         raise ShapeError("logistic_loss: targets must match logits shape")
     x = logits.data
+    _check_finite(x)
     losses = np.maximum(x, 0) - x * targets + np.log1p(np.exp(-np.abs(x)))
     out_data = np.asarray(losses.mean(), dtype=x.dtype)
+    _check_finite(out_data)
     count = x.size
 
     def back(g):

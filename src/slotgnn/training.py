@@ -58,7 +58,9 @@ class AdamW:
     ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` with ``c = 1 - b ** t``.
     Write parameters in place (``p.data[...] = x``) once the optimizer is
     built; a rebound parameter would silently stop training, so a step
-    refuses it.
+    refuses it. The gradient vector is the one screen for NaN and inf after
+    the loss (see :mod:`slotgnn.tensor`): a non-finite gradient raises
+    :class:`OptimizerError` naming its parameter.
     """
 
     def __init__(
@@ -100,11 +102,9 @@ class AdamW:
                     "write into p.data[...] instead of rebinding it"
                 )
             g_view[...] = grads.get(p, 0)
-        # one sum screens the whole vector; only a non-finite sum, which may
-        # also be a finite vector that overflowed, is searched slice by slice
-        with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(self._grad.sum()):
-                return
+        if np.isfinite(self._grad).all():
+            return
+        # only a failed screen searches the slices, to name the parameter
         for (name, _), g_view in zip(self.params, self._grad_views):
             if not np.all(np.isfinite(g_view)):
                 raise OptimizerError(f"non-finite gradient in parameter {name!r}")

@@ -30,6 +30,17 @@ def quick_flags(dataset, out, epochs="2"):
     ]
 
 
+# each numeric setting just outside its range, and NaN, which no range holds
+OUT_OF_RANGE = [
+    ("dim", "0"), ("heads", "0"), ("layers", "0"), ("epochs", "0"), ("batch_size", "0"),
+    ("batches_per_epoch", "0"), ("sample_depth", "0"), ("sample_budget", "0"),
+    ("max_lr", "0"), ("max_lr", "-1"), ("max_lr", "nan"), ("lr_div", "0"),
+    ("lr_final_div", "0"), ("eps", "0"), ("weight_decay", "-0.01"),
+    ("early_stop_patience", "-1"), ("start_fraction", "-0.1"), ("start_fraction", "1.5"),
+    ("dropout", "1"), ("beta1", "-0.1"), ("beta1", "1"), ("beta2", "1"),
+]
+
+
 class TestParseConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -80,6 +91,28 @@ class TestParseConfig:
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
             parse_config(None, {"train.dim": "30", "train.heads": "4"})
+
+    @pytest.mark.parametrize("name,raw", OUT_OF_RANGE, ids=[f"{n}={r}" for n, r in OUT_OF_RANGE])
+    def test_out_of_range_setting_rejected(self, name, raw):
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            parse_config(None, {f"train.{name}": raw})
+
+    def test_range_edges_accepted(self):
+        edges = {
+            "start_fraction": 0.0, "beta1": 0.0, "beta2": 0.0, "weight_decay": 0.0,
+            "early_stop_patience": 0, "dim": 1, "heads": 1, "batch_size": 1,
+            "batches_per_epoch": 1, "sample_depth": 1, "sample_budget": 1,
+        }
+        run = parse_config(None, {f"train.{k}": str(v) for k, v in edges.items()})
+        assert all(getattr(run.train, k) == v for k, v in edges.items())
+        assert parse_config(None, {"train.start_fraction": "1"}).train.start_fraction == 1.0
+
+    def test_out_of_range_exit_code(self, tmp_path, dataset, capsys):
+        out = tmp_path / "out"
+        code = main(["train", "--dataset", str(dataset), "--out", str(out), "--heads", "0"])
+        assert code == 2
+        assert "config error: heads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
 
 
 def flag_echo(argv):

@@ -8,7 +8,6 @@ from slotgnn.seq import (
     InputProjection,
     MsgSlot,
     project_features,
-    sequence_length,
     slot_dropout,
     slot_labels,
 )
@@ -114,7 +113,6 @@ class TestSlotLabels:
                 want = schema.base_slots(nt.name)
                 for layer in range(layers + 1):
                     assert len(tables[nt.name][layer]) == want
-                    assert sequence_length(schema, nt.name, layer) == want
                     want *= growth
 
     def test_label_table_bijection(self):

@@ -761,12 +761,17 @@ class TestFusedEdgeOps:
             assert len(tape.nodes) == 2
 
     def test_overflowing_logit_raises(self):
+        # the +inf logits make NaN attention, which the op passes on: the
+        # loss on top catches it
         keys, q, att, _, src, dst = self.graph(dtype=np.float32)
         att.data[...] = np.eye(2)  # K W is the keys, so only the logits overflow
         keys.data[2] = 3e38  # source 2's logits overflow float32 on edges 0 and 2
         q.data[...] = 10.0
-        with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
-            T.edge_attention(keys, q, att, src, dst)
+        with np.errstate(all="ignore"):
+            attn = T.edge_attention(keys, q, att, src, dst)
+            assert np.isnan(attn.data).any()
+            with pytest.raises(T.NonFiniteError):
+                T.softmax_cross_entropy(T.reshape(attn, (5, -1)), np.zeros(5, dtype=np.int64))
 
     def test_overflowing_key_product_raises(self):
         # K W of source 2 is -inf, but its logits are -inf and get weight 0
@@ -897,6 +902,26 @@ class TestLosses:
         want = -np.mean([np.log(p[i, labels[i]]) for i in range(3)])
         assert abs(loss.item() - want) < 1e-7
 
+    def test_negative_infinite_logit_raises(self):
+        # a -inf logit of a class other than the label leaves the
+        # cross-entropy finite, so the loss screens the logits it reads
+        with np.errstate(over="ignore"):
+            logits = T.mul(T.Tensor([[1.0, -3e38, 0.5]]), T.Tensor([[1.0, 10.0, 1.0]]))
+        assert logits.data[0, 1] == -np.inf
+        with pytest.raises(T.NonFiniteError):
+            T.softmax_cross_entropy(logits, np.array([0]))
+        for flag in (0.0, 1.0):
+            with pytest.raises(T.NonFiniteError):
+                T.logistic_loss(logits, np.array([[1.0, flag, 0.0]]))
+
+    def test_overflowing_loss_raises(self):
+        # finite logits whose cross-entropy overflows float32
+        logits = T.Tensor([[3e38, -3e38]])
+        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
+            T.softmax_cross_entropy(logits, np.array([1]))
+        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
+            T.logistic_loss(logits, np.array([[0.0, 1.0]]))
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             T.softmax_cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([0, 3]))
@@ -921,29 +946,50 @@ class TestLosses:
 
 class TestInvariants:
     def test_nan_detection(self):
-        with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError):
-            T.mul(T.Tensor([3e38]), T.Tensor([10.0]))  # overflows to inf in float32
+        # no op screens its output: the inf and the NaN it makes reach the loss
+        with np.errstate(all="ignore"):
+            inf = T.mul(T.Tensor([3e38]), T.Tensor([10.0]))  # overflows to inf in float32
+            nan = T.add(inf, T.mul(inf, T.Tensor([-1.0])))
+            for bad in (inf, nan):
+                with pytest.raises(T.NonFiniteError):
+                    T.logistic_loss(bad, np.zeros(1))
 
     def test_inf_from_matmul_raises(self):
         a = T.Tensor([[3e38, 3e38]], requires_grad=True)
-        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
-            T.matmul(a, T.Tensor([[10.0], [10.0]]))
+        with np.errstate(over="ignore"), T.Tape():
+            out = T.matmul(a, T.Tensor([[10.0], [10.0]]))
+            with pytest.raises(T.NonFiniteError):
+                T.softmax_cross_entropy(out, np.array([0]))
 
     def test_value_moving_ops_skip_the_screen(self, monkeypatch):
-        # their inputs were screened when made, so moving values adds nothing
+        # no op screens its output, whether it moves values or computes them:
+        # raw data and the loss are screened
         calls = []
         screen = T._check_finite
         monkeypatch.setattr(T, "_check_finite", lambda arr: calls.append(arr.shape) or screen(arr))
         a = T.Tensor(np.ones((4, 3)), requires_grad=True)
-        assert calls == [(4, 3)]  # raw data is screened
+        w = T.Tensor(np.ones((3, 3)), requires_grad=True)
+        b = T.Tensor(np.ones(3), requires_grad=True)
+        attn = T.Tensor(np.ones((2, 1, 1, 4)), requires_grad=True)
+        raw = [(4, 3), (3, 3), (3,), (2, 1, 1, 4)]
+        assert calls == raw
         with T.Tape():
             T.reshape(a, (3, 4))
             T.gather(a, np.array([2, 0]))
             T.gather(a, T.Segments(np.array([3, 1]), 4))
             T.concat([a, a], axis=0)
-            assert calls == [(4, 3)]
-            T.add(a, a)
-        assert calls == [(4, 3), (4, 3)]
+            T.add(a, b)
+            T.mul(a, a)
+            T.matmul(a, w)
+            T.reduce_sum(a)
+            T.reduce_mean(a, axis=0)
+            ext = T.reshape(a, (4, 1, 3))
+            src, dst = T.Segments(np.array([0, 3]), 4), T.Segments(np.array([1, 1]), 2)
+            T.edge_aggregate(attn, ext, src, dst)
+            logits = T.affine(a, w, b)
+            assert calls == raw
+            T.softmax_cross_entropy(logits, np.zeros(4, dtype=np.int64))
+        assert calls == raw + [(4, 3), ()]  # the logits the loss reads, and the loss
 
     def test_operations_deterministic(self):
         g = rng(21)

@@ -140,7 +140,7 @@ class TestAdamW:
             assert got.tobytes() == want.tobytes()
 
     def test_finite_gradient_whose_sum_overflows_is_accepted(self):
-        # the one-sum screen fails, but every slice is finite: not an error
+        # every entry is finite, so the screen passes though a sum would overflow
         p = T.Tensor(np.ones(4), requires_grad=True, name="w")  # float32
         grad = np.full(4, 3e38, dtype=np.float32)
         ref, ref_m, ref_v = [p.data.copy()], [np.zeros(4, np.float32)], [np.zeros(4, np.float32)]
@@ -304,6 +304,23 @@ class TestTrain:
         # one step per epoch: the failing epoch started after len(log) steps
         assert opt.vector.tobytes() == states[len(result.log)].tobytes()
 
+    @pytest.mark.parametrize("use_fusion", [True, False])
+    def test_forward_overflow_diverges_and_restores(self, use_fusion):
+        # a huge extraction weight overflows the last layer's messages at a
+        # normal learning rate; no op on the way screens them, and without the
+        # fusion head only the loss does
+        g = small_planted()
+        cfg = quick_cfg(epochs=3, use_fusion=use_fusion)
+        model = init_model(g, cfg)
+        rel = g.schema.relations_into(g.schema.target_type)[0]
+        model.layers[-1].ext[rel].data[...] = 3e38
+        start = [p.data.copy() for p in model.parameters()]
+        with np.errstate(all="ignore"):
+            result = train(model, g, cfg)
+        assert result.diverged and result.log == []
+        for p, want in zip(model.parameters(), start):
+            assert p.data.tobytes() == want.tobytes()
+
     def test_early_stopping(self):
         g = small_planted()
         cfg = quick_cfg(epochs=40, early_stop_patience=3, max_lr=1e-9, dropout=0.0)
@@ -380,6 +397,30 @@ class TestTrain:
         cfg = from_profile("desk").replace(epochs=1)
         train(init_model(g, cfg), g, cfg)
         assert nodes == [70]
+
+    def test_desk_train_step_screen_count_is_pinned(self, monkeypatch):
+        # screens run on raw tensors (features, featureless types' ones and
+        # per-layer dropout scales), on K W once per active relation, on the
+        # fusion logits and on the loss's input and output; a per-op screen
+        # that comes back shows up here
+        g = synthetic_generate(SyntheticSpec(), seed=101)
+        g.splits.pop("valid")  # one epoch is then one train step, no evaluate
+        cfg = from_profile("desk").replace(epochs=1)
+        model = init_model(g, cfg)
+        calls = []
+        monkeypatch.setattr(T, "_check_finite", lambda arr: calls.append(arr.shape))
+        train(model, g, cfg)
+        schema = g.schema
+        raw = sum(schema.base_slots(nt.name) for nt in schema.node_types)
+        raw += cfg.layers * len(schema.node_types)
+        plan = g.blocks(g.splits["train"], cfg.layers)
+        active = sum(
+            bool(block.views[rel].dst.num_segments)
+            for block in plan.layers for rel in schema.relations
+        )
+        assert cfg.dropout > 0 and cfg.use_fusion
+        assert len(calls) == raw + active + 1 + 2
+        assert calls[-2:] == [(g.splits["train"].size, schema.num_classes), ()]
 
 
 class TestEvaluate:
