@@ -21,6 +21,7 @@ import difflib
 import json
 import platform
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .config import PROFILES, TrainConfig, from_profile
 from .fixtures import GRADCHECK_SEED, gradcheck_graph
 from .fusion import metapath_report
 from .graph import DatasetError, load_dataset
-from .training import evaluate, grad_check_model, init_model, train
+from .training import evaluate, grad_check_model, gradcheck_loss, init_model, train
 
 GRADCHECK_LIMIT = 1e-4
 
@@ -228,6 +229,23 @@ def cmd_explain(run: RunConfig, out: Path) -> int:
     return 0
 
 
+def _project_gradcheck(model, graph) -> None:
+    """Print to stderr what the check will take: two forwards and losses
+    per coordinate, timed on one."""
+    coords = sum(p.data.size for _, p in model.named_parameters())
+    loss = gradcheck_loss(model, graph)
+    loss()  # builds the blocks every later forward reuses
+    start = time.perf_counter()
+    loss()
+    seconds = time.perf_counter() - start
+    total = 2 * coords * seconds
+    print(
+        f"gradcheck: {coords} coordinates, {seconds * 1e3:.2f} ms per forward and loss, "
+        f"projected {total:.0f} s ({total / 60:.1f} min)",
+        file=sys.stderr,
+    )
+
+
 def cmd_gradcheck(run: RunConfig, out: Path) -> int:
     if run.dataset is not None:
         graph = _load_graph(run)
@@ -238,6 +256,7 @@ def cmd_gradcheck(run: RunConfig, out: Path) -> int:
         run.train = run.train.replace(dim=8, heads=2, layers=2, seed=GRADCHECK_SEED)
     run.train = run.train.replace(precision="float64", dropout=0.0)
     model = init_model(graph, run.train)
+    _project_gradcheck(model, graph)
     report = grad_check_model(model, graph)
     artifacts.write_json(report, out / "gradcheck.json")
     _write_manifest(run, out, "gradcheck", ["gradcheck.json"], dataset_hash)

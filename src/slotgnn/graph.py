@@ -10,8 +10,10 @@ a canonical order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,7 +183,7 @@ class HeteroGraph:
         view = self._views.get(relation)
         if view is None:
             pairs = self.edges[relation].reshape(-1, 2)
-            order = np.lexsort((pairs[:, 0], pairs[:, 1]))
+            order = _edge_order(pairs, self.counts[relation.src])
             view = BipartiteView(
                 relation,
                 Segments(pairs[order, 0], self.counts[relation.src]),
@@ -290,12 +292,18 @@ class RawDataset:
     errors: list[str] = field(default_factory=list)
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+# the bytes np.loadtxt may read: tab, line ends and printable ASCII but the
+# csv module's quote character. Within them loadtxt takes a field only where
+# int() or float() does, and splits rows only where the csv module does, or
+# else raises
+_PLAIN = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\t\r\n"
+
+
+def _read_text(path: Path) -> tuple[str, list[str]]:
+    """The file's text and its header, the first row the csv module reads."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]
+        text = fh.read()
+    return text, next(csv.reader(io.StringIO(text, newline="")), [])
 
 
 def _parse_rows(path: Path, rows: list[list[str]], width: int, parse):
@@ -309,16 +317,71 @@ def _parse_rows(path: Path, rows: list[list[str]], width: int, parse):
             raise ValueError(f"{path.name} line {line}: {len(row)} values, expected {width}")
     try:
         return parse(rows)
-    except ValueError:
+    except (ValueError, OverflowError):
         for line, row in enumerate(rows, start=2):
             try:
                 parse([row])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path.name} line {line}: {exc}") from None
         raise
 
 
+def _loadtxt(text: str, header: list[str], dtype) -> np.ndarray | None:
+    """The body of a CSV file whose first line is ``header``, read by
+    ``np.loadtxt`` into ``dtype``, one row per line; None when loadtxt could
+    read it otherwise than the csv module and int()/float() would.
+
+    A structured ``dtype`` fixes the width; a plain one gives (rows, width).
+    """
+    dtype = np.dtype(dtype)
+    head, _, body = text.partition("\n")
+    if head.removesuffix("\r") != ",".join(header) or not body.isascii():
+        return None
+    if body.encode("ascii").translate(None, _PLAIN):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data", for one
+            table = np.loadtxt(
+                io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
+                ndmin=1 if dtype.names else 2,
+            )
+    except (ValueError, Warning):
+        return None
+    # loadtxt skips blank lines, which the row-by-row path rejects
+    lines = body.count("\n") + (not body.endswith("\n"))
+    if len(table) != lines or (table.ndim == 2 and table.shape[1] != len(header)):
+        return None
+    return table
+
+
+def _parse_table(path: Path, text: str, header: list[str], dtype, parse,
+                 from_table=lambda table: table):
+    """The rows after the header: ``from_table`` of ``np.loadtxt``'s table
+    where it reads the body as the row-by-row path would, or else ``parse`` of
+    the csv module's rows, through ``_parse_rows``, which names the first bad
+    line."""
+    table = _loadtxt(text, header, dtype)
+    if table is not None:
+        return from_table(table)
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    return _parse_rows(path, rows, len(header), parse)
+
+
 def read_raw(directory: str | Path) -> RawDataset:
+    """Parse a dataset directory without validating it.
+
+    Every CSV file is a header line, then one row per line of comma-separated
+    values, with no blank lines; LF or CRLF end the lines, and the last line
+    may lack one. Node ids, edge endpoints and label values are int64
+    integers, features float32 values.
+
+    ``np.loadtxt`` reads the rows of a file in one call. A file it could read
+    otherwise than the csv module and int()/float() would (quotes, non-ASCII
+    or control characters, a blank line, a row of another width, a value
+    loadtxt rejects) is read again row by row, and a bad value is reported
+    with the file and the first bad line (the header is line 1).
+    """
     raw = RawDataset()
     directory = Path(directory)
     schema_path = directory / "schema.json"
@@ -337,22 +400,25 @@ def read_raw(directory: str | Path) -> RawDataset:
         if not path.exists():
             raw.errors.append(f"missing file {path.name}")
             continue
-        header, rows = _read_csv(path)
+        text, header = _read_text(path)
+        width = nt.num_features * nt.feature_dim
         expected = ["id"] + [
             f"f{f}_{k}" for f in range(nt.num_features) for k in range(nt.feature_dim)
         ]
         if header != expected:
             raw.errors.append(f"{path.name}: header mismatch, expected {','.join(expected)}")
             continue
+        # float64, then rounded to float32, as float() and np.float32 parse
+        dtype = [("id", np.int64), ("f", np.float64, (width,))]
         try:
-            ids, feats = _parse_rows(path, rows, len(expected), lambda rs: (
+            ids, feats = _parse_table(path, text, expected, dtype, lambda rs: (
                 np.array([int(r[0]) for r in rs], dtype=np.int64),
                 np.array([[float(v) for v in r[1:]] for r in rs], dtype=np.float32),
-            ))
+            ), lambda t: (np.ascontiguousarray(t["id"]), t["f"].astype(np.float32)))
         except ValueError as exc:
             raw.errors.append(str(exc))
             continue
-        feats = feats.reshape(len(rows), nt.num_features, nt.feature_dim)
+        feats = feats.reshape(len(ids), nt.num_features, nt.feature_dim)
         bad = np.flatnonzero(~np.isfinite(feats).all(axis=(1, 2)))
         if bad.size:
             raw.errors.append(f"{path.name} line {bad[0] + 2}: feature value is not finite")
@@ -365,12 +431,12 @@ def read_raw(directory: str | Path) -> RawDataset:
         if not path.exists():
             raw.errors.append(f"missing file {path.name}")
             continue
-        header, rows = _read_csv(path)
+        text, header = _read_text(path)
         if header != ["src_id", "dst_id"]:
             raw.errors.append(f"{path.name}: header mismatch, expected src_id,dst_id")
             continue
         try:
-            raw.edges[rel] = _parse_rows(path, rows, 2, lambda rs: np.array(
+            raw.edges[rel] = _parse_table(path, text, header, np.int64, lambda rs: np.array(
                 [[int(r[0]), int(r[1])] for r in rs], dtype=np.int64
             ).reshape(len(rs), 2))
         except ValueError as exc:
@@ -380,7 +446,7 @@ def read_raw(directory: str | Path) -> RawDataset:
     if not labels_path.exists():
         raw.errors.append("missing file labels.csv")
     else:
-        header, rows = _read_csv(labels_path)
+        text, header = _read_text(labels_path)
         if header[:1] != ["id"] or len(header) < 2:
             raw.errors.append("labels.csv: header mismatch, expected id,label[...]")
         else:
@@ -388,9 +454,11 @@ def read_raw(directory: str | Path) -> RawDataset:
             if raw.multilabel and header != ["id"] + [f"label{c}" for c in range(len(header) - 1)]:
                 raw.errors.append("labels.csv: header mismatch for multi-label file")
             try:
-                raw.label_rows = _parse_rows(labels_path, rows, len(header), lambda rs: np.array(
-                    [[int(v) for v in r] for r in rs], dtype=np.int64
-                ).reshape(len(rs), len(header)))
+                raw.label_rows = _parse_table(
+                    labels_path, text, header, np.int64, lambda rs: np.array(
+                        [[int(v) for v in r] for r in rs], dtype=np.int64
+                    ).reshape(len(rs), len(header)),
+                )
             except ValueError as exc:
                 raw.errors.append(str(exc))
 
@@ -459,7 +527,7 @@ def validate_schema(schema: Schema, raw: RawDataset) -> list[str]:
                 in_range = False
             if in_range:
                 # one int64 key per (source, target) pair
-                uniq = np.unique(pairs[:, 0] * counts[rel.dst] + pairs[:, 1]).size
+                uniq = _sorted_unique(pairs[:, 0] * counts[rel.dst] + pairs[:, 1]).size
                 if uniq < len(pairs):
                     log.info("relation %s has %d duplicate edges (kept)", rel, len(pairs) - uniq)
 
@@ -476,7 +544,7 @@ def validate_schema(schema: Schema, raw: RawDataset) -> list[str]:
         ids = rows[:, 0]
         if ids.min() < 0 or ids.max() >= n_target:
             errors.append("labels.csv: id out of range")
-        repeated = np.setdiff1d(np.arange(ids.size), np.unique(ids, return_index=True)[1])
+        repeated = _repeats(ids)
         if repeated.size:
             line = repeated[0] + 2
             errors.append(f"labels.csv line {line}: second label row for id {ids[repeated[0]]}")
@@ -484,23 +552,35 @@ def validate_schema(schema: Schema, raw: RawDataset) -> list[str]:
             errors.append("labels.csv: class out of range")
 
     if raw.splits and n_target is not None:
-        labeled = set(rows[:, 0].tolist())
-        seen: set[int] = set()
+        seen = np.zeros(0, dtype=np.int64)
         for part in ("train", "valid", "test"):
-            listed: set[int] = set()
-            for i in raw.splits.get(part, []):
-                if i < 0 or i >= n_target:
-                    errors.append(f"splits.json: {part} id {i} out of range")
-                elif i not in labeled:
-                    errors.append(f"splits.json: {part} id {i} has no label")
-                if i in listed:
-                    errors.append(f"splits.json: {part} id {i} listed twice")
-                listed.add(i)
-            overlap = seen.intersection(listed)
-            if overlap:
-                errors.append(f"splits.json: splits not disjoint (id {sorted(overlap)[0]})")
-            seen.update(listed)
+            listed = raw.splits.get(part, [])
+            try:
+                ids = np.array(listed, dtype=np.int64)
+            except OverflowError:  # an id past int64 is out of range; keep Python ints
+                ids = np.array(listed, dtype=object)
+            outside = (ids < 0) | (ids >= n_target)
+            unlabeled = ~outside & ~np.isin(ids, rows[:, 0])
+            again = np.zeros(ids.size, dtype=bool)
+            again[_repeats(ids)] = True
+            for k in np.flatnonzero(outside | unlabeled | again):
+                if outside[k]:
+                    errors.append(f"splits.json: {part} id {listed[k]} out of range")
+                elif unlabeled[k]:
+                    errors.append(f"splits.json: {part} id {listed[k]} has no label")
+                if again[k]:
+                    errors.append(f"splits.json: {part} id {listed[k]} listed twice")
+            overlap = np.isin(ids, seen)
+            if overlap.any():
+                errors.append(f"splits.json: splits not disjoint (id {ids[overlap].min()})")
+            seen = np.concatenate([seen, ids])
     return errors
+
+
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """The positions, ascending, of the values of ``ids`` seen earlier in it."""
+    order = np.argsort(ids, kind="stable")
+    return np.sort(order[1:][ids[order[1:]] == ids[order[:-1]]])
 
 
 def build_graph(raw: RawDataset) -> HeteroGraph:
@@ -740,6 +820,16 @@ def _sorted_unique(ids: np.ndarray) -> np.ndarray:
     path for integer input, several times slower on a few thousand ids."""
     ids = np.sort(ids)
     return ids[np.concatenate(([True], ids[1:] != ids[:-1]))] if ids.size else ids
+
+
+def _edge_order(pairs: np.ndarray, n_src: int) -> np.ndarray:
+    """``np.lexsort((src, dst))``: the stable permutation that sorts the
+    (source, target) ``pairs`` by target, then source, by one argsort.
+
+    The key dst * n_src + src is below n_dst * n_src, which fits int64 while
+    both counts are below 3e9 (an id column of 3e9 nodes alone takes 24 GB).
+    """
+    return np.argsort(pairs[:, 1] * n_src + pairs[:, 0], kind="stable")
 
 
 def _edges_into(view: BipartiteView, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

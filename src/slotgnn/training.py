@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,6 +283,19 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
     return result
 
 
+def gradcheck_loss(model: SlotModel, graph: HeteroGraph) -> Callable[[], T.Tensor]:
+    """The loss ``grad_check_model`` differentiates: an inference-mode
+    forward over the train split and the head's loss."""
+    ids = _split_ids(graph, "train")
+    multilabel = graph.schema.multilabel
+
+    def f() -> T.Tensor:
+        out = model.forward(graph, training=False, rows=ids)
+        return head_loss(out.logits, graph.labels[ids], multilabel)
+
+    return f
+
+
 def grad_check_model(model: SlotModel, graph: HeteroGraph, h: float = 1e-5) -> dict[str, float]:
     """Finite-difference check of every parameter group on a small graph.
 
@@ -291,13 +305,7 @@ def grad_check_model(model: SlotModel, graph: HeteroGraph, h: float = 1e-5) -> d
     """
     if model.config.precision != "float64":
         raise ValueError("grad_check_model requires a float64 model")
-    ids = _split_ids(graph, "train")
-    multilabel = graph.schema.multilabel
-
-    def f() -> T.Tensor:
-        out = model.forward(graph, training=False, rows=ids)
-        return head_loss(out.logits, graph.labels[ids], multilabel)
-
+    f = gradcheck_loss(model, graph)
     report: dict[str, float] = {}
     for name, p in model.named_parameters():
         report[name] = T.finite_diff_check(f, [p], h=h)

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,8 +11,10 @@ import pytest
 from slotgnn import tensor as T
 from slotgnn.artifacts import load_checkpoint, save_checkpoint
 from slotgnn.cli import ConfigError, _overrides_from_args, build_parser, main, parse_config
+from slotgnn.config import from_profile
+from slotgnn.fixtures import GRADCHECK_SEED, gradcheck_graph
 from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
-from slotgnn.training import AdamW
+from slotgnn.training import AdamW, init_model
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +265,17 @@ class TestTrainCommand:
         assert code == 3
         assert "nodes_item.csv line 7" in capsys.readouterr().err
 
+    def test_id_too_large_for_int64_exits_3_naming_file_and_line(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for p in Path(dataset).iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        lines = (broken / "edges_mid__of__item.csv").read_text().splitlines()
+        lines[3] = "99999999999999999999,1"
+        (broken / "edges_mid__of__item.csv").write_text("\n".join(lines) + "\n")
+        code = main(["train", "--dataset", str(broken), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "edges_mid__of__item.csv line 4: " in capsys.readouterr().err
 
     def test_split_id_listed_twice_exits_3(self, dataset, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -363,11 +379,31 @@ class TestEvalExplainCommands:
 
 
 class TestGradcheckCommand:
-    def test_bundled_fixture_passes(self, tmp_path):
-        out = tmp_path / "gc"
-        assert main(["gradcheck", "--out", str(out)]) == 0
-        report = json.loads((out / "gradcheck.json").read_text())
+    @pytest.fixture(scope="class")
+    def checked(self, tmp_path_factory):
+        """One gradcheck of the bundled fixture: its exit code, output
+        directory, stdout and stderr."""
+        out = tmp_path_factory.mktemp("gc")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["gradcheck", "--out", str(out)])
+        return SimpleNamespace(code=code, out=out, stdout=stdout.getvalue(), err=stderr.getvalue())
+
+    def test_bundled_fixture_passes(self, checked):
+        assert checked.code == 0
+        report = json.loads((checked.out / "gradcheck.json").read_text())
         assert max(report.values()) < 1e-4
+        assert checked.stdout.splitlines()[-1].startswith("worst relative error: ")
+        assert len(checked.stdout.splitlines()) == len(report) + 1
+
+    def test_projects_its_cost_on_stderr(self, checked):
+        config = from_profile("desk").replace(
+            dim=8, heads=2, layers=2, seed=GRADCHECK_SEED, precision="float64", dropout=0.0
+        )
+        model = init_model(gradcheck_graph(), config)
+        coords = sum(p.data.size for _, p in model.named_parameters())
+        want = rf"gradcheck: {coords} coordinates, [0-9.]+ ms per forward and loss, projected "
+        assert re.fullmatch(want + r"[0-9]+ s \([0-9.]+ min\)\n", checked.err)
 
 
 class TestCheckpoint:

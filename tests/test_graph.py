@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from slotgnn import graph as graph_module
 from slotgnn.graph import (
     DatasetError,
     HeteroGraph,
@@ -32,6 +33,51 @@ def small_spec(**kw):
 @pytest.fixture
 def graph():
     return synthetic_generate(small_spec(), seed=11)
+
+
+def dblp_shaped_graph():
+    # same shape as the classic bibliography benchmark: 4 node types,
+    # 6 relations, author as the 4-class target
+    schema = Schema(
+        node_types=[
+            NodeType("author", 1, 4),
+            NodeType("paper", 1, 4),
+            NodeType("term", 1, 2),
+            NodeType("venue", 0, 0),
+        ],
+        relations=[
+            Relation("paper", "writes_rev", "author"),
+            Relation("author", "writes", "paper"),
+            Relation("term", "mentions_rev", "paper"),
+            Relation("paper", "mentions", "term"),
+            Relation("venue", "publishes", "paper"),
+            Relation("paper", "published_in", "venue"),
+        ],
+        target_type="author",
+        num_classes=4,
+    )
+    rng = np.random.default_rng(0)
+    counts = {"author": 5, "paper": 6, "term": 3, "venue": 2}
+    features = {
+        name: rng.normal(size=(n, schema.node_type(name).num_features,
+                               max(schema.node_type(name).feature_dim, 1))).astype(np.float32)
+        if schema.node_type(name).num_features
+        else np.zeros((n, 0, 0), dtype=np.float32)
+        for name, n in counts.items()
+    }
+    edges = {}
+    for rel in schema.relations:
+        n_s, n_d = counts[rel.src], counts[rel.dst]
+        pairs = np.stack(
+            [rng.integers(0, n_s, size=4), rng.integers(0, n_d, size=4)], axis=1
+        ).astype(np.int64)
+        edges[rel] = pairs
+    return HeteroGraph(
+        schema, counts, features, edges,
+        labels=rng.integers(0, 4, size=5),
+        labeled_mask=np.ones(5, dtype=bool),
+        splits={"train": np.array([0, 1, 2]), "valid": np.array([3]), "test": np.array([4])},
+    )
 
 
 class TestLoadSave:
@@ -62,48 +108,7 @@ class TestLoadSave:
             load_dataset(tmp_path)
 
     def test_dblp_shaped_fixture(self, tmp_path):
-        # same shape as the classic bibliography benchmark: 4 node types,
-        # 6 relations, author as the 4-class target
-        schema = Schema(
-            node_types=[
-                NodeType("author", 1, 4),
-                NodeType("paper", 1, 4),
-                NodeType("term", 1, 2),
-                NodeType("venue", 0, 0),
-            ],
-            relations=[
-                Relation("paper", "writes_rev", "author"),
-                Relation("author", "writes", "paper"),
-                Relation("term", "mentions_rev", "paper"),
-                Relation("paper", "mentions", "term"),
-                Relation("venue", "publishes", "paper"),
-                Relation("paper", "published_in", "venue"),
-            ],
-            target_type="author",
-            num_classes=4,
-        )
-        rng = np.random.default_rng(0)
-        counts = {"author": 5, "paper": 6, "term": 3, "venue": 2}
-        features = {
-            name: rng.normal(size=(n, schema.node_type(name).num_features,
-                                   max(schema.node_type(name).feature_dim, 1))).astype(np.float32)
-            if schema.node_type(name).num_features
-            else np.zeros((n, 0, 0), dtype=np.float32)
-            for name, n in counts.items()
-        }
-        edges = {}
-        for rel in schema.relations:
-            n_s, n_d = counts[rel.src], counts[rel.dst]
-            pairs = np.stack(
-                [rng.integers(0, n_s, size=4), rng.integers(0, n_d, size=4)], axis=1
-            ).astype(np.int64)
-            edges[rel] = pairs
-        g = HeteroGraph(
-            schema, counts, features, edges,
-            labels=rng.integers(0, 4, size=5),
-            labeled_mask=np.ones(5, dtype=bool),
-            splits={"train": np.array([0, 1, 2]), "valid": np.array([3]), "test": np.array([4])},
-        )
+        g = dblp_shaped_graph()
         save_dataset(g, tmp_path)
         back = load_dataset(tmp_path)
         assert len(back.schema.node_types) == 4
@@ -229,6 +234,17 @@ class TestBadInput:
         with pytest.raises(DatasetError, match=want):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name, edit", [
+        ("nodes_item.csv", lambda s: "99999999999999999999," + s.split(",", 1)[1]),
+        ("edges_mid__of__item.csv", lambda s: "99999999999999999999,1"),
+        ("labels.csv", lambda s: s.split(",")[0] + ",99999999999999999999"),
+    ], ids=["node-id", "edge-endpoint", "label"])
+    def test_id_too_large_for_int64(self, graph, tmp_path, name, edit):
+        save_dataset(graph, tmp_path)
+        rewrite_line(tmp_path, name, 4, edit)
+        with pytest.raises(DatasetError, match=rf"{re.escape(name)} line 4: .*too large"):
+            load_dataset(tmp_path)
+
     def test_id_listed_twice_in_one_split(self, graph, tmp_path):
         save_dataset(graph, tmp_path)
         path = tmp_path / "splits.json"
@@ -238,6 +254,149 @@ class TestBadInput:
         path.write_text(json.dumps(splits))
         with pytest.raises(DatasetError, match=rf"splits\.json: train id {twice} listed twice"):
             load_dataset(tmp_path)
+
+
+def read_row_by_row(directory, monkeypatch):
+    """``read_raw`` with ``np.loadtxt`` declining every file, so each one
+    takes the row-by-row path."""
+    with monkeypatch.context() as m:
+        m.setattr(graph_module, "_loadtxt", lambda *args: None)
+        return read_raw(directory)
+
+
+def assert_same_raw(a, b):
+    """Two ``RawDataset``s hold the same errors and arrays, equal to the bit."""
+    assert a.errors == b.errors
+    assert (a.multilabel, a.splits) == (b.multilabel, b.splits)
+    for x, y in (
+        (a.node_ids, b.node_ids), (a.node_features, b.node_features), (a.edges, b.edges),
+        ({"labels": a.label_rows}, {"labels": b.label_rows}),
+    ):
+        assert x.keys() == y.keys()
+        for key in x:
+            assert (x[key].dtype, x[key].shape) == (y[key].dtype, y[key].shape)
+            assert x[key].flags.c_contiguous and y[key].flags.c_contiguous
+            assert x[key].tobytes() == y[key].tobytes()
+
+
+class TestParsePaths:
+    """``np.loadtxt`` and the row-by-row path read every file alike."""
+
+    @pytest.fixture
+    def fast_reads(self, monkeypatch):
+        """The files ``np.loadtxt`` reads, as their tables come back."""
+        tables = []
+        loadtxt = graph_module._loadtxt
+
+        def spy(*args):
+            table = loadtxt(*args)
+            tables.append(table)
+            return table
+
+        monkeypatch.setattr(graph_module, "_loadtxt", spy)
+        return tables
+
+    def multilabel(self, graph):
+        graph.schema.multilabel = True
+        graph.labels = np.eye(graph.schema.num_classes, dtype=np.float32)[graph.labels]
+        return graph
+
+    def no_trailing_newline(self, directory):
+        for name in ("nodes_item.csv", "edges_mid__of__item.csv", "labels.csv"):
+            path = directory / name
+            path.write_text(path.read_text().rstrip("\n"))
+
+    def crlf(self, directory):
+        for path in directory.glob("*.csv"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+    @pytest.mark.parametrize("case", [
+        "single-label", "multi-label", "header-only", "no-trailing-newline", "crlf", "featureless",
+    ])
+    def test_well_formed_files_read_alike(self, graph, tmp_path, monkeypatch, fast_reads, case):
+        if case == "multi-label":
+            graph = self.multilabel(graph)
+        elif case == "header-only":
+            graph.edges[graph.schema.relations[0]] = np.zeros((0, 2), dtype=np.int64)
+        elif case == "featureless":
+            graph = dblp_shaped_graph()
+        save_dataset(graph, tmp_path)
+        if case == "no-trailing-newline":
+            self.no_trailing_newline(tmp_path)
+        elif case == "crlf":
+            self.crlf(tmp_path)
+        fast = read_raw(tmp_path)
+        assert fast.errors == [] and validate_schema(fast.schema, fast) == []
+        # loadtxt read every file but a header-only one, which it warns on
+        empty = 1 if case == "header-only" else 0
+        assert sum(t is None for t in fast_reads) == empty
+        assert len(fast_reads) == len(graph.counts) + len(graph.schema.relations) + 1
+        assert_same_raw(fast, read_row_by_row(tmp_path, monkeypatch))
+
+    @pytest.mark.parametrize("name, line, edit, error", [
+        ("edges_mid__of__item.csv", 5, lambda s: "\n" + s, "line 5: 0 values, expected 2"),
+        ("edges_mid__of__item.csv", -1, lambda s: s + "\n", "line {n}: 0 values, expected 2"),
+        ("nodes_mid.csv", 3, lambda s: s + ",0.5", "line 3: 10 values, expected 9"),
+        ("nodes_mid.csv", 3, lambda s: s.rsplit(",", 1)[0], "line 3: 8 values, expected 9"),
+        ("nodes_item.csv", 2, lambda s: "0.0," + s.split(",", 1)[1],
+         "line 2: invalid literal for int() with base 10: '0.0'"),
+        ("edges_mid__of__item.csv", 3, lambda s: "#" + s,
+         "line 3: invalid literal for int() with base 10: '#"),
+        ("edges_mid__of__item.csv", 3, lambda s: '"' + s.replace(",", '",', 1), None),
+        ("labels.csv", 4, lambda s: s.split(",")[0] + ",99999999999999999999",
+         "line 4: Python int too large"),
+    ], ids=[
+        "blank-line", "blank-last-line", "extra-column", "short-row", "float-id", "comment",
+        "quoted-value", "oversized-id",
+    ])
+    def test_malformed_files_read_alike(self, graph, tmp_path, monkeypatch, name, line, edit,
+                                        error):
+        save_dataset(graph, tmp_path)
+        before = read_raw(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[line - 1 if line > 0 else line] = edit(lines[line - 1 if line > 0 else line])
+        path.write_text("\n".join(lines) + "\n")
+        fast = read_raw(tmp_path)
+        assert_same_raw(fast, read_row_by_row(tmp_path, monkeypatch))
+        if error is None:
+            assert_same_raw(fast, before)
+        else:
+            assert len(fast.errors) == 1
+            assert fast.errors[0].startswith(f"{name} " + error.format(n=len(lines) + 1))
+
+    def test_every_bad_split_id_is_reported_in_order(self, graph, tmp_path):
+        save_dataset(graph, tmp_path)
+        splits = {k: [int(i) for i in graph.splits[k]] for k in ("train", "valid", "test")}
+        unlabeled = splits["test"][2]
+        path = tmp_path / "labels.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(
+            line for line in lines if line.split(",")[0] != str(unlabeled)
+        ) + "\n")
+        first, second = splits["train"][:2]
+        splits["train"] += [40, -2, first, 10**20, second, second, 10**20]
+        splits["valid"] += [second, unlabeled]
+        splits["test"] += [splits["valid"][0], first, unlabeled]
+        (tmp_path / "splits.json").write_text(json.dumps(splits))
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(tmp_path)
+        assert caught.value.errors == [
+            "splits.json: train id 40 out of range",
+            "splits.json: train id -2 out of range",
+            f"splits.json: train id {first} listed twice",
+            "splits.json: train id 100000000000000000000 out of range",
+            f"splits.json: train id {second} listed twice",
+            f"splits.json: train id {second} listed twice",
+            "splits.json: train id 100000000000000000000 out of range",
+            "splits.json: train id 100000000000000000000 listed twice",
+            f"splits.json: valid id {unlabeled} has no label",
+            f"splits.json: splits not disjoint (id {second})",
+            f"splits.json: test id {unlabeled} has no label",
+            f"splits.json: test id {unlabeled} has no label",
+            f"splits.json: test id {unlabeled} listed twice",
+            f"splits.json: splits not disjoint (id {min(first, splits['valid'][0], unlabeled)})",
+        ]
 
 
 def sources_of(view, t):
@@ -275,6 +434,14 @@ class TestBipartiteView:
         for t in range(9):
             expect = [3] if t == 7 else []
             assert sources_of(view, t).tolist() == expect
+
+    @pytest.mark.parametrize("num_edges", [0, 1800, 15000])
+    def test_edge_order_is_lexsorts(self, num_edges):
+        rng = np.random.default_rng(num_edges)
+        # few nodes per type, so most edges repeat an earlier one
+        pairs = np.stack([rng.integers(0, 40, num_edges), rng.integers(0, 30, num_edges)], axis=1)
+        want = np.lexsort((pairs[:, 0], pairs[:, 1]))
+        assert np.array_equal(graph_module._edge_order(pairs, 40), want)
 
     def test_matches_linear_scan_oracle(self, graph):
         for rel in graph.schema.relations:
