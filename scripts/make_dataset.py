@@ -5,27 +5,29 @@ import argparse
 
 from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
 
+# flag -> SyntheticSpec field; each flag defaults to the field's default
+SPEC_FLAGS = {
+    "targets": "num_targets",
+    "classes": "num_classes",
+    "mids": "num_mid",
+    "attrs": "num_attr",
+    "junk": "num_junk",
+    "coherence": "coherence",
+}
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("out", help="dataset directory to create")
-    ap.add_argument("--targets", type=int, default=600)
-    ap.add_argument("--classes", type=int, default=4)
-    ap.add_argument("--mids", type=int, default=200)
-    ap.add_argument("--attrs", type=int, default=40)
-    ap.add_argument("--junk", type=int, default=80)
-    ap.add_argument("--coherence", type=float, default=0.9)
+    for flag, name in SPEC_FLAGS.items():
+        default = getattr(SyntheticSpec, name)
+        ap.add_argument(f"--{flag}", type=type(default), default=default)
     ap.add_argument("--no-planted", action="store_true", help="distractor relations only")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     spec = SyntheticSpec(
-        num_targets=args.targets,
-        num_classes=args.classes,
-        num_mid=args.mids,
-        num_attr=args.attrs,
-        num_junk=args.junk,
-        coherence=args.coherence,
+        **{name: getattr(args, flag) for flag, name in SPEC_FLAGS.items()},
         planted=not args.no_planted,
     )
     graph = synthetic_generate(spec, seed=args.seed)

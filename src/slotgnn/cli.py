@@ -1,15 +1,20 @@
 """Command-line entry points: train, eval, explain, gradcheck.
 
 Config precedence: profile defaults, then the config file, then flags.
-Config files are flat `key = value` lines with section prefixes, e.g.
-``train.max_lr = 0.0005``. Exit codes: 0 success, 1 runtime failure,
-2 config error, 3 dataset validation failure.
+Config files are flat `key = value` lines; `#` starts a comment at the start
+of a line or after whitespace. Exit codes: 0 success, 1 runtime failure,
+2 config error, 3 dataset validation failure. Output goes to ``--out``, by
+default ``runs/<command>``.
 
-Every ``TrainConfig`` field is a flag named after it, with ``_`` written as
-``-``: ``max_lr`` is ``--max-lr``. A field with choices takes only those. A
-bool field is a switch that flips its default, named without any ``use_``
-prefix and with ``no-`` in front when the default is true: ``use_seq`` is
-``--no-seq`` and ``scale_outside`` is ``--scale-outside``.
+Each setting is one field of ``RunConfig`` or ``TrainConfig``. Its key is the
+field's name behind its section, ``train.`` or the one in a ``RunConfig``
+field's metadata: ``train.max_lr``, ``explain.top_k``, ``dataset``. The seed
+is ``train.seed``, never a bare ``seed``. Its flag is the name alone, with
+``_`` written as ``-``: ``--max-lr``, ``--top-k``. A field with choices takes
+only those; one that defaults to None takes a string. A bool field is a
+switch that flips its default, named without any ``use_`` prefix and with
+``no-`` in front when the default is true: ``use_seq`` is ``--no-seq`` and
+``scale_outside`` is ``--scale-outside``.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import dataclasses
 import difflib
 import json
 import platform
+import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import artifacts
@@ -49,12 +55,14 @@ class ConfigError(Exception):
 class RunConfig:
     train: TrainConfig
     dataset: str | None = None
-    out: str = "runs/out"
+    out: str | None = None
     checkpoint: str | None = None
-    profile: str = "desk"
-    top_k: int = 5
-    per_node: bool = False
-    split: str = "test"
+    profile: str = field(default="desk", metadata={"choices": tuple(sorted(PROFILES))})
+    top_k: int = field(default=5, metadata={"section": "explain"})
+    per_node: bool = field(default=False, metadata={"section": "explain"})
+    split: str = field(
+        default="test", metadata={"section": "eval", "choices": ("train", "valid", "test")}
+    )
 
     def echo(self) -> dict:
         obj = dataclasses.asdict(self)
@@ -71,32 +79,23 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-_TOP_KEYS = {
-    "dataset": str,
-    "out": str,
-    "checkpoint": str,
-    "profile": str,
-    "seed": int,
-    "explain.top_k": int,
-    "explain.per_node": _parse_bool,
-    "eval.split": str,
-}
+def _settings() -> dict[str, dataclasses.Field]:
+    """Every setting's field by its config key, run-level ones first."""
+    run_fields = [f for f in dataclasses.fields(RunConfig) if f.name != "train"]
+    sections = [(f.metadata.get("section"), f) for f in run_fields]
+    sections += [("train", f) for f in dataclasses.fields(TrainConfig)]
+    return {f"{sec}.{f.name}" if sec else f.name: f for sec, f in sections}
 
 
-def _train_keys() -> dict[str, type]:
-    casters = {int: int, float: float, str: str, bool: _parse_bool}
-    return {
-        f"train.{f.name}": casters[type(f.default)] for f in dataclasses.fields(TrainConfig)
-    }
-
-
-VALID_KEYS = {**_TOP_KEYS, **_train_keys()}
+SETTINGS = _settings()
+_CASTERS = {int: int, float: float, str: str, bool: _parse_bool}
+VALID_KEYS = {key: _CASTERS.get(type(f.default), str) for key, f in SETTINGS.items()}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -113,30 +112,27 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         merged.update(read_config_file(path))
     merged.update(overrides or {})
 
-    for key in merged:
+    values = {}
+    for key, raw in merged.items():
         if key not in VALID_KEYS:
             near = difflib.get_close_matches(key, VALID_KEYS, n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ConfigError(f"unknown config key {key!r}{hint}")
-
-    profile = str(merged.pop("profile", "desk"))
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    run = RunConfig(train=from_profile(profile), profile=profile)
-
-    for key, raw in merged.items():
-        caster = VALID_KEYS[key]
+        choices = SETTINGS[key].metadata.get("choices")
         try:
-            value = caster(raw)
+            values[key] = VALID_KEYS[key](raw)
+            if choices and values[key] not in choices:
+                raise ValueError(f"{raw!r} is not one of {', '.join(choices)}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-        # a key's last part names its field: train.dim is TrainConfig.dim, and
-        # eval.split is RunConfig.split; the top-level seed is the train seed
-        name = key.rsplit(".", 1)[-1]
-        if key == "seed" or key.startswith("train."):
-            run.train = run.train.replace(**{name: value})
+
+    profile = values.pop("profile", "desk")
+    run = RunConfig(train=from_profile(profile), profile=profile)
+    for key, value in values.items():
+        if key.startswith("train."):
+            run.train = run.train.replace(**{SETTINGS[key].name: value})
         else:
-            setattr(run, name, value)
+            setattr(run, SETTINGS[key].name, value)
     try:
         run.train.validate()
     except ValueError as exc:
@@ -152,6 +148,16 @@ def _load_graph(run: RunConfig):
     return load_dataset(run.dataset)
 
 
+def _saved_train(path: Path) -> TrainConfig:
+    """The train settings a run directory's config.json holds, read as a
+    config file's would be: an unknown key or a bad value is a config error."""
+    try:
+        saved = json.loads(path.read_text())["train"]
+        return parse_config(None, {f"train.{k}": str(v) for k, v in saved.items()}).train
+    except (ConfigError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _restore_model(run: RunConfig, graph):
     if run.checkpoint is None:
         raise ConfigError("this command needs --checkpoint pointing at a train output directory")
@@ -162,8 +168,7 @@ def _restore_model(run: RunConfig, graph):
         raise ConfigError(f"no checkpoint found under {ckpt_dir}")
     saved_cfg = ckpt_dir / "config.json"
     if saved_cfg.exists():
-        echo = json.loads(saved_cfg.read_text())
-        run.train = TrainConfig(**echo["train"])
+        run.train = _saved_train(saved_cfg)
     model = init_model(graph, run.train)
     artifacts.load_checkpoint(model.named_parameters(), ckpt_dir)
     return model
@@ -271,15 +276,7 @@ def cmd_gradcheck(run: RunConfig, out: Path) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--dataset", help="dataset directory")
-    common.add_argument("--out", help="output directory (default runs/out)")
-    common.add_argument("--checkpoint", help="directory holding checkpoint.bin/.idx")
-    common.add_argument("--profile", choices=sorted(PROFILES))
-    common.add_argument("--top-k", dest="explain.top_k", type=int, metavar="TOP_K")
-    common.add_argument("--split", dest="eval.split", choices=["train", "valid", "test"])
-    common.add_argument("--per-node", dest="explain.per_node", action="store_const", const=True)
-    for f in dataclasses.fields(TrainConfig):
-        key = f"train.{f.name}"
+    for key, f in SETTINGS.items():
         name = f.name.removeprefix("use_").replace("_", "-")
         if isinstance(f.default, bool):
             switch = f"--no-{name}" if f.default else f"--{name}"
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             choices = f.metadata.get("choices")
             common.add_argument(
-                f"--{name}", dest=key, type=type(f.default), choices=choices,
+                f"--{name}", dest=key, type=VALID_KEYS[key], choices=choices,
                 metavar=None if choices else f.name.upper(),
             )
 
@@ -312,6 +309,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
 
 
 def run(command: str, config: RunConfig) -> int:
+    if config.out is None:
+        config.out = f"runs/{command}"
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     handler = {
@@ -344,8 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
     try:
         config = parse_config(args.config, _overrides_from_args(args))
-        if args.out is None and config.out == "runs/out":
-            config.out = f"runs/{args.command}"
         return run(args.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,13 +14,7 @@ class TrainConfig:
     dropout: float = 0.5
     epochs: int = 150
     max_lr: float = 0.0005
-    start_fraction: float = 0.3
-    lr_div: float = 25.0
-    lr_final_div: float = 10000.0
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_mode: str = field(default="full", metadata={"choices": ("full", "sampled")})
     sample_depth: int = 3
     sample_budget: int = 1800
@@ -55,10 +49,9 @@ class TrainConfig:
 _RANGES = {
     "at least 1": (lambda v: v >= 1, "dim heads layers epochs batch_size batches_per_epoch "
                    "sample_depth sample_budget"),
-    "positive": (lambda v: v > 0, "max_lr lr_div lr_final_div eps"),
+    "positive": (lambda v: v > 0, "max_lr"),
     "non-negative": (lambda v: v >= 0, "weight_decay early_stop_patience"),
-    "in [0, 1]": (lambda v: 0 <= v <= 1, "start_fraction"),
-    "in [0, 1)": (lambda v: 0 <= v < 1, "dropout beta1 beta2"),
+    "in [0, 1)": (lambda v: 0 <= v < 1, "dropout"),
 }
 
 

@@ -218,13 +218,7 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
     streams = set_seed(config.seed)
     sampler_rng = streams.generator("sampler")
     droot = streams.dropout_root
-    opt = AdamW(
-        model.named_parameters(),
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        weight_decay=config.weight_decay,
-    )
+    opt = AdamW(model.named_parameters(), weight_decay=config.weight_decay)
     train_ids = _split_ids(graph, "train")
     # a graph without a valid split logs NaN metrics; any other fault raises
     has_valid = len(graph.splits.get("valid", ())) > 0
@@ -251,10 +245,7 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
                         graph, batch, config.sample_depth, config.sample_budget, sub_seed
                     )
                     batch_graph, batch_ids = sub.graph, sub.batch_local
-                lr = onecycle_lr(
-                    step, total_steps, config.max_lr,
-                    config.start_fraction, config.lr_div, config.lr_final_div,
-                )
+                lr = onecycle_lr(step, total_steps, config.max_lr)
                 losses.append(_train_step(
                     model, batch_graph, batch_ids, batch_graph.labels[batch_ids],
                     lr, opt, (*droot, step), multilabel,

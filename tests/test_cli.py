@@ -1,4 +1,7 @@
+import argparse
+import ast
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -8,10 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import slotgnn
 from slotgnn import tensor as T
 from slotgnn.artifacts import load_checkpoint, save_checkpoint
-from slotgnn.cli import ConfigError, _overrides_from_args, build_parser, main, parse_config
-from slotgnn.config import from_profile
+from slotgnn.cli import (
+    SETTINGS, VALID_KEYS, ConfigError, _overrides_from_args, build_parser, main, parse_config,
+)
+from slotgnn.config import TrainConfig, from_profile
 from slotgnn.fixtures import GRADCHECK_SEED, gradcheck_graph
 from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
 from slotgnn.training import AdamW, init_model
@@ -39,10 +45,8 @@ def quick_flags(dataset, out, epochs="2"):
 OUT_OF_RANGE = [
     ("dim", "0"), ("heads", "0"), ("layers", "0"), ("epochs", "0"), ("batch_size", "0"),
     ("batches_per_epoch", "0"), ("sample_depth", "0"), ("sample_budget", "0"),
-    ("max_lr", "0"), ("max_lr", "-1"), ("max_lr", "nan"), ("lr_div", "0"),
-    ("lr_final_div", "0"), ("eps", "0"), ("weight_decay", "-0.01"),
-    ("early_stop_patience", "-1"), ("start_fraction", "-0.1"), ("start_fraction", "1.5"),
-    ("dropout", "1"), ("beta1", "-0.1"), ("beta1", "1"), ("beta2", "1"),
+    ("max_lr", "0"), ("max_lr", "-1"), ("max_lr", "nan"), ("weight_decay", "-0.01"),
+    ("early_stop_patience", "-1"), ("dropout", "1"),
 ]
 
 
@@ -87,6 +91,23 @@ class TestParseConfig:
         assert run.train.dropout == 0.1
         assert run.top_k == 3
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("dataset = data/run#1\ntrain.epochs = 3 # short\n\t# indented\n")
+        run = parse_config(path)
+        assert run.dataset == "data/run#1"
+        assert run.train.epochs == 3
+
+    def test_choices_hold_in_a_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("eval.split = dev\n")
+        with pytest.raises(ConfigError, match="eval.split.*'dev' is not one of train, valid, test"):
+            parse_config(path)
+
+    def test_top_level_seed_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
+            parse_config(None, {"seed": "3"})
+
     def test_type_error_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("train.layers = soon\n")
@@ -104,13 +125,11 @@ class TestParseConfig:
 
     def test_range_edges_accepted(self):
         edges = {
-            "start_fraction": 0.0, "beta1": 0.0, "beta2": 0.0, "weight_decay": 0.0,
-            "early_stop_patience": 0, "dim": 1, "heads": 1, "batch_size": 1,
-            "batches_per_epoch": 1, "sample_depth": 1, "sample_budget": 1,
+            "dropout": 0.0, "weight_decay": 0.0, "early_stop_patience": 0, "dim": 1, "heads": 1,
+            "batch_size": 1, "batches_per_epoch": 1, "sample_depth": 1, "sample_budget": 1,
         }
         run = parse_config(None, {f"train.{k}": str(v) for k, v in edges.items()})
         assert all(getattr(run.train, k) == v for k, v in edges.items())
-        assert parse_config(None, {"train.start_fraction": "1"}).train.start_fraction == 1.0
 
     def test_out_of_range_exit_code(self, tmp_path, dataset, capsys):
         out = tmp_path / "out"
@@ -186,14 +205,16 @@ class TestFlags:
         )
 
     def test_schedule_and_optimizer_flags(self):
-        argv = [
-            "--start-fraction", "0.25", "--lr-div", "20", "--lr-final-div", "100",
-            "--beta1", "0.8", "--beta2", "0.99", "--eps", "1e-6",
-        ]
-        assert flag_echo(argv) == echo_with(
-            train__start_fraction=0.25, train__lr_div=20.0, train__lr_final_div=100.0,
-            train__beta1=0.8, train__beta2=0.99, train__eps=1e-6,
+        # the peak rate and the weight decay are the only such settings; the
+        # other constants are the defaults of AdamW and onecycle_lr
+        assert flag_echo(["--max-lr", "0.002", "--weight-decay", "0.1"]) == echo_with(
+            train__max_lr=0.002, train__weight_decay=0.1
         )
+        gone = ["--start-fraction", "--lr-div", "--lr-final-div", "--beta1", "--beta2", "--eps"]
+        for flag in gone:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["train", flag, "1"])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["--batch-mode", "mini"], ["--precision", "float16"], ["--attention-norm", "soft"],
@@ -290,6 +311,24 @@ class TestTrainCommand:
         assert f"splits.json: train id {splits['train'][0]} listed twice" in capsys.readouterr().err
 
 
+class TestOutputDirectory:
+    def train_in(self, tmp_path, monkeypatch, dataset, *argv):
+        monkeypatch.chdir(tmp_path)
+        flags = ["--dataset", str(dataset), "--epochs", "1", "--dim", "8", "--heads", "2"]
+        assert main(["train", *flags, *argv]) == 0
+        return {str(p.relative_to(tmp_path)) for p in tmp_path.glob("runs/*")}
+
+    def test_out_key_in_a_config_file_is_honoured(self, tmp_path, monkeypatch, dataset):
+        path = tmp_path / "run.cfg"
+        path.write_text("out = runs/out\n")
+        assert self.train_in(tmp_path, monkeypatch, dataset, "--config", str(path)) == {"runs/out"}
+
+    def test_default_is_runs_command(self, tmp_path, monkeypatch, dataset):
+        assert self.train_in(tmp_path, monkeypatch, dataset) == {"runs/train"}
+        echo = json.loads((tmp_path / "runs/train/config.json").read_text())
+        assert echo["out"] == "runs/train"
+
+
 class TestEvalExplainCommands:
     @pytest.fixture(scope="class")
     def trained(self, dataset, tmp_path_factory):
@@ -368,6 +407,30 @@ class TestEvalExplainCommands:
         err = capsys.readouterr().err
         assert f"{broken / 'checkpoint.idx'}: line 2: " in err
 
+    @pytest.mark.parametrize("edit,named", [
+        (dict(bogus=1), "'train.bogus'"),
+        (dict(epochs=-5), "epochs must be at least 1, got -5"),
+        (dict(heads=3), "dim 16 must be divisible by heads 3"),
+        (dict(beta1=0.9), "'train.beta1'"),  # a key this version no longer has
+    ], ids=["extra-key", "out-of-range", "bad-combination", "removed-key"])
+    def test_bad_saved_config_exits_2_naming_it(
+        self, dataset, trained, tmp_path, capsys, edit, named
+    ):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for p in Path(trained).iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        echo = json.loads((broken / "config.json").read_text())
+        echo["train"].update(edit)
+        (broken / "config.json").write_text(json.dumps(echo))
+        code = main([
+            "eval", "--dataset", str(dataset), "--checkpoint", str(broken),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {broken / 'config.json'}: ") and named in err
+
     def test_explain_per_node(self, dataset, trained, tmp_path):
         out = tmp_path / "explain"
         main([
@@ -376,6 +439,55 @@ class TestEvalExplainCommands:
         ])
         report = json.loads((out / "report.json").read_text())
         assert len(report["per_node"]) == 60
+
+
+def setting_actions():
+    """The flags of ``slotgnn train``; every command takes the same ones."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices["train"]._actions
+
+
+def other_value(f):
+    """A valid value for field ``f`` other than its default."""
+    choices = f.metadata.get("choices")
+    if choices:
+        return next(c for c in choices if c != f.default)
+    if f.default is None:
+        return "some/dir"
+    if isinstance(f.default, bool):
+        return not f.default
+    if isinstance(f.default, float):
+        return f.default / 2  # keeps dropout below 1
+    return f.default * 2 or 1  # keeps dim divisible by heads
+
+
+class TestSettings:
+    """Every setting is read by the model or the loop, has one flag, and
+    means the same from a flag as from a config file."""
+
+    def test_every_train_field_is_read_outside_the_config_code(self):
+        read = set()
+        for path in Path(slotgnn.__file__).parent.glob("*.py"):
+            if path.name not in ("config.py", "cli.py"):
+                read |= {
+                    node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                }
+        assert {f.name for f in dataclasses.fields(TrainConfig)} - read == set()
+
+    def test_every_key_has_exactly_one_flag(self):
+        dests = [a.dest for a in setting_actions()]
+        assert sorted(dests) == sorted([*VALID_KEYS, "config", "help"])
+
+    @pytest.mark.parametrize("key", list(VALID_KEYS))
+    def test_flag_and_config_file_agree(self, key, tmp_path):
+        value = other_value(SETTINGS[key])
+        (action,) = [a for a in setting_actions() if a.dest == key]
+        argv = action.option_strings + ([] if action.nargs == 0 else [str(value)])
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        by_flag = flag_echo(argv)
+        assert by_flag == flag_echo(["--config", str(path)]) != parse_config(None).echo()
 
 
 class TestGradcheckCommand:

@@ -254,7 +254,8 @@ class TestTrain:
 
     def test_divergence_aborts_and_restores_finite_state(self):
         g = small_planted()
-        cfg = quick_cfg(epochs=6, max_lr=1e12, lr_div=1.0, dropout=0.0)
+        # the schedule starts at max_lr / 25: a first step at a rate of 1e12
+        cfg = quick_cfg(epochs=6, max_lr=2.5e13, dropout=0.0)
         model = init_model(g, cfg)
         with np.errstate(all="ignore"):  # the learning rate overflows on purpose
             result = train(model, g, cfg)
@@ -293,7 +294,8 @@ class TestTrain:
     def test_divergence_restores_the_epoch_start_in_place(self, monkeypatch):
         opts, states = self.record_steps(monkeypatch)
         g = small_planted()
-        cfg = quick_cfg(epochs=6, max_lr=1e12, lr_div=1.0, dropout=0.0)
+        # the schedule starts at max_lr / 25: a first step at a rate of 1e12
+        cfg = quick_cfg(epochs=6, max_lr=2.5e13, dropout=0.0)
         model = init_model(g, cfg)
         with np.errstate(all="ignore"):  # the learning rate overflows on purpose
             result = train(model, g, cfg)
