@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar=None if choices else f.name.upper(),
             )
 
-    parser = argparse.ArgumentParser(prog="slotgnn", description=__doc__)
+    parser = argparse.ArgumentParser(prog="slotgnn", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("train", "train a model and write checkpoint, logs, metrics"),
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("explain", "rank meta-path importances from fusion attention"),
         ("gradcheck", "finite-difference check of every parameter group"),
     ):
-        sub.add_parser(name, parents=[common], help=help_text)
+        sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
     return parser
 
 

@@ -9,11 +9,9 @@ a canonical order.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -292,95 +290,67 @@ class RawDataset:
     errors: list[str] = field(default_factory=list)
 
 
-# the bytes np.loadtxt may read: tab, line ends and printable ASCII but the
-# csv module's quote character. Within them loadtxt takes a field only where
-# int() or float() does, and splits rows only where the csv module does, or
-# else raises
-_PLAIN = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\t\r\n"
-
-
-def _read_text(path: Path) -> tuple[str, list[str]]:
-    """The file's text and its header, the first row the csv module reads."""
+def _read_csv(path: Path) -> tuple[str, str]:
+    """A CSV file's first line, without its CR, and the text after it."""
     with open(path, newline="") as fh:
-        text = fh.read()
-    return text, next(csv.reader(io.StringIO(text, newline="")), [])
+        head, _, body = fh.read().partition("\n")
+    return head.removesuffix("\r"), body
 
 
-def _parse_rows(path: Path, rows: list[list[str]], width: int, parse):
-    """``parse(rows)``, once every row is known to hold ``width`` values.
+def _read_table(path: Path, body: str, width: int, dtype) -> np.ndarray:
+    """The lines of ``body``, the text after a CSV file's header, read by
+    ``np.loadtxt`` into ``dtype``: one record per line for a structured
+    ``dtype``, a (lines, ``width``) table for a plain one.
 
-    Raises ValueError naming the file and line (the header is line 1) of the
-    first row of another length, or else of the first row ``parse`` rejects.
-    """
-    for line, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ValueError(f"{path.name} line {line}: {len(row)} values, expected {width}")
-    try:
-        return parse(rows)
-    except (ValueError, OverflowError):
-        for line, row in enumerate(rows, start=2):
-            try:
-                parse([row])
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path.name} line {line}: {exc}") from None
-        raise
-
-
-def _loadtxt(text: str, header: list[str], dtype) -> np.ndarray | None:
-    """The body of a CSV file whose first line is ``header``, read by
-    ``np.loadtxt`` into ``dtype``, one row per line; None when loadtxt could
-    read it otherwise than the csv module and int()/float() would.
-
-    A structured ``dtype`` fixes the width; a plain one gives (rows, width).
+    A body loadtxt does not read as one row per line of ``width`` values is
+    read again a line at a time, and ValueError names the file and the first
+    bad line (the header is line 1).
     """
     dtype = np.dtype(dtype)
-    head, _, body = text.partition("\n")
-    if head.removesuffix("\r") != ",".join(header) or not body.isascii():
-        return None
-    if body.encode("ascii").translate(None, _PLAIN):
-        return None
+    lines = body.count("\n") + (not body.endswith("\n")) if body else 0
+    shape = (lines,) if dtype.names else (lines, width)
+    if not lines:  # loadtxt warns on input without data
+        return np.zeros(shape, dtype)
+
+    def read(text):
+        return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=len(shape))
+
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data", for one
-            table = np.loadtxt(
-                io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
-                ndmin=1 if dtype.names else 2,
-            )
-    except (ValueError, Warning):
-        return None
-    # loadtxt skips blank lines, which the row-by-row path rejects
-    lines = body.count("\n") + (not body.endswith("\n"))
-    if len(table) != lines or (table.ndim == 2 and table.shape[1] != len(header)):
-        return None
-    return table
-
-
-def _parse_table(path: Path, text: str, header: list[str], dtype, parse,
-                 from_table=lambda table: table):
-    """The rows after the header: ``from_table`` of ``np.loadtxt``'s table
-    where it reads the body as the row-by-row path would, or else ``parse`` of
-    the csv module's rows, through ``_parse_rows``, which names the first bad
-    line."""
-    table = _loadtxt(text, header, dtype)
-    if table is not None:
-        return from_table(table)
-    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
-    return _parse_rows(path, rows, len(header), parse)
+        table = read(body) if body.strip("\r\n") else None
+    except ValueError:
+        table = None
+    if table is not None and table.shape == shape:
+        return table
+    for n, line in enumerate(body.split("\n")[:lines], start=2):
+        row = line.removesuffix("\r")
+        values = row.count(",") + 1 if row else 0
+        if values != width:
+            raise ValueError(f"{path.name} line {n}: {values} values, expected {width}")
+        try:
+            read(line)
+        except ValueError as exc:
+            raise ValueError(f"{path.name} line {n}: {str(exc).partition(' at row')[0]}") from None
+        # a quote left open reads alone but runs into the next line in the file
+        if line.count('"') % 2:
+            raise ValueError(f"{path.name} line {n}: quote not closed on its line")
+    raise AssertionError(f"{path.name}: loadtxt rejects the whole file but no line of it")
 
 
 def read_raw(directory: str | Path) -> RawDataset:
     """Parse a dataset directory without validating it.
 
-    Every CSV file is a header line, then one row per line of comma-separated
-    values, with no blank lines; LF or CRLF end the lines, and the last line
-    may lack one. Node ids, edge endpoints and label values are int64
-    integers, features float32 values.
-
-    ``np.loadtxt`` reads the rows of a file in one call. A file it could read
-    otherwise than the csv module and int()/float() would (quotes, non-ASCII
-    or control characters, a blank line, a row of another width, a value
-    loadtxt rejects) is read again row by row, and a bad value is reported
-    with the file and the first bad line (the header is line 1).
+    Every CSV file is a header line, then one row per line with as many
+    comma-separated values as the header names, and no blank lines; LF or
+    CRLF end the lines, and the last line may lack one. A value may be quoted
+    with ``"``, and whitespace around it is ignored. Node ids, edge endpoints
+    and label values are int64 integers in ASCII digits with an optional
+    sign; features are decimal floats (``1.5``, ``-2e-3``, ``nan``, ``inf``),
+    read as float64 and rounded to float32. ``np.loadtxt`` reads each file in
+    one call. What it rejects is reported with the file and the first bad line
+    (the header is line 1): a row of another width, an id written ``1.0`` or
+    past int64, digit underscores (``1_0``), non-ASCII digits, or a quote
+    left open at the end of its line.
     """
     raw = RawDataset()
     directory = Path(directory)
@@ -400,30 +370,28 @@ def read_raw(directory: str | Path) -> RawDataset:
         if not path.exists():
             raw.errors.append(f"missing file {path.name}")
             continue
-        text, header = _read_text(path)
+        header, body = _read_csv(path)
         width = nt.num_features * nt.feature_dim
-        expected = ["id"] + [
+        expected = ",".join(["id"] + [
             f"f{f}_{k}" for f in range(nt.num_features) for k in range(nt.feature_dim)
-        ]
+        ])
         if header != expected:
-            raw.errors.append(f"{path.name}: header mismatch, expected {','.join(expected)}")
+            raw.errors.append(f"{path.name}: header mismatch, expected {expected}")
             continue
-        # float64, then rounded to float32, as float() and np.float32 parse
         dtype = [("id", np.int64), ("f", np.float64, (width,))]
         try:
-            ids, feats = _parse_table(path, text, expected, dtype, lambda rs: (
-                np.array([int(r[0]) for r in rs], dtype=np.int64),
-                np.array([[float(v) for v in r[1:]] for r in rs], dtype=np.float32),
-            ), lambda t: (np.ascontiguousarray(t["id"]), t["f"].astype(np.float32)))
+            table = _read_table(path, body, 1 + width, dtype)
         except ValueError as exc:
             raw.errors.append(str(exc))
             continue
-        feats = feats.reshape(len(ids), nt.num_features, nt.feature_dim)
+        with np.errstate(over="ignore"):  # past float32's range is inf, reported below
+            feats = table["f"].astype(np.float32)
+        feats = feats.reshape(len(table), nt.num_features, nt.feature_dim)
         bad = np.flatnonzero(~np.isfinite(feats).all(axis=(1, 2)))
         if bad.size:
             raw.errors.append(f"{path.name} line {bad[0] + 2}: feature value is not finite")
             continue
-        raw.node_ids[nt.name] = ids
+        raw.node_ids[nt.name] = np.ascontiguousarray(table["id"])
         raw.node_features[nt.name] = feats
 
     for rel in schema.relations:
@@ -431,14 +399,12 @@ def read_raw(directory: str | Path) -> RawDataset:
         if not path.exists():
             raw.errors.append(f"missing file {path.name}")
             continue
-        text, header = _read_text(path)
-        if header != ["src_id", "dst_id"]:
+        header, body = _read_csv(path)
+        if header != "src_id,dst_id":
             raw.errors.append(f"{path.name}: header mismatch, expected src_id,dst_id")
             continue
         try:
-            raw.edges[rel] = _parse_table(path, text, header, np.int64, lambda rs: np.array(
-                [[int(r[0]), int(r[1])] for r in rs], dtype=np.int64
-            ).reshape(len(rs), 2))
+            raw.edges[rel] = _read_table(path, body, 2, np.int64)
         except ValueError as exc:
             raw.errors.append(str(exc))
 
@@ -446,7 +412,8 @@ def read_raw(directory: str | Path) -> RawDataset:
     if not labels_path.exists():
         raw.errors.append("missing file labels.csv")
     else:
-        text, header = _read_text(labels_path)
+        head, body = _read_csv(labels_path)
+        header = head.split(",")
         if header[:1] != ["id"] or len(header) < 2:
             raw.errors.append("labels.csv: header mismatch, expected id,label[...]")
         else:
@@ -454,11 +421,7 @@ def read_raw(directory: str | Path) -> RawDataset:
             if raw.multilabel and header != ["id"] + [f"label{c}" for c in range(len(header) - 1)]:
                 raw.errors.append("labels.csv: header mismatch for multi-label file")
             try:
-                raw.label_rows = _parse_table(
-                    labels_path, text, header, np.int64, lambda rs: np.array(
-                        [[int(v) for v in r] for r in rs], dtype=np.int64
-                    ).reshape(len(rs), len(header)),
-                )
+                raw.label_rows = _read_table(labels_path, body, len(header), np.int64)
             except ValueError as exc:
                 raw.errors.append(str(exc))
 

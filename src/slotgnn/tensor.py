@@ -451,26 +451,21 @@ def _build_edge_index(sources, indptr, n_src, heads, f_s, f_t) -> _EdgeIndex:
     )
 
 
-def gather(a: Tensor, idx) -> Tensor:
-    """Select rows along axis 0; the gradient sums back into each row.
+def gather(a: Tensor, idx: Segments) -> Tensor:
+    """Select the rows ``idx.ids`` along axis 0; the gradient sums back into
+    each row.
 
-    ``idx`` is an index array or a prebuilt :class:`Segments` over the rows
-    of ``a``; an array is turned into one only if backward runs. An identity
-    ``Segments`` returns ``a`` itself.
+    ``idx`` is a :class:`Segments` over the rows of ``a``, so every id was
+    range-checked when it was built. An identity ``Segments`` returns ``a``
+    itself.
     """
-    if isinstance(idx, Segments):
-        if idx.num_segments != a.shape[0]:
-            raise ShapeError(f"gather: Segments has {idx.num_segments} segments, want {a.shape[0]}")
-        if idx.identity:
-            return a
-        ids = idx.ids
-    else:
-        ids = np.asarray(idx, dtype=np.int64)
-
-    def back(g):
-        return ((idx if isinstance(idx, Segments) else Segments(ids, a.shape[0])).sum(g),)
-
-    return _make(a.data[ids], (a,), back)
+    if not isinstance(idx, Segments):
+        raise TypeError(f"gather: index must be a Segments, not {type(idx).__name__}")
+    if idx.num_segments != a.shape[0]:
+        raise ShapeError(f"gather: Segments has {idx.num_segments} segments, want {a.shape[0]}")
+    if idx.identity:
+        return a
+    return _make(a.data[idx.ids], (a,), lambda g: (idx.sum(g),))
 
 
 def _edge_rows(x: np.ndarray, seg: Segments) -> np.ndarray:

@@ -6,6 +6,7 @@ shares no code with the implementation under test.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -85,6 +86,25 @@ def central_diff4(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
         flat_x[i] = orig
         flat_g[i] = (-at[0] + 8.0 * at[1] - 8.0 * at[2] + at[3]) / (12.0 * h)
     return g
+
+
+def csv_rows(path, width: int, floats: bool = False):
+    """The rows after the header of a dataset CSV file, as the csv module
+    splits them and Python's int() and float() parse them: an int64 table of
+    ``width`` columns or, with ``floats``, the int64 first column and a float32
+    table of the others. Raises ValueError on a row of another width or a value
+    int() or float() rejects, OverflowError on an int past int64."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"{len(row)} values, expected {width}")
+    if not floats:
+        return np.array([[int(v) for v in row] for row in rows], dtype=np.int64).reshape(-1, width)
+    ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    with np.errstate(over="ignore"):
+        feats = np.array([[float(v) for v in row[1:]] for row in rows], dtype=np.float32)
+    return ids, feats.reshape(len(rows), width - 1)
 
 
 def csr_slices_by_filter(edges: np.ndarray, num_targets: int) -> list[list[int]]:

@@ -216,6 +216,13 @@ class TestFlags:
                 build_parser().parse_args(["train", flag, "1"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--max", "0.1"], ["--ear", "3"], ["--no-rel"]])
+    def test_no_flag_answers_to_a_prefix_of_itself(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *argv])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["--batch-mode", "mini"], ["--precision", "float16"], ["--attention-norm", "soft"],
         ["--split", "dev"], ["--profile", "huge"], ["--dim", "wide"], ["--dropout", "half"],

@@ -1,9 +1,12 @@
 import json
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotgnn import graph as graph_module
 from slotgnn.graph import (
@@ -83,16 +86,7 @@ def dblp_shaped_graph():
 class TestLoadSave:
     def test_round_trip_identity(self, graph, tmp_path):
         save_dataset(graph, tmp_path)
-        back = load_dataset(tmp_path)
-        assert back.schema.to_json() == graph.schema.to_json()
-        assert back.counts == graph.counts
-        for name in graph.counts:
-            assert np.array_equal(back.features[name], graph.features[name])
-        for rel in graph.schema.relations:
-            assert np.array_equal(back.edges[rel], graph.edges[rel])
-        assert np.array_equal(back.labels, graph.labels)
-        for part in ("train", "valid", "test"):
-            assert np.array_equal(back.splits[part], graph.splits[part])
+        assert_same_graph(load_dataset(tmp_path), graph)
 
     def test_empty_edge_relation_loads(self, graph, tmp_path):
         rel = graph.schema.relations[0]
@@ -190,6 +184,14 @@ class TestBadInput:
         with pytest.raises(DatasetError, match=r"nodes_item\.csv line 4: .*not finite"):
             load_dataset(tmp_path)
 
+    def test_feature_past_float32_range_is_not_finite(self, graph, tmp_path):
+        save_dataset(graph, tmp_path)
+        rewrite_line(tmp_path, "nodes_item.csv", 4, lambda s: s.rsplit(",", 1)[0] + ",1e39")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the cast to float32
+            with pytest.raises(DatasetError, match=r"nodes_item\.csv line 4: .*not finite"):
+                load_dataset(tmp_path)
+
     def test_ragged_node_row(self, graph, tmp_path):
         save_dataset(graph, tmp_path)
         rewrite_line(tmp_path, "nodes_mid.csv", 3, lambda s: s.rsplit(",", 1)[0])
@@ -242,7 +244,8 @@ class TestBadInput:
     def test_id_too_large_for_int64(self, graph, tmp_path, name, edit):
         save_dataset(graph, tmp_path)
         rewrite_line(tmp_path, name, 4, edit)
-        with pytest.raises(DatasetError, match=rf"{re.escape(name)} line 4: .*too large"):
+        want = rf"{re.escape(name)} line 4: .*'99999999999999999999'"
+        with pytest.raises(DatasetError, match=want):
             load_dataset(tmp_path)
 
     def test_id_listed_twice_in_one_split(self, graph, tmp_path):
@@ -256,45 +259,48 @@ class TestBadInput:
             load_dataset(tmp_path)
 
 
-def read_row_by_row(directory, monkeypatch):
-    """``read_raw`` with ``np.loadtxt`` declining every file, so each one
-    takes the row-by-row path."""
-    with monkeypatch.context() as m:
-        m.setattr(graph_module, "_loadtxt", lambda *args: None)
-        return read_raw(directory)
+def assert_same_array(got, want):
+    """``got`` is a C-ordered array equal to ``want`` to the bit."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
-def assert_same_raw(a, b):
-    """Two ``RawDataset``s hold the same errors and arrays, equal to the bit."""
-    assert a.errors == b.errors
-    assert (a.multilabel, a.splits) == (b.multilabel, b.splits)
-    for x, y in (
-        (a.node_ids, b.node_ids), (a.node_features, b.node_features), (a.edges, b.edges),
-        ({"labels": a.label_rows}, {"labels": b.label_rows}),
-    ):
-        assert x.keys() == y.keys()
-        for key in x:
-            assert (x[key].dtype, x[key].shape) == (y[key].dtype, y[key].shape)
-            assert x[key].flags.c_contiguous and y[key].flags.c_contiguous
-            assert x[key].tobytes() == y[key].tobytes()
+def assert_reads_as_reference(raw, directory):
+    """``raw`` holds the arrays the csv-module reference reads from every
+    CSV file in ``directory``."""
+    assert raw.errors == []
+    for nt in raw.schema.node_types:
+        width = nt.num_features * nt.feature_dim
+        ids, feats = oracles.csv_rows(directory / f"nodes_{nt.name}.csv", 1 + width, floats=True)
+        assert_same_array(raw.node_ids[nt.name], ids)
+        feats = feats.reshape(len(ids), nt.num_features, nt.feature_dim)
+        assert_same_array(raw.node_features[nt.name], feats)
+    for rel in raw.schema.relations:
+        assert_same_array(raw.edges[rel], oracles.csv_rows(directory / f"edges_{rel.key}.csv", 2))
+    width = 1 + (raw.schema.num_classes if raw.multilabel else 1)
+    assert_same_array(raw.label_rows, oracles.csv_rows(directory / "labels.csv", width))
+
+
+def assert_same_graph(back, graph):
+    assert back.schema.to_json() == graph.schema.to_json()
+    assert back.counts == graph.counts
+    for name in graph.counts:
+        assert np.array_equal(back.features[name], graph.features[name])
+    for rel in graph.schema.relations:
+        assert np.array_equal(back.edges[rel], graph.edges[rel])
+    assert np.array_equal(back.labels, graph.labels)
+    for part in ("train", "valid", "test"):
+        assert np.array_equal(back.splits[part], graph.splits[part])
+
+
+# the pieces one edit inserts into a line: no LF, so the edited file keeps
+# its lines
+EDIT_PIECES = list("0123456789,.-+e_\"#\t\r\x0b\x0c") + ["nan", "inf", "\u0661", "9" * 20]
 
 
 class TestParsePaths:
-    """``np.loadtxt`` and the row-by-row path read every file alike."""
-
-    @pytest.fixture
-    def fast_reads(self, monkeypatch):
-        """The files ``np.loadtxt`` reads, as their tables come back."""
-        tables = []
-        loadtxt = graph_module._loadtxt
-
-        def spy(*args):
-            table = loadtxt(*args)
-            tables.append(table)
-            return table
-
-        monkeypatch.setattr(graph_module, "_loadtxt", spy)
-        return tables
+    """Every file reads as the csv-module reference in ``oracles`` reads it,
+    or fails naming the file and the first line it cannot read."""
 
     def multilabel(self, graph):
         graph.schema.multilabel = True
@@ -313,7 +319,7 @@ class TestParsePaths:
     @pytest.mark.parametrize("case", [
         "single-label", "multi-label", "header-only", "no-trailing-newline", "crlf", "featureless",
     ])
-    def test_well_formed_files_read_alike(self, graph, tmp_path, monkeypatch, fast_reads, case):
+    def test_well_formed_files_read_alike(self, graph, tmp_path, case):
         if case == "multi-label":
             graph = self.multilabel(graph)
         elif case == "header-only":
@@ -325,13 +331,8 @@ class TestParsePaths:
             self.no_trailing_newline(tmp_path)
         elif case == "crlf":
             self.crlf(tmp_path)
-        fast = read_raw(tmp_path)
-        assert fast.errors == [] and validate_schema(fast.schema, fast) == []
-        # loadtxt read every file but a header-only one, which it warns on
-        empty = 1 if case == "header-only" else 0
-        assert sum(t is None for t in fast_reads) == empty
-        assert len(fast_reads) == len(graph.counts) + len(graph.schema.relations) + 1
-        assert_same_raw(fast, read_row_by_row(tmp_path, monkeypatch))
+        assert_reads_as_reference(read_raw(tmp_path), tmp_path)
+        assert_same_graph(load_dataset(tmp_path), graph)
 
     @pytest.mark.parametrize("name, line, edit, error", [
         ("edges_mid__of__item.csv", 5, lambda s: "\n" + s, "line 5: 0 values, expected 2"),
@@ -339,31 +340,62 @@ class TestParsePaths:
         ("nodes_mid.csv", 3, lambda s: s + ",0.5", "line 3: 10 values, expected 9"),
         ("nodes_mid.csv", 3, lambda s: s.rsplit(",", 1)[0], "line 3: 8 values, expected 9"),
         ("nodes_item.csv", 2, lambda s: "0.0," + s.split(",", 1)[1],
-         "line 2: invalid literal for int() with base 10: '0.0'"),
-        ("edges_mid__of__item.csv", 3, lambda s: "#" + s,
-         "line 3: invalid literal for int() with base 10: '#"),
+         "line 2: could not convert string '0.0' to int64"),
+        ("edges_mid__of__item.csv", 3, lambda s: "#" + s, "line 3: could not convert string '#"),
         ("edges_mid__of__item.csv", 3, lambda s: '"' + s.replace(",", '",', 1), None),
         ("labels.csv", 4, lambda s: s.split(",")[0] + ",99999999999999999999",
-         "line 4: Python int too large"),
+         "line 4: could not convert string '99999999999999999999' to int64"),
     ], ids=[
         "blank-line", "blank-last-line", "extra-column", "short-row", "float-id", "comment",
         "quoted-value", "oversized-id",
     ])
-    def test_malformed_files_read_alike(self, graph, tmp_path, monkeypatch, name, line, edit,
-                                        error):
+    def test_malformed_files_read_alike(self, graph, tmp_path, name, line, edit, error):
         save_dataset(graph, tmp_path)
         before = read_raw(tmp_path)
         path = tmp_path / name
         lines = path.read_text().splitlines()
         lines[line - 1 if line > 0 else line] = edit(lines[line - 1 if line > 0 else line])
         path.write_text("\n".join(lines) + "\n")
-        fast = read_raw(tmp_path)
-        assert_same_raw(fast, read_row_by_row(tmp_path, monkeypatch))
-        if error is None:
-            assert_same_raw(fast, before)
+        raw = read_raw(tmp_path)
+        if error is None:  # the quotes change no value
+            assert_reads_as_reference(raw, tmp_path)
+            assert_reads_as_reference(before, tmp_path)
         else:
-            assert len(fast.errors) == 1
-            assert fast.errors[0].startswith(f"{name} " + error.format(n=len(lines) + 1))
+            assert len(raw.errors) == 1
+            assert raw.errors[0].startswith(f"{name} " + error.format(n=len(lines) + 1))
+            with pytest.raises((ValueError, OverflowError)):  # the reference rejects it too
+                oracles.csv_rows(path, len(lines[0].split(",")), floats=name.startswith("nodes"))
+
+    @pytest.fixture(scope="class")
+    def twelve_targets(self, tmp_path_factory):
+        """A saved dataset of 12 targets, and the text of each CSV file."""
+        directory = tmp_path_factory.mktemp("twelve")
+        spec = small_spec(num_targets=12, num_mid=6, num_attr=4, num_junk=4, feature_dim=3)
+        save_dataset(synthetic_generate(spec, seed=5), directory)
+        return directory, {p.name: p.read_text() for p in sorted(directory.glob("*.csv"))}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_one_edit_reads_as_the_reference_or_names_its_line(self, twelve_targets, data):
+        directory, texts = twelve_targets
+        name = data.draw(st.sampled_from(sorted(texts)))
+        lines = texts[name].split("\n")  # the last is the empty text after the final LF
+        line = data.draw(st.integers(2, len(lines) - 1))  # 1-based; the header is line 1
+        text = lines[line - 1]
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, min(3, len(text) - at)))
+        piece = "".join(data.draw(st.lists(st.sampled_from(EDIT_PIECES), max_size=3)))
+        lines[line - 1] = text[:at] + piece + text[at + cut:]
+        path = directory / name
+        path.write_text("\n".join(lines), newline="")
+        try:
+            raw = read_raw(directory)
+            if raw.errors:
+                assert len(raw.errors) == 1 and raw.errors[0].startswith(f"{name} line {line}: ")
+            else:
+                assert_reads_as_reference(raw, directory)
+        finally:
+            path.write_text(texts[name], newline="")
 
     def test_every_bad_split_id_is_reported_in_order(self, graph, tmp_path):
         save_dataset(graph, tmp_path)

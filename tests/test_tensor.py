@@ -440,7 +440,7 @@ class TestFiniteDiffCheck:
 class TestIndexedOps:
     def test_gather_scatters_gradient(self):
         a = T.Tensor(rng(14).normal(size=(4, 3)), requires_grad=True, dtype=np.float64)
-        idx = np.array([0, 2, 2])
+        idx = T.Segments(np.array([0, 2, 2]), 4)
         with T.Tape() as tape:
             out = T.gather(a, idx)
             grads = tape.backward(T.reduce_sum(out))
@@ -869,10 +869,17 @@ class TestSegments:
     def test_ops_accept_segments_or_ids(self):
         a = T.Tensor(rng(33).normal(size=(4, 2)))
         ids = np.array([2, 0, 2])
-        seg = T.Segments(ids, 4)
-        assert np.array_equal(T.gather(a, seg).data, T.gather(a, ids).data)
+        assert np.array_equal(T.gather(a, T.Segments(ids, 4)).data, a.data[ids])
         with pytest.raises(T.ShapeError):
             T.gather(a, T.Segments(ids, 5))
+
+    def test_gather_refuses_a_plain_index_array(self):
+        # an array would skip the range check a Segments makes when built:
+        # -1 would read the last row
+        a = T.Tensor(rng(33).normal(size=(4, 2)), requires_grad=True)
+        for idx in (np.array([2, 0]), np.array([-1]), [0]):
+            with pytest.raises(TypeError, match="Segments"):
+                T.gather(a, idx)
 
     def test_out_of_range_ids_rejected(self):
         for ids in ([0, 3], [-1, 0], [[0, 1]]):
@@ -975,7 +982,6 @@ class TestInvariants:
         assert calls == raw
         with T.Tape():
             T.reshape(a, (3, 4))
-            T.gather(a, np.array([2, 0]))
             T.gather(a, T.Segments(np.array([3, 1]), 4))
             T.concat([a, a], axis=0)
             T.add(a, b)

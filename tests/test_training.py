@@ -479,13 +479,14 @@ class TestDtype:
             np.float32: init_model(g, quick_cfg(precision="float32")),
         }
         ids = g.splits["train"]
+        rows = T.Segments(ids, g.counts[g.schema.target_type])
         first = {}
         # alternate between the models: neither may leave state for the other
         for _ in range(2):
             for dtype, model in models.items():
                 with T.Tape() as tape:
                     out = model.forward(g, training=True, dropout_seed=(1,))
-                    batch_loss = head_loss(T.gather(out.logits, ids), g.labels[ids])
+                    batch_loss = head_loss(T.gather(out.logits, rows), g.labels[ids])
                 assert out.logits.dtype == dtype and batch_loss.dtype == dtype
                 assert all(p.dtype == dtype for p in model.parameters())
                 # every op's inputs, the features and dropout masks among them
