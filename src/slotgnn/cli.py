@@ -65,9 +65,7 @@ class RunConfig:
     )
 
     def echo(self) -> dict:
-        obj = dataclasses.asdict(self)
-        obj["train"] = dataclasses.asdict(self.train)
-        return obj
+        return dataclasses.asdict(self)
 
 
 def _parse_bool(raw: str) -> bool:

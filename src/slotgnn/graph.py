@@ -108,7 +108,6 @@ class BipartiteView:
     target t are ``src.ids[dst.indptr[t]:dst.indptr[t + 1]]``, ascending.
     """
 
-    relation: Relation
     src: Segments
     dst: Segments
 
@@ -183,7 +182,6 @@ class HeteroGraph:
             pairs = self.edges[relation].reshape(-1, 2)
             order = _edge_order(pairs, self.counts[relation.src])
             view = BipartiteView(
-                relation,
                 Segments(pairs[order, 0], self.counts[relation.src]),
                 Segments(pairs[order, 1], self.counts[relation.dst]),
             )
@@ -210,7 +208,6 @@ class HeteroGraph:
         }
         views = {
             rel: BipartiteView(
-                rel,
                 Segments(np.searchsorted(inputs[rel.src], src), inputs[rel.src].size),
                 Segments(np.searchsorted(outputs[rel.dst], dst), outputs[rel.dst].size),
             )
@@ -297,14 +294,19 @@ def _read_csv(path: Path) -> tuple[str, str]:
     return head.removesuffix("\r"), body
 
 
+# the ASCII separators FS, GS, RS and US, which np.loadtxt takes for whitespace
+# around a value, where int() and float() reject them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _read_table(path: Path, body: str, width: int, dtype) -> np.ndarray:
     """The lines of ``body``, the text after a CSV file's header, read by
     ``np.loadtxt`` into ``dtype``: one record per line for a structured
     ``dtype``, a (lines, ``width``) table for a plain one.
 
-    A body loadtxt does not read as one row per line of ``width`` values is
-    read again a line at a time, and ValueError names the file and the first
-    bad line (the header is line 1).
+    A body loadtxt does not read as one row per line of ``width`` values, or
+    that holds an ASCII separator, is read again a line at a time, and
+    ValueError names the file and the first bad line (the header is line 1).
     """
     dtype = np.dtype(dtype)
     lines = body.count("\n") + (not body.endswith("\n")) if body else 0
@@ -317,7 +319,8 @@ def _read_table(path: Path, body: str, width: int, dtype) -> np.ndarray:
                           comments=None, ndmin=len(shape))
 
     try:
-        table = read(body) if body.strip("\r\n") else None
+        clean = body.strip("\r\n") and not any(sep in body for sep in _SEPARATORS)
+        table = read(body) if clean else None
     except ValueError:
         table = None
     if table is not None and table.shape == shape:
@@ -327,6 +330,9 @@ def _read_table(path: Path, body: str, width: int, dtype) -> np.ndarray:
         values = row.count(",") + 1 if row else 0
         if values != width:
             raise ValueError(f"{path.name} line {n}: {values} values, expected {width}")
+        for sep in _SEPARATORS:
+            if sep in row:
+                raise ValueError(f"{path.name} line {n}: ASCII separator {sep!r} in a value")
         try:
             read(line)
         except ValueError as exc:
@@ -350,7 +356,8 @@ def read_raw(directory: str | Path) -> RawDataset:
     one call. What it rejects is reported with the file and the first bad line
     (the header is line 1): a row of another width, an id written ``1.0`` or
     past int64, digit underscores (``1_0``), non-ASCII digits, or a quote
-    left open at the end of its line.
+    left open at the end of its line. So is an ASCII separator
+    (``\\x1c``-``\\x1f``), which loadtxt would take for whitespace.
     """
     raw = RawDataset()
     directory = Path(directory)

@@ -171,8 +171,10 @@ def layer_forward(
     ``state`` holds every type in schema order at the input rows of
     ``block`` (by default ``graph.block()``, every node); the result holds
     every type at its output rows, and a type with no output rows keeps an
-    empty tensor. With ``sequence_update`` off (the no-sequence ablation) the
-    relation blocks are averaged into a single slot instead of being appended.
+    empty tensor. With ``sequence_update`` off (the no-sequence ablation)
+    every receiving type holds one slot, and its relation blocks are averaged
+    into one new slot that replaces it; a type with more slots raises
+    :class:`~slotgnn.tensor.ShapeError`.
     ``layer_index`` (from 1) only identifies the layer; no result depends on it.
     """
     schema = graph.schema
@@ -205,10 +207,9 @@ def layer_forward(
         if sequence_update:
             out[name] = update_sequences(tens, encoded, params.adopt[name])
             continue
-        incoming = schema.relations_into(name)
-        if len(incoming) > 1:
-            n, f = tens.shape[:2]
-            stacked = T.reshape(encoded, (n, len(incoming), f, params.dim))
-            encoded = T.reduce_mean(stacked, axis=1)
+        if tens.shape[1] != 1:
+            raise T.ShapeError(f"no-sequence layer: {name!r} has {tens.shape[1]} slots, want 1")
+        if encoded.shape[1] > 1:
+            encoded = T.reduce_mean(encoded, axis=1, keepdims=True)
         out[name] = T.matmul(encoded, params.adopt[name])
     return out

@@ -124,16 +124,16 @@ def project_features(
 
     ``rows`` names the nodes to project per type (every node when None); the
     result holds their sequences in that order, every type in schema order.
+    Each slot is built as an (n, 1, d) block: the affine map of the (n, 1, k)
+    feature slice, or for a featureless type a stack of ones times its
+    embedding.
     """
     state: dict[str, T.Tensor] = {}
-    d = proj.dim
     for nt in graph.schema.node_types:
         ids = np.arange(graph.counts[nt.name]) if rows is None else rows[nt.name]
-        n = ids.size
         if nt.num_features == 0:
             emb = proj.embeddings[nt.name]
-            shared = T.matmul(T.Tensor(np.ones((n, 1)), dtype=emb.dtype), emb)
-            state[nt.name] = T.reshape(shared, (n, 1, d))
+            state[nt.name] = T.matmul(T.Tensor(np.ones((ids.size, 1, 1)), dtype=emb.dtype), emb)
         else:
             feats = graph.features[nt.name]
             if feats.shape[1] != nt.num_features or feats.shape[2] != nt.feature_dim:
@@ -144,8 +144,7 @@ def project_features(
             slots = []
             for f in range(nt.num_features):
                 w, b = proj.weights[(nt.name, f)]
-                slot = T.affine(T.Tensor(feats[ids, f], dtype=w.dtype), w, b)
-                slots.append(T.reshape(slot, (n, 1, d)))
+                slots.append(T.affine(T.Tensor(feats[ids, f:f + 1], dtype=w.dtype), w, b))
             state[nt.name] = slots[0] if len(slots) == 1 else T.concat(slots, axis=1)
     return state
 

@@ -7,8 +7,11 @@ into the optimizer's one parameter vector, updated in place between tapes.
 A tensor built from raw data is float32 unless given a dtype; an op's output
 keeps the dtype of its inputs, so a model computes in its parameters' dtype.
 Recording happens on an explicit :class:`Tape` that is active for one
-forward pass. Reverse accumulation walks the tape in reverse creation
-order, which is a valid topological order because the tape is append-only.
+forward pass; its gradient table holds the leaves the pass recorded. Reverse
+accumulation walks the tape in reverse creation order, which is a valid
+topological order because the tape is append-only. Every node computes
+something: there is no op that only changes a shape, so callers build each
+tensor in the shape its consumers read.
 Message passing is two fused ops per relation, :func:`edge_attention` (which
 forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
 blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). Only the logits and
@@ -109,15 +112,15 @@ class Tape:
     """Append-only record of one forward pass.
 
     ``backward`` may be called once; the tape is consumed afterwards. It
-    returns the gradient of every leaf (a requires_grad tensor that feeds a
-    recorded operation, or one in ``watch``); leaves keep no gradient of
-    their own.
+    returns the gradient of every leaf the pass recorded (a requires_grad
+    tensor that feeds a recorded operation); leaves keep no gradient of their
+    own. A parameter the pass never reached is not in the table.
     """
 
-    def __init__(self, watch: Iterable[Tensor] = ()):
+    def __init__(self):
         self.nodes: list[_Node] = []
         self.consumed = False
-        self._watched: dict[int, Tensor] = {id(t): t for t in watch}
+        self._leaves: dict[int, Tensor] = {}
         self._prev_tape: Tape | None = None
 
     def __enter__(self) -> "Tape":
@@ -138,13 +141,13 @@ class Tape:
         self.nodes.append(_Node(out, parents, backward))
         for p in parents:
             if p.requires_grad and p._node is None:
-                self._watched[id(p)] = p
+                self._leaves[id(p)] = p
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Reverse accumulation from a scalar loss recorded on this tape.
 
-        Returns a table mapping every watched leaf to its gradient; leaves not
-        on any path to the loss get zero gradients.
+        Returns a table mapping every recorded leaf to its gradient; a leaf
+        not on any path to the loss gets a zero gradient.
         """
         if self.consumed:
             raise TapeError("backward called twice on a consumed tape")
@@ -157,8 +160,8 @@ class Tape:
         # every recorded tensor points back at this tape; handing the records
         # to locals breaks that cycle, so a step's tensors are freed by
         # reference counting as soon as the caller lets go of them
-        nodes, watched = self.nodes, self._watched
-        self.nodes, self._watched = [], {}
+        nodes, leaves = self.nodes, self._leaves
+        self.nodes, self._leaves = [], {}
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
         for node in reversed(nodes):
@@ -174,7 +177,7 @@ class Tape:
 
         return {
             leaf: grads[id(leaf)] if id(leaf) in grads else np.zeros_like(leaf.data)
-            for leaf in watched.values()
+            for leaf in leaves.values()
         }
 
 
@@ -272,16 +275,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape manipulation
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    old = a.shape
-
-    def back(g):
-        return (g.reshape(old),)
-
-    return _make(a.data.reshape(shape), (a,), back)
+# concatenation and reductions
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -309,10 +303,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return _make(data, tuple(tensors), back)
-
-
-# ---------------------------------------------------------------------------
-# reductions
 
 
 def reduce_sum(a: Tensor) -> Tensor:
@@ -730,11 +720,14 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     params: Iterable[Tensor],
     h: float = 1e-5,
-) -> float:
-    """Max relative error between tape gradients and central differences.
+) -> list[float]:
+    """Max relative error between tape gradients and central differences,
+    one per parameter in the order given.
 
     ``f`` must be a deterministic scalar function of ``params`` evaluated in
-    64-bit mode; determinism is verified by evaluating twice.
+    64-bit mode; determinism is verified once, by evaluating twice, and one
+    backward gives every parameter's gradient. A parameter the loss never
+    reads has gradient zero.
     """
     params = list(params)
     for p in params:
@@ -751,12 +744,11 @@ def finite_diff_check(
         # a loss that never touched the tape is constant in the params
         table = tape.backward(loss) if loss._tape is tape else {}
 
-    worst = 0.0
+    errors = []
     for p in params:
-        g_ad = table.get(p)
-        if g_ad is None:
-            g_ad = np.zeros_like(p.data)
+        g_ad = table.get(p, np.zeros_like(p.data)).reshape(-1)
         flat = p.data.reshape(-1)
+        worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -765,7 +757,6 @@ def finite_diff_check(
             down = f().item()
             flat[i] = orig
             g_fd = (up - down) / (2.0 * h)
-            g = g_ad.reshape(-1)[i]
-            err = abs(g - g_fd) / max(1e-8, abs(g) + abs(g_fd))
-            worst = max(worst, err)
-    return worst
+            worst = max(worst, abs(g_ad[i] - g_fd) / max(1e-8, abs(g_ad[i]) + abs(g_fd)))
+        errors.append(worst)
+    return errors

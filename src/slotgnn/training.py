@@ -38,14 +38,9 @@ class RngStreams:
         return (self.seed, _stream_key("dropout"))
 
 
-def set_seed(seed: int) -> RngStreams:
-    return RngStreams(int(seed))
-
-
 def init_model(graph: HeteroGraph, config: TrainConfig) -> SlotModel:
     """Build a model whose parameters come from the seed's init stream."""
-    streams = set_seed(config.seed)
-    return SlotModel(graph.schema, config, streams.generator("init"))
+    return SlotModel(graph.schema, config, RngStreams(config.seed).generator("init"))
 
 
 class AdamW:
@@ -199,8 +194,8 @@ def evaluate(model: SlotModel, graph: HeteroGraph, split) -> dict[str, float]:
 
 def _train_step(model, graph, local_ids, labels, lr, opt, dropout_seed, multilabel) -> float:
     # parameters the pass does not reach, such as queries of a type no
-    # requested row needs, get zero gradients
-    with T.Tape(watch=model.parameters()) as tape:
+    # requested row needs, are not in the table: the optimizer reads zeros
+    with T.Tape() as tape:
         out = model.forward(graph, training=True, dropout_seed=dropout_seed, rows=local_ids)
         batch_loss = head_loss(out.logits, labels, multilabel)
         grads = tape.backward(batch_loss)
@@ -215,7 +210,7 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
     to the start of the failing epoch and the result is marked diverged.
     """
     config.validate()
-    streams = set_seed(config.seed)
+    streams = RngStreams(config.seed)
     sampler_rng = streams.generator("sampler")
     droot = streams.dropout_root
     opt = AdamW(model.named_parameters(), weight_decay=config.weight_decay)
@@ -292,12 +287,9 @@ def grad_check_model(model: SlotModel, graph: HeteroGraph, h: float = 1e-5) -> d
 
     Requires a model built in float64 with dropout effectively off (the loss
     is evaluated in inference mode). Returns the worst relative error per
-    named parameter.
+    named parameter, from one ``finite_diff_check`` over all of them.
     """
     if model.config.precision != "float64":
         raise ValueError("grad_check_model requires a float64 model")
-    f = gradcheck_loss(model, graph)
-    report: dict[str, float] = {}
-    for name, p in model.named_parameters():
-        report[name] = T.finite_diff_check(f, [p], h=h)
-    return report
+    names, params = zip(*model.named_parameters())
+    return dict(zip(names, T.finite_diff_check(gradcheck_loss(model, graph), params, h=h)))

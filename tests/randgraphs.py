@@ -13,7 +13,13 @@ def random_schema(
     max_relations: int = 6,
     max_features: int = 3,
     max_feature_dim: int = 3,
+    featureless: bool = False,
+    multilabel: bool = False,
 ) -> Schema:
+    """A random schema. ``featureless`` then makes each type featureless with
+    probability 1/2, and ``multilabel`` gives it a multi-label head; both
+    draw after everything else, so the schema is otherwise the one drawn
+    without them."""
     n_types = int(rng.integers(2, max_types + 1))
     names = [f"t{i}" for i in range(n_types)]
     node_types = [
@@ -34,7 +40,11 @@ def random_schema(
     if n_types + len(relations) <= 2:
         relations.append(Relation(names[0], "extra", names[-1]))
     target = names[int(rng.integers(0, n_types))]
-    return Schema(node_types, relations, target, num_classes=int(rng.integers(2, 4)))
+    num_classes = int(rng.integers(2, 4))
+    if featureless:
+        bare = rng.random(n_types) < 0.5
+        node_types = [NodeType(nt.name, 0, 0) if b else nt for nt, b in zip(node_types, bare)]
+    return Schema(node_types, relations, target, num_classes, multilabel)
 
 
 def random_graph(
@@ -65,12 +75,16 @@ def random_graph(
         edges[rel] = pairs.reshape(n_e, 2)
     n_target = counts[schema.target_type]
     ids = np.arange(n_target)
+    if schema.multilabel:  # a 0/1 row per target
+        labels = rng.integers(0, 2, size=(n_target, schema.num_classes)).astype(np.float32)
+    else:
+        labels = rng.integers(0, schema.num_classes, size=n_target)
     return HeteroGraph(
         schema=schema,
         counts=counts,
         features=features,
         edges=edges,
-        labels=rng.integers(0, schema.num_classes, size=n_target),
+        labels=labels,
         labeled_mask=np.ones(n_target, dtype=bool),
         splits={"train": ids, "valid": ids[:1], "test": ids[:1]},
     )

@@ -248,6 +248,23 @@ class TestBadInput:
         with pytest.raises(DatasetError, match=want):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"], ids=["FS", "GS", "RS", "US"])
+    @pytest.mark.parametrize("name, edit", [
+        ("edges_mid__of__item.csv", lambda s, sep: s + sep),
+        ("nodes_item.csv", lambda s, sep: s.rsplit(",", 1)[0] + "," + sep + s.rsplit(",", 1)[1]),
+    ], ids=["edge-endpoint", "feature"])
+    def test_ascii_separator_in_a_value(self, graph, tmp_path, name, edit, sep):
+        # np.loadtxt reads these as whitespace around the value; int() and
+        # float(), and so the reference, reject them
+        save_dataset(graph, tmp_path)
+        rewrite_line(tmp_path, name, 4, lambda s: edit(s, sep))
+        width = 2 if name.startswith("edges") else 1 + graph.schema.node_type("item").feature_dim
+        with pytest.raises(ValueError):  # the reference rejects it too
+            oracles.csv_rows(tmp_path / name, width, floats=name.startswith("nodes"))
+        want = rf"{re.escape(name)} line 4: ASCII separator '\\x1[c-f]' in a value"
+        with pytest.raises(DatasetError, match=want):
+            load_dataset(tmp_path)
+
     def test_id_listed_twice_in_one_split(self, graph, tmp_path):
         save_dataset(graph, tmp_path)
         path = tmp_path / "splits.json"
@@ -295,7 +312,7 @@ def assert_same_graph(back, graph):
 
 # the pieces one edit inserts into a line: no LF, so the edited file keeps
 # its lines
-EDIT_PIECES = list("0123456789,.-+e_\"#\t\r\x0b\x0c") + ["nan", "inf", "\u0661", "9" * 20]
+EDIT_PIECES = list("0123456789,.-+e_\"#\t\r\x0b\x0c\x1c") + ["nan", "inf", "\u0661", "9" * 20]
 
 
 class TestParsePaths:

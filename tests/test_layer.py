@@ -376,6 +376,28 @@ class TestLayerForward:
         for name in g.counts:
             assert np.allclose(out[name].data, want[name], rtol=1e-5, atol=1e-6)
 
+    def test_no_seq_layer_matches_dense_reference(self):
+        # two relations into t: their blocks are averaged into its one slot
+        g = fig_one_graph(n_target=3, n_a=4, n_b=2, seed=50)
+        state = init_state(g, 4, seed=50)
+        params = make_params(g, 4, 2, seed=51)
+        out = layer_forward(state, g, params, layer_index=1, sequence_update=False)
+        want = oracles.dense_layer_reference(
+            g, {n: t.data for n, t in state.items()}, params, sequence_update=False
+        )
+        for name in g.counts:
+            assert out[name].shape == want[name].shape
+            assert np.allclose(out[name].data, want[name], rtol=1e-5, atol=1e-6)
+
+    def test_no_seq_layer_rejects_a_state_of_several_slots(self):
+        g = fig_one_graph(seed=52)
+        state = init_state(g, 4, seed=52)
+        state["t"] = T.concat([state["t"], state["t"]], axis=1)
+        with pytest.raises(T.ShapeError, match="'t' has 2 slots"):
+            layer_forward(
+                state, g, make_params(g, 4, 2, seed=53), layer_index=1, sequence_update=False
+            )
+
     @pytest.mark.parametrize("mode", ["joint", "literal"])
     def test_dense_reference_other_modes(self, mode):
         rng = np.random.default_rng(77)

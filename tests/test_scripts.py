@@ -1,4 +1,5 @@
-"""Each script under scripts/ runs end to end on a small input."""
+"""Each script under scripts/ runs end to end on a small input, and the
+repository's pytest settings report a failing test in full."""
 
 import importlib
 import os
@@ -46,6 +47,30 @@ def test_make_dataset(tmp_path):
     edges = sum(len(e) for e in graph.edges.values())
     assert graph.counts == {"item": 30, "mid": 10, "attr": 6, "junk": 6}
     assert lines == [f"wrote {out}: 52 nodes, {edges} edges"]
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@given(st.just(0))
+@settings(derandomize=True, database=None)
+def test_fails(x):
+    assert x != 0
+"""
+
+
+def test_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
+    # hypothesis's failure report raises a DeprecationWarning of its own; the
+    # settings' warnings-as-errors must not turn it into an INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1 and "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed" in done.stdout
 
 
 def test_perfbench_hooks_install_and_restore(monkeypatch):

@@ -78,6 +78,43 @@ class TestProjectFeatures:
         # all nodes of the type share the one embedding
         assert np.allclose(state["x"].data[0], state["x"].data[2])
 
+    def test_slots_are_made_in_their_final_shape(self):
+        # one tape node per slot (its affine map, or ones times the
+        # embedding) and a concat for a type with several features: no node
+        # only reshapes
+        from slotgnn.graph import HeteroGraph
+
+        schema = Schema(
+            node_types=[NodeType("x", 0, 0), NodeType("y", 3, 2), NodeType("z", 1, 4)],
+            relations=[Relation("x", "r", "y"), Relation("z", "s", "y")],
+            target_type="y",
+            num_classes=2,
+        )
+        rng = np.random.default_rng(3)
+        features = {
+            "x": np.zeros((4, 0, 0), np.float32),
+            "y": rng.normal(size=(5, 3, 2)).astype(np.float32),
+            "z": rng.normal(size=(3, 1, 4)).astype(np.float32),
+        }
+        g = HeteroGraph(
+            schema, {"x": 4, "y": 5, "z": 3}, features,
+            {r: np.zeros((0, 2), dtype=np.int64) for r in schema.relations},
+            labels=np.zeros(5, dtype=np.int64), labeled_mask=np.ones(5, dtype=bool), splits={},
+        )
+        proj = InputProjection.create(schema, 4, rng, dtype=np.float64)
+        rows = {"x": np.array([0, 3]), "y": np.array([1, 2, 4]), "z": np.array([2])}
+        with T.Tape() as tape:
+            state = project_features(g, proj, rows)
+        assert len(tape.nodes) == 1 + (3 + 1) + 1
+        shapes = {n: t.shape for n, t in state.items()}
+        assert shapes == {"x": (2, 1, 4), "y": (3, 3, 4), "z": (1, 1, 4)}
+        emb = proj.embeddings["x"].data
+        assert state["x"].data.tobytes() == np.concatenate([emb, emb])[:, None].tobytes()
+        for name, f in (("y", 0), ("y", 1), ("y", 2), ("z", 0)):
+            w, b = proj.weights[(name, f)]
+            want = features[name][rows[name], f].astype(np.float64) @ w.data + b.data
+            assert state[name].data[:, f].tobytes() == want.tobytes()
+
 
 class TestSlotLabels:
     def test_fig_one_growth_one_to_three_to_nine(self):
@@ -189,8 +226,7 @@ class TestSlotDropout:
         ups = {n: T.Tensor(draw.normal(size=t.shape), dtype=dtype) for n, t in state.items()}
         with T.Tape() as tape:
             out = slot_dropout(state, p, seed=seed, graph=sub)
-            parts = [T.reduce_sum(T.mul(out[n], ups[n])) for n in state]
-            grads = tape.backward(T.reduce_sum(T.concat([T.reshape(x, (1,)) for x in parts], 0)))
+            grads = tape.backward(T.reduce_sum(T.concat([T.mul(out[n], ups[n]) for n in state], 0)))
         for ti, (name, tens) in enumerate(state.items()):
             ids = sub.orig_ids[name]
             rng = np.random.default_rng(np.random.SeedSequence([seed, ti]))

@@ -11,15 +11,17 @@ from slotgnn.graph import SyntheticSpec, synthetic_generate
 from slotgnn.training import (
     AdamW,
     OptimizerError,
+    RngStreams,
     evaluate,
     grad_check_model,
+    gradcheck_loss,
     init_model,
     onecycle_lr,
-    set_seed,
     train,
 )
 
 from . import oracles
+from .randgraphs import random_graph, random_schema
 
 
 def small_planted(seed=0):
@@ -193,12 +195,12 @@ class TestOneCycle:
 
 class TestSetSeed:
     def test_same_seed_same_init(self):
-        a = set_seed(7).generator("init").normal(size=10)
-        b = set_seed(7).generator("init").normal(size=10)
+        a = RngStreams(7).generator("init").normal(size=10)
+        b = RngStreams(7).generator("init").normal(size=10)
         assert np.array_equal(a, b)
 
     def test_named_streams_decorrelated(self):
-        streams = set_seed(7)
+        streams = RngStreams(7)
         a = streams.generator("init").integers(0, 2 ** 32, size=64)
         b = streams.generator("sampler").integers(0, 2 ** 32, size=64)
         assert not np.array_equal(a, b)
@@ -385,8 +387,9 @@ class TestTrain:
     def test_desk_train_step_tape_size_is_pinned(self, monkeypatch):
         # each relation's attention (K W included), its aggregation, the
         # fusion head after its query and every affine map (product and bias)
-        # are one fused node apiece; a change that splits them into several
-        # ops shows up here
+        # are one fused node apiece, and each layer-0 slot is made in its
+        # final (n, 1, d) shape; a change that splits them into several ops
+        # or adds a node that only moves values shows up here
         nodes = []
         backward = T.Tape.backward
 
@@ -398,7 +401,7 @@ class TestTrain:
         g = synthetic_generate(SyntheticSpec(), seed=101)
         cfg = from_profile("desk").replace(epochs=1)
         train(init_model(g, cfg), g, cfg)
-        assert nodes == [70]
+        assert nodes == [66]
 
     def test_desk_train_step_screen_count_is_pinned(self, monkeypatch):
         # screens run on raw tensors (features, featureless types' ones and
@@ -510,8 +513,8 @@ class TestDtype:
             model = init_model(g, cfg)
             train(model, g, cfg)
             assert all(p.dtype == np.dtype(precision) for p in model.parameters())
-            # the last step's gradients, one per parameter
-            assert all(tables[-1][p].dtype == np.dtype(precision) for p in model.parameters())
+            # the last step's gradients, one per parameter the step reached
+            assert tables[-1] and all(g.dtype == np.dtype(precision) for g in tables[-1].values())
 
 
 class TestGradCheckModel:
@@ -545,7 +548,7 @@ class TestGradCheckModel:
             return head_loss(classify(fused, params), labels)
 
         for p in (params.classifier_weight, params.classifier_bias):
-            assert T.finite_diff_check(f, [p]) < 1e-8
+            assert max(T.finite_diff_check(f, [p])) < 1e-8
 
     def test_corrupted_backward_rule_is_detected(self, monkeypatch):
         import slotgnn.tensor as tensor_mod
@@ -573,3 +576,76 @@ class TestGradCheckModel:
         monkeypatch.setattr(tensor_mod, "matmul", corrupted)
         report = grad_check_model(model, g)
         assert max(report.values()) > 1e-2
+
+
+class TestDirectionalGradients:
+    """The loss's central difference along random directions v against the
+    tape's g . v, as ``jax.test_util.check_grads`` does, over random schemas
+    (some with featureless types or a multi-label head) and every switch.
+    A full-coordinate check per pair would take minutes; one direction takes
+    two forwards."""
+
+    SWITCHES = {
+        "default": {},
+        "no-seq": dict(use_seq=False),
+        "no-fusion": dict(use_fusion=False),
+        "no-relation-encoding": dict(use_relation_encoding=False),
+        "literal": dict(attention_norm="literal"),
+        "scale-outside": dict(scale_outside=True),
+        "one-layer": dict(layers=1),
+        "three-layers": dict(layers=3),
+    }
+
+    @staticmethod
+    def worst_error(model, graph, rng, directions=2, h=1e-5):
+        params = model.parameters()
+        # off init, so the zero biases and encodings are live
+        for p in params:
+            p.data += 0.1 * rng.normal(size=p.shape)
+        f = gradcheck_loss(model, graph)
+        with T.Tape() as tape:
+            table = tape.backward(f())
+        origs = [p.data.copy() for p in params]
+        worst = 0.0
+        for _ in range(directions):
+            vs = [rng.normal(size=p.shape) for p in params]
+            g_v = sum(float(np.vdot(table[p], v)) for p, v in zip(params, vs) if p in table)
+            values = []
+            for step in (h, -h):
+                for p, orig, v in zip(params, origs, vs):
+                    p.data[...] = orig + step * v
+                values.append(f().item())
+            for p, orig in zip(params, origs):
+                p.data[...] = orig
+            fd = (values[0] - values[1]) / (2 * h)
+            worst = max(worst, abs(fd - g_v) / max(1e-8, abs(fd) + abs(g_v)))
+        return worst
+
+    @pytest.mark.parametrize("switch", SWITCHES)
+    def test_every_switch_over_random_schemas(self, switch):
+        worst = {}
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            schema = random_schema(rng, featureless=True, multilabel=seed % 2 == 1)
+            graph = random_graph(rng, schema)
+            cfg = TrainConfig(
+                dim=4, heads=2, dropout=0.0, precision="float64", seed=seed, **self.SWITCHES[switch]
+            )
+            worst[seed] = self.worst_error(init_model(graph, cfg), graph, rng)
+        assert max(worst.values()) < 1e-6, worst
+
+    def test_the_schemas_reach_the_paths_the_fixture_misses(self):
+        schemas = [
+            random_schema(np.random.default_rng(seed), featureless=True, multilabel=seed % 2 == 1)
+            for seed in range(10)
+        ]
+        assert any(s.multilabel for s in schemas)
+        assert any(nt.num_features == 0 for s in schemas for nt in s.node_types)
+        assert any(nt.num_features > 1 for s in schemas for nt in s.node_types)
+        # a type that both sends and receives: its sequence grows before it is read
+        assert any(
+            {r.src for r in s.relations} & {r.dst for r in s.relations} for s in schemas
+        )
+        assert any(
+            r.src != s.target_type and r.dst != s.target_type for s in schemas for r in s.relations
+        )
