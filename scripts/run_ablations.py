@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the full model against the no-sequence and no-encoding variants.
+"""Compare the full model against the no-sequence, no-fusion and no-encoding
+variants.
 
 Runs each variant over several seeds of the planted task and prints mean
 held-out accuracy with the per-seed figures. Every variant sees the same

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import artifacts
 from .config import PROFILES, TrainConfig, from_profile
-from .fixtures import GRADCHECK_SEED, gradcheck_graph
+from .fixtures import CHECKABLE, GRADCHECK_MODEL, gradcheck_graph
 from .fusion import metapath_report
 from .graph import DatasetError, load_dataset
 from .training import evaluate, grad_check_model, gradcheck_loss, init_model, train
@@ -253,11 +253,11 @@ def cmd_gradcheck(run: RunConfig, out: Path) -> int:
     if run.dataset is not None:
         graph = _load_graph(run)
         dataset_hash = artifacts.dataset_fingerprint(run.dataset)
+        run.train = run.train.replace(**CHECKABLE)
     else:
         graph = gradcheck_graph()
         dataset_hash = "builtin:gradcheck"
-        run.train = run.train.replace(dim=8, heads=2, layers=2, seed=GRADCHECK_SEED)
-    run.train = run.train.replace(precision="float64", dropout=0.0)
+        run.train = run.train.replace(**GRADCHECK_MODEL)
     model = init_model(graph, run.train)
     _project_gradcheck(model, graph)
     report = grad_check_model(model, graph)

@@ -7,6 +7,10 @@ import numpy as np
 from .graph import HeteroGraph, NodeType, Relation, Schema
 
 GRADCHECK_SEED = 2
+# what a finite-difference check of a model needs: float64, and no dropout
+CHECKABLE = {"precision": "float64", "dropout": 0.0}
+# the settings the bundled graph's model is checked with
+GRADCHECK_MODEL = {"dim": 8, "heads": 2, "layers": 2, "seed": GRADCHECK_SEED, **CHECKABLE}
 
 
 def gradcheck_graph() -> HeteroGraph:

@@ -2,22 +2,21 @@
 
 The fusion query comes from the layer-0 sequence, keys/values from the final
 sequence; the per-head attention row over final slots doubles as a per-node
-importance estimate of each provenance chain, which the report aggregates.
+importance estimate of each slot's meta-path, which the report sums by name.
 With one query per node the key and value maps are applied on the node, not
 on each slot: (h W_k) q = h (W_k q) and sum_f a_f h_f W_v = (sum_f a_f h_f) W_v,
-in the one tape op :func:`tensor.slot_fusion`. The attention rows are the
-same weights as before, kept as (nodes, heads, final slot count).
+in the one tape op :func:`tensor.slot_fusion`. The attention rows are kept as
+(nodes, heads, final slot count).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .graph import Schema
-from .seq import BaseSlot, LayerSlot, MsgSlot, SlotLabel
 
 
 @dataclass
@@ -147,7 +146,6 @@ class MetaPathReport:
 
     per_type: dict[str, list[tuple[str, float]]]
     per_node: dict[int, list[tuple[str, float]]] | None = None
-    group_totals: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         obj: dict = {
@@ -173,33 +171,15 @@ class MetaPathReport:
         return "\n".join(lines) + "\n"
 
 
-def render_slot(labels: list[SlotLabel], index: int, type_name: str) -> str:
-    """Human-readable provenance of one slot.
-
-    Base slots render as the owning type; message slots prepend the source
-    type and relation name to their parent chain, arrows pointing
-    source -> target. Earlier tables are prefixes of later ones, so parent
-    indices resolve within the same list.
-    """
-    label = labels[index]
-    if isinstance(label, BaseSlot):
-        return type_name
-    if isinstance(label, LayerSlot):
-        return f"{type_name}:layer{label.layer}"
-    if isinstance(label, MsgSlot):
-        parent = render_slot(labels, label.parent, type_name)
-        return f"{label.relation.src}-{label.relation.name}->({parent})"
-    raise TypeError(f"unknown slot label {label!r}")
-
-
 def metapath_report(
     fusion: FusionOutput,
-    labels: list[SlotLabel],
+    paths: list[str],
     schema: Schema,
     k: int = 5,
     include_per_node: bool = False,
 ) -> MetaPathReport:
-    """Aggregate head-averaged fusion attention by rendered provenance path.
+    """Sum head-averaged fusion attention by meta-path: ``paths`` names each
+    final slot (``SlotModel.head_labels``), and slots of one name share a row.
 
     Grouped weights partition each node's attention mass; the per-type rows
     average over nodes, sort descending with lexicographic tie-breaks, and
@@ -209,14 +189,13 @@ def metapath_report(
         raise ValueError("k must be at least 1")
     weights = fusion.attn.mean(axis=1)
     n, f_l = weights.shape
-    if len(labels) != f_l:
-        raise ValueError(f"label table length {len(labels)} != slot count {f_l}")
+    if len(paths) != f_l:
+        raise ValueError(f"{len(paths)} slot paths != slot count {f_l}")
     type_name = schema.target_type
-    rendered = [render_slot(labels, i, type_name) for i in range(f_l)]
-    keys = sorted(set(rendered))
+    keys = sorted(set(paths))
     group_of = {key: i for i, key in enumerate(keys)}
     grouped = np.zeros((n, len(keys)), dtype=np.float64)
-    for slot, key in enumerate(rendered):
+    for slot, key in enumerate(paths):
         grouped[:, group_of[key]] += weights[:, slot]
 
     def ranked(values: np.ndarray) -> list[tuple[str, float]]:
@@ -227,4 +206,4 @@ def metapath_report(
     per_node = None
     if include_per_node:
         per_node = {i: ranked(grouped[i]) for i in range(n)}
-    return MetaPathReport(per_type, per_node, {type_name: grouped})
+    return MetaPathReport(per_type, per_node)

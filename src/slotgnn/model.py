@@ -1,4 +1,39 @@
-"""Whole-model assembly: input projection, stacked layers, fusion, classifier."""
+"""Whole-model assembly: input projection, stacked layers, fusion, classifier.
+
+The forward, one step a line, beside the function that computes it. Node t
+of type tau receives over each relation r = (sigma -> tau) from its sources
+s; l = 1..L counts layers; [a; b] appends b's slots to a's, and every map
+acts slot by slot. Attention runs per head on the head's d_h = d / H
+columns of each vector it reads:
+
+  h0 = [x_f W_f + b_f]_f, or [e_tau] if featureless            seq.project_features
+  no-seq: h0 = mean_f h0_f                                     SlotModel.forward
+  Q_t = h_t W^Q + b^Q;  K_s = h_s W^K;  V_s = h_s W^V + b^V    layer.project_qkv
+  a_r(s, t)_ij = softmax((K_s,i W^att_r) . Q_t,j / sqrt(d_h))  layer.relation_attention [2, 3]
+  M_r(t)_j = sum_s sum_i a_r(s, t)_ij V_s,i W^ext_r            layer.aggregate_messages
+  E_t = [M_r(t) + enc_r]_r, r into tau in schema order         layer.encode_relations
+  h^l_t = [h^(l-1)_t; E_t W^adopt_tau]                         layer.update_sequences [1]
+  no-seq: h^l_t = (mean_j E_t,j) W^adopt_tau                   layer.layer_forward [1]
+  q_t = mean_f h0_t,f W^fq                                     fusion.fuse
+  b_t,f = softmax_f((h^L_t,f W^fk) . q_t / sqrt(d_h))          tensor.slot_fusion
+  z_t = sum_f b_t,f h^L_t,f W^fv                               tensor.slot_fusion
+  no-fusion: z_t = mean_f h^L_t,f                              fusion.mean_fuse
+  y_t = z_t W^c + b^c; softmax or logistic cross-entropy       fusion.classify, loss
+
+A type no relation enters keeps its sequence. The no-seq fusion reads one
+slot per layer, [h^1_t; ...; h^L_t]. In training, ``seq.slot_dropout``
+zeroes whole slots before each layer. The paper's abstract fixes only that a
+node is a sequence of meta-path representations, which an attention module
+fuses; the steps above follow HGT (arXiv:2003.01332) and recollection of the
+paper, not its text. The marked steps are readings that nothing in the repo
+settles, where the code can switch or HGT does otherwise:
+  [1] no nonlinearity before ``adopt``; HGT applies one and adds a residual.
+  [2] ``attention_norm``: ``joint`` (as written) normalizes a_r over a
+      target's (s, i) pairs for each j, ``literal`` over its sources s for
+      each (i, j).
+  [3] where the scale goes: by default the logits are scaled by 1 / sqrt(d_h)
+      as written; ``scale_outside`` scales the softmax's output by 1 / sqrt(d).
+"""
 
 from __future__ import annotations
 
@@ -11,7 +46,7 @@ from .config import TrainConfig
 from .fusion import FusionOutput, FusionParams, classify, fuse, mean_fuse
 from .graph import HeteroGraph, Schema
 from .layer import LayerParams, layer_forward
-from .seq import InputProjection, LayerSlot, SlotLabel, project_features, slot_dropout, slot_labels
+from .seq import InputProjection, project_features, slot_dropout, slot_paths
 
 
 @dataclass
@@ -24,7 +59,7 @@ class SlotModel:
     """The full network for one schema, holding every trainable tensor in the
     dtype ``config.precision`` names; a forward pass computes in that dtype.
 
-    ``head_labels`` is the provenance of each slot the fusion head reads,
+    ``head_labels`` names each slot the fusion head reads by its meta-path,
     which depends only on the schema and the config.
     """
 
@@ -32,10 +67,10 @@ class SlotModel:
         config.validate()
         self.schema = schema
         self.config = config
-        self.head_labels: list[SlotLabel] = (
-            slot_labels(schema, config.layers)[schema.target_type][-1]
+        self.head_labels = (
+            slot_paths(schema, config.layers)
             if config.use_seq
-            else [LayerSlot(i) for i in range(1, config.layers + 1)]
+            else [f"{schema.target_type}:layer{i}" for i in range(1, config.layers + 1)]
         )
         dtype = np.dtype(config.precision)
         self.proj = InputProjection.create(schema, config.dim, rng, dtype)

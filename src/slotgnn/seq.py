@@ -1,79 +1,34 @@
-"""Multi-slot node representations: input projection, slot provenance, dropout.
+"""Multi-slot node representations: input projection, slot paths, dropout.
 
 A node's representation is an ordered sequence of d-vectors ("slots"). At
 layer 0 there is one slot per raw feature; each layer appends one message
 block per incoming relation, so the slot count per type grows by the factor
-(#incoming relations + 1) per layer. Every slot has a provenance label that
-decodes back to either a base feature or a relation-derived message; the
-labels depend only on the schema, so ``slot_labels`` computes them once and
-a forward pass carries only the per-type tensors.
+(#incoming relations + 1) per layer. Each of the target type's slots reads as
+a meta-path name, which depends only on the schema: ``slot_paths`` spells
+them once, and a forward pass carries only the per-type tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from . import tensor as T
-from .graph import HeteroGraph, Relation, Schema
+from .graph import HeteroGraph, Schema
 
 
-@dataclass(frozen=True)
-class BaseSlot:
-    """Slot holding the projection of one raw feature."""
-
-    feature: int
-
-
-@dataclass(frozen=True)
-class MsgSlot:
-    """Slot holding a layer-``layer`` message over ``relation``.
-
-    ``parent`` indexes the target's own slot table one layer below: message
-    blocks are shaped like the target's previous sequence, so each new slot
-    extends one existing provenance chain by one hop.
+def slot_paths(schema: Schema, num_layers: int) -> list[str]:
+    """The meta-path of each target slot after ``num_layers`` layers, in slot
+    order. A base slot reads as the target type. A layer appends, per
+    incoming relation r in declaration order, one message over each earlier
+    slot, whose path p becomes ``src-r->(p)``, as ``update_sequences`` does.
     """
-
-    relation: Relation
-    parent: int
-    layer: int
-
-
-@dataclass(frozen=True)
-class LayerSlot:
-    """Per-layer summary slot used by the no-sequence ablation."""
-
-    layer: int
-
-
-SlotLabel = Union[BaseSlot, MsgSlot, LayerSlot]
-
-
-def slot_labels(schema: Schema, num_layers: int) -> dict[str, list[list[SlotLabel]]]:
-    """Provenance tables for layers 0..num_layers, per node type.
-
-    Each layer's table extends the previous one: the old labels stay as a
-    prefix, then one block of message labels per incoming relation in schema
-    declaration order.
-    """
-    if num_layers < 0:
-        raise ValueError("num_layers must be non-negative")
-    tables: dict[str, list[list[SlotLabel]]] = {}
-    for nt in schema.node_types:
-        per_layer: list[list[SlotLabel]] = [
-            [BaseSlot(f) for f in range(schema.base_slots(nt.name))]
-        ]
-        incoming = schema.relations_into(nt.name)
-        for layer in range(1, num_layers + 1):
-            prev = per_layer[-1]
-            table = list(prev)
-            for rel in incoming:
-                table.extend(MsgSlot(rel, j, layer) for j in range(len(prev)))
-            per_layer.append(table)
-        tables[nt.name] = per_layer
-    return tables
+    target = schema.target_type
+    paths = [target] * schema.base_slots(target)
+    for _ in range(num_layers):
+        paths += [f"{r.src}-{r.name}->({p})" for r in schema.relations_into(target) for p in paths]
+    return paths
 
 
 @dataclass

@@ -16,6 +16,13 @@ from .graph import HeteroGraph, sample_subgraph
 from .model import SlotModel
 
 
+# Adam's moment decay rates and the guard on its denominator
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# the one-cycle schedule's warmup share of the steps, and the divisors of
+# max_lr that give its first and last rates
+START_FRACTION, LR_DIV, LR_FINAL_DIV = 0.3, 25.0, 1e4
+
+
 class OptimizerError(Exception):
     pass
 
@@ -51,7 +58,8 @@ class AdamW:
     slice; the moments ``m`` and ``v`` and the gradient are vectors of the
     same layout. A step is a few in-place vector operations, in this order:
     ``w *= 1 - lr wd``; ``m = b1 m + (1 - b1) g``; ``v = b2 v + ((1 - b2) g) g``;
-    ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` with ``c = 1 - b ** t``.
+    ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` with ``c = 1 - b ** t``,
+    where b1, b2 and eps are ``BETA1``, ``BETA2`` and ``EPS``.
     Write parameters in place (``p.data[...] = x``) once the optimizer is
     built; a rebound parameter would silently stop training, so a step
     refuses it. The gradient vector is the one screen for NaN and inf after
@@ -59,16 +67,9 @@ class AdamW:
     :class:`OptimizerError` naming its parameter.
     """
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, T.Tensor]],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, named_params: list[tuple[str, T.Tensor]], weight_decay: float = 0.01):
         self.params = list(named_params)
-        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+        self.weight_decay = weight_decay
         dtypes = {p.dtype for _, p in self.params}
         if len(dtypes) != 1:
             raise ValueError(
@@ -111,7 +112,7 @@ class AdamW:
         has changed nothing."""
         self._gather(grads)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         w, m, v, g, tmp = self.vector, self.m, self.v, self._grad, self._scratch
@@ -126,35 +127,27 @@ class AdamW:
         # the gradient is spent: its vector now holds the denominator
         np.divide(v, c2, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += EPS
         np.divide(m, c1, out=tmp)
         tmp *= lr
         tmp /= g
         w -= tmp
 
 
-def onecycle_lr(
-    step: int,
-    total_steps: int,
-    max_lr: float,
-    start_fraction: float = 0.3,
-    div: float = 25.0,
-    final_div: float = 1e4,
-) -> float:
-    """Cosine warmup from max_lr/div to max_lr, then cosine anneal to
-    max_lr/final_div."""
+def onecycle_lr(step: int, total_steps: int, max_lr: float) -> float:
+    """Cosine warmup over the first ``START_FRACTION`` of the steps from
+    max_lr / ``LR_DIV`` to max_lr, then cosine anneal to max_lr /
+    ``LR_FINAL_DIV``. The warmup ends strictly inside (0, total_steps)."""
     if total_steps <= 0:
         raise ValueError("total_steps must be positive")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    warmup = start_fraction * total_steps
-    initial = max_lr / div
-    final = max_lr / final_div
-    if warmup > 0 and step <= warmup:
+    warmup = START_FRACTION * total_steps
+    initial = max_lr / LR_DIV
+    final = max_lr / LR_FINAL_DIV
+    if step <= warmup:
         t = step / warmup
         return initial + (max_lr - initial) * (1.0 - math.cos(math.pi * t)) / 2.0
-    if warmup >= total_steps:
-        return max_lr
     t = (step - warmup) / (total_steps - warmup)
     return final + (max_lr - final) * (1.0 + math.cos(math.pi * t)) / 2.0
 

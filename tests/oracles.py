@@ -31,13 +31,13 @@ def softmax_formula(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def adamw_reference_step(
-    params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01
-):
+def adamw_reference_step(params, m, v, grads, t, lr, weight_decay=0.01):
     """One AdamW step tensor by tensor, each operation a new array: decay,
-    then the moments, then the bias-corrected update. ``params``, ``m`` and
-    ``v`` are lists of arrays, replaced in place in the lists; a ``None``
-    gradient counts as zero. ``t`` is the step number after this step."""
+    then the moments, then the bias-corrected update, with Adam's usual
+    beta1 = 0.9, beta2 = 0.999 and eps = 1e-8. ``params``, ``m`` and ``v``
+    are lists of arrays, replaced in place in the lists; a ``None`` gradient
+    counts as zero. ``t`` is the step number after this step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     for i, g in enumerate(grads):

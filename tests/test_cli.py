@@ -1,8 +1,6 @@
 import argparse
 import ast
-import contextlib
 import dataclasses
-import io
 import json
 import re
 from pathlib import Path
@@ -18,7 +16,7 @@ from slotgnn.cli import (
     SETTINGS, VALID_KEYS, ConfigError, _overrides_from_args, build_parser, main, parse_config,
 )
 from slotgnn.config import TrainConfig, from_profile
-from slotgnn.fixtures import GRADCHECK_SEED, gradcheck_graph
+from slotgnn.fixtures import GRADCHECK_MODEL, gradcheck_graph
 from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
 from slotgnn.training import AdamW, init_model
 
@@ -498,31 +496,20 @@ class TestSettings:
 
 
 class TestGradcheckCommand:
-    @pytest.fixture(scope="class")
-    def checked(self, tmp_path_factory):
-        """One gradcheck of the bundled fixture: its exit code, output
-        directory, stdout and stderr."""
-        out = tmp_path_factory.mktemp("gc")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["gradcheck", "--out", str(out)])
-        return SimpleNamespace(code=code, out=out, stdout=stdout.getvalue(), err=stderr.getvalue())
+    """One ``slotgnn gradcheck`` run, the session's ``bundled_gradcheck``."""
 
-    def test_bundled_fixture_passes(self, checked):
-        assert checked.code == 0
-        report = json.loads((checked.out / "gradcheck.json").read_text())
+    def test_bundled_fixture_passes(self, bundled_gradcheck):
+        assert bundled_gradcheck.code == 0
+        report = json.loads((bundled_gradcheck.out / "gradcheck.json").read_text())
         assert max(report.values()) < 1e-4
-        assert checked.stdout.splitlines()[-1].startswith("worst relative error: ")
-        assert len(checked.stdout.splitlines()) == len(report) + 1
+        assert bundled_gradcheck.stdout.splitlines()[-1].startswith("worst relative error: ")
+        assert len(bundled_gradcheck.stdout.splitlines()) == len(report) + 1
 
-    def test_projects_its_cost_on_stderr(self, checked):
-        config = from_profile("desk").replace(
-            dim=8, heads=2, layers=2, seed=GRADCHECK_SEED, precision="float64", dropout=0.0
-        )
-        model = init_model(gradcheck_graph(), config)
+    def test_projects_its_cost_on_stderr(self, bundled_gradcheck):
+        model = init_model(gradcheck_graph(), from_profile("desk").replace(**GRADCHECK_MODEL))
         coords = sum(p.data.size for _, p in model.named_parameters())
         want = rf"gradcheck: {coords} coordinates, [0-9.]+ ms per forward and loss, projected "
-        assert re.fullmatch(want + r"[0-9]+ s \([0-9.]+ min\)\n", checked.err)
+        assert re.fullmatch(want + r"[0-9]+ s \([0-9.]+ min\)\n", bundled_gradcheck.err)
 
 
 class TestCheckpoint:

@@ -11,10 +11,9 @@ from slotgnn.fusion import (
     mean_fuse,
     metapath_report,
     predict,
-    render_slot,
 )
 from slotgnn.graph import NodeType, Relation, Schema
-from slotgnn.seq import slot_labels
+from slotgnn.seq import slot_paths
 
 from . import oracles
 
@@ -292,80 +291,81 @@ class TestMetaPathReport:
 
     def test_slot_rendering(self):
         schema = target_schema()
-        labels = slot_labels(schema, 2)["t"][2]
-        assert render_slot(labels, 0, "t") == "t"
-        assert render_slot(labels, 1, "t") == "a-ra->(t)"
-        assert render_slot(labels, 2, "t") == "b-rb->(t)"
+        paths = slot_paths(schema, 2)
+        assert paths[0] == "t"
+        assert paths[1] == "a-ra->(t)"
+        assert paths[2] == "b-rb->(t)"
         # layer-2 message over ra whose parent is the layer-1 rb message
-        assert render_slot(labels, 5, "t") == "a-ra->(b-rb->(t))"
+        assert paths[5] == "a-ra->(b-rb->(t))"
 
     def test_single_slot_report(self):
         schema = target_schema()
         fus = self.make_fusion([np.ones((3, 1))])
-        report = metapath_report(fus, slot_labels(schema, 0)["t"][0], schema, k=5)
+        report = metapath_report(fus, slot_paths(schema, 0), schema, k=5)
         assert report.per_type["t"] == [("t", 1.0)]
 
     def test_group_mass_partition(self):
         schema = target_schema()
-        labels = slot_labels(schema, 2)["t"][2]
+        paths = slot_paths(schema, 2)
         rng = np.random.default_rng(18)
         raw = rng.random((4, 9))
         raw /= raw.sum(axis=1, keepdims=True)
         fus = self.make_fusion([raw])
-        report = metapath_report(fus, labels, schema, k=9)
-        grouped = report.group_totals["t"]
-        assert np.allclose(grouped.sum(axis=1), 1.0, atol=1e-6)
+        report = metapath_report(fus, paths, schema, k=9, include_per_node=True)
+        assert len(report.per_node[0]) == len(set(paths)) < 9
+        for rows in report.per_node.values():
+            assert abs(sum(w for _, w in rows) - 1.0) < 1e-6
         assert abs(sum(w for _, w in report.per_type["t"]) - 1.0) < 1e-6
 
     def test_grouping_merges_same_path_across_layers(self):
         schema = target_schema()
-        labels = slot_labels(schema, 2)["t"][2]
-        # slots 1 (layer 1) and 3 (layer 2, parent=base) both render a-ra->(t)
-        assert render_slot(labels, 1, "t") == render_slot(labels, 3, "t")
+        paths = slot_paths(schema, 2)
+        # slots 1 (layer 1) and 3 (layer 2, over the base slot) are both a-ra->(t)
+        assert paths[1] == paths[3]
         w = np.zeros((1, 9), dtype=np.float32)
         w[0, 1] = 0.25
         w[0, 3] = 0.25
         w[0, 0] = 0.5
-        report = metapath_report(self.make_fusion([w]), labels, schema, k=2)
+        report = metapath_report(self.make_fusion([w]), paths, schema, k=2)
         assert report.per_type["t"][0] in [("t", 0.5), ("a-ra->(t)", 0.5)]
         paths = {p for p, _ in report.per_type["t"]}
         assert paths == {"t", "a-ra->(t)"}
 
     def test_descending_sort_with_lexicographic_ties(self):
         schema = target_schema()
-        labels = slot_labels(schema, 1)["t"][1]
+        paths = slot_paths(schema, 1)
         w = np.array([[0.2, 0.4, 0.4]], dtype=np.float32)
-        report = metapath_report(self.make_fusion([w]), labels, schema, k=3)
+        report = metapath_report(self.make_fusion([w]), paths, schema, k=3)
         assert [p for p, _ in report.per_type["t"]] == ["a-ra->(t)", "b-rb->(t)", "t"]
 
     def test_top_k_cut_and_default(self):
         schema = target_schema()
-        labels = slot_labels(schema, 2)["t"][2]
+        paths = slot_paths(schema, 2)
         rng = np.random.default_rng(19)
         raw = rng.random((2, 9)).astype(np.float32)
         raw /= raw.sum(axis=1, keepdims=True)
-        report = metapath_report(self.make_fusion([raw]), labels, schema)  # default k=5
+        report = metapath_report(self.make_fusion([raw]), paths, schema)  # default k=5
         assert len(report.per_type["t"]) == 5
 
     def test_per_node_rows(self):
         schema = target_schema()
-        labels = slot_labels(schema, 1)["t"][1]
+        paths = slot_paths(schema, 1)
         raw = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
-        report = metapath_report(self.make_fusion([raw]), labels, schema, k=1, include_per_node=True)
+        report = metapath_report(self.make_fusion([raw]), paths, schema, k=1, include_per_node=True)
         assert report.per_node[0][0][0] == "t"
         assert report.per_node[1][0][0] == "a-ra->(t)"
 
     def test_k_below_one_rejected(self):
         schema = target_schema()
-        labels = slot_labels(schema, 0)["t"][0]
+        paths = slot_paths(schema, 0)
         with pytest.raises(ValueError):
-            metapath_report(self.make_fusion([np.ones((1, 1))]), labels, schema, k=0)
+            metapath_report(self.make_fusion([np.ones((1, 1))]), paths, schema, k=0)
 
     def test_json_shape(self):
         schema = target_schema()
-        labels = slot_labels(schema, 1)["t"][1]
+        paths = slot_paths(schema, 1)
         raw = np.full((2, 3), 1 / 3, dtype=np.float32)
-        report = metapath_report(self.make_fusion([raw]), labels, schema, k=2)
+        report = metapath_report(self.make_fusion([raw]), paths, schema, k=2)
         obj = report.to_json()
         assert set(obj["per_type"]) == {"t"}
         assert {"path", "weight"} <= set(obj["per_type"]["t"][0])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slotgnn import graph as graph_module
@@ -315,6 +315,21 @@ def assert_same_graph(back, graph):
 EDIT_PIECES = list("0123456789,.-+e_\"#\t\r\x0b\x0c\x1c") + ["nan", "inf", "\u0661", "9" * 20]
 
 
+class Scripted:
+    """Stands in for ``st.data()`` in an explicit example: the draws return
+    the values given, in turn, whatever their strategy."""
+
+    def __init__(self, *values):
+        self.values, self.drawn = values, 0
+
+    def draw(self, strategy):
+        self.drawn += 1
+        return self.values[(self.drawn - 1) % len(self.values)]
+
+    def __repr__(self):
+        return f"Scripted{self.values!r}"
+
+
 class TestParsePaths:
     """Every file reads as the csv-module reference in ``oracles`` reads it,
     or fails naming the file and the first line it cannot read."""
@@ -391,7 +406,11 @@ class TestParsePaths:
         save_dataset(synthetic_generate(spec, seed=5), directory)
         return directory, {p.name: p.read_text() for p in sorted(directory.glob("*.csv"))}
 
+    # a separator before a line's first value, which np.loadtxt reads as
+    # whitespace and int() rejects: random edits seldom place one there
     @given(st.data())
+    @example(data=Scripted("labels.csv", 2, 0, 0, ["\x1c"]))
+    @example(data=Scripted("nodes_item.csv", 5, 0, 0, ["\x1c"]))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_one_edit_reads_as_the_reference_or_names_its_line(self, twelve_targets, data):
         directory, texts = twelve_targets

@@ -3,17 +3,13 @@ import pytest
 
 from slotgnn import tensor as T
 from slotgnn.graph import NodeType, Relation, Schema
-from slotgnn.seq import (
-    BaseSlot,
-    InputProjection,
-    MsgSlot,
-    project_features,
-    slot_dropout,
-    slot_labels,
-)
+from slotgnn.config import TrainConfig
+from slotgnn.layer import LayerParams, layer_forward
+from slotgnn.model import SlotModel
+from slotgnn.seq import InputProjection, project_features, slot_dropout, slot_paths
 from slotgnn.fixtures import gradcheck_graph
 
-from .randgraphs import random_schema
+from .randgraphs import random_graph, random_schema
 
 
 def two_relation_schema():
@@ -116,47 +112,66 @@ class TestProjectFeatures:
             assert state[name].data[:, f].tobytes() == want.tobytes()
 
 
+def slot_counts(graph, layers, dim=4, heads=2, seed=0):
+    """Per layer 0..layers, the slot count of each type in the states that
+    ``project_features`` and ``layer_forward`` return."""
+    rng = np.random.default_rng(seed)
+    state = project_features(graph, InputProjection.create(graph.schema, dim, rng))
+    counts = [{name: t.shape[1] for name, t in state.items()}]
+    for index in range(1, layers + 1):
+        params = LayerParams.create(graph.schema, dim, heads, rng, index)
+        state = layer_forward(state, graph, params, layer_index=index)
+        counts.append({name: t.shape[1] for name, t in state.items()})
+    return counts
+
+
 class TestSlotLabels:
     def test_fig_one_growth_one_to_three_to_nine(self):
-        tables = slot_labels(two_relation_schema(), 2)["t"]
-        assert [len(t) for t in tables] == [1, 3, 9]
+        assert [len(slot_paths(two_relation_schema(), n)) for n in range(3)] == [1, 3, 9]
 
     def test_no_incoming_relations_stays_constant(self):
-        tables = slot_labels(two_relation_schema(), 3)["a"]
-        assert [len(t) for t in tables] == [1, 1, 1, 1]
+        graph = random_graph(np.random.default_rng(0), two_relation_schema())
+        assert [c["a"] for c in slot_counts(graph, 3)] == [1, 1, 1, 1]
 
     def test_prefix_extension(self):
-        tables = slot_labels(two_relation_schema(), 3)["t"]
+        paths = [slot_paths(two_relation_schema(), n) for n in range(4)]
         for layer in range(1, 4):
-            assert tables[layer][: len(tables[layer - 1])] == tables[layer - 1]
+            assert paths[layer][: len(paths[layer - 1])] == paths[layer - 1]
 
     def test_block_structure_in_schema_order(self):
         schema = two_relation_schema()
-        tables = slot_labels(schema, 2)["t"]
-        ra, rb = schema.relations
-        assert tables[1] == [BaseSlot(0), MsgSlot(ra, 0, 1), MsgSlot(rb, 0, 1)]
+        first = slot_paths(schema, 1)
+        assert first == ["t", "a-ra->(t)", "b-rb->(t)"]
         # layer 2 appends one block of three per relation, in order
-        assert tables[2][3:6] == [MsgSlot(ra, j, 2) for j in range(3)]
-        assert tables[2][6:9] == [MsgSlot(rb, j, 2) for j in range(3)]
+        second = slot_paths(schema, 2)
+        assert second[3:6] == [f"a-ra->({p})" for p in first]
+        assert second[6:9] == [f"b-rb->({p})" for p in first]
 
     def test_growth_law_over_random_schemas(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
             schema = random_schema(rng)
             layers = int(rng.integers(0, 4))
-            tables = slot_labels(schema, layers)
+            counts = slot_counts(random_graph(rng, schema), layers, seed=seed)
             for nt in schema.node_types:
                 growth = len(schema.relations_into(nt.name)) + 1
                 want = schema.base_slots(nt.name)
                 for layer in range(layers + 1):
-                    assert len(tables[nt.name][layer]) == want
+                    assert counts[layer][nt.name] == want
                     want *= growth
+            assert counts[-1][schema.target_type] == len(slot_paths(schema, layers))
 
-    def test_label_table_bijection(self):
-        tables = slot_labels(two_relation_schema(), 3)["t"]
-        for table in tables:
-            for idx, label in enumerate(table):
-                assert table.index(label) == idx
+    @pytest.mark.parametrize("use_seq", [True, False])
+    def test_head_labels_name_every_fused_slot(self, use_seq):
+        # random schemas with featureless types and multi-label heads
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            schema = random_schema(rng, featureless=True, multilabel=seed % 2 == 1)
+            graph = random_graph(rng, schema)
+            config = TrainConfig(dim=4, heads=2, layers=int(rng.integers(1, 4)), use_seq=use_seq)
+            model = SlotModel(schema, config, rng)
+            attn = model.forward(graph).fusion.attn
+            assert len(model.head_labels) == attn.shape[2]
 
 
 class TestSlotDropout:

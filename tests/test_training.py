@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from slotgnn import tensor as T
 from slotgnn.config import TrainConfig, from_profile
-from slotgnn.fixtures import GRADCHECK_SEED, gradcheck_graph
+from slotgnn.fixtures import GRADCHECK_MODEL, gradcheck_graph
 from slotgnn.fusion import FusionParams, classify, f1_metrics, loss as head_loss, predict
 from slotgnn.graph import SyntheticSpec, synthetic_generate
 from slotgnn.training import (
@@ -60,7 +61,7 @@ class TestAdamW:
 
     def test_single_step_closed_form(self):
         p = self.make_param(1.0)
-        opt = AdamW([("w", p)], beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
+        opt = AdamW([("w", p)], weight_decay=0.0)
         opt.step({p: np.ones_like(p.data)}, lr=0.1)
         m_hat = (0.1 * 1.0) / (1 - 0.9)
         v_hat = (0.001 * 1.0) / (1 - 0.999)
@@ -95,7 +96,7 @@ class TestAdamW:
         ref = [p.data.copy() for _, p in named]
         ref_m = [np.zeros_like(x) for x in ref]
         ref_v = [np.zeros_like(x) for x in ref]
-        opt = AdamW(named, beta1=0.8, beta2=0.99, eps=1e-6, weight_decay=weight_decay)
+        opt = AdamW(named, weight_decay=weight_decay)
         g = np.random.default_rng(1)
         for t, lr in enumerate([0.1, 0.03, 0.5, 1e-4, 0.2], start=1):
             grads = [
@@ -104,8 +105,7 @@ class TestAdamW:
             grads[t % len(grads)] = None  # a different parameter misses its gradient each step
             opt.step({p: gr for (_, p), gr in zip(named, grads) if gr is not None}, lr)
             oracles.adamw_reference_step(
-                ref, ref_m, ref_v, grads, t, lr, beta1=0.8, beta2=0.99, eps=1e-6,
-                weight_decay=weight_decay,
+                ref, ref_m, ref_v, grads, t, lr, weight_decay=weight_decay
             )
             offset = 0
             for (name, p), want, want_m, want_v in zip(named, ref, ref_m, ref_v):
@@ -182,7 +182,7 @@ class TestOneCycle:
     def test_warmup_midpoint_matches_closed_form(self):
         total, max_lr, frac, div = 200, 0.0005, 0.3, 25.0
         mid = frac * total / 2
-        got = onecycle_lr(int(mid), total, max_lr, frac, div)
+        got = onecycle_lr(int(mid), total, max_lr)
         initial = max_lr / div
         t = int(mid) / (frac * total)
         want = initial + (max_lr - initial) * (1 - math.cos(math.pi * t)) / 2
@@ -518,18 +518,12 @@ class TestDtype:
 
 
 class TestGradCheckModel:
-    @pytest.fixture(scope="class")
-    def fixture_model(self):
-        g = gradcheck_graph()
-        cfg = TrainConfig(
-            dim=8, heads=2, layers=2, dropout=0.0, epochs=1,
-            precision="float64", seed=GRADCHECK_SEED,
-        )
-        return g, init_model(g, cfg)
-
-    def test_all_groups_pass(self, fixture_model):
-        g, model = fixture_model
-        report = grad_check_model(model, g)
+    def test_all_groups_pass(self, bundled_gradcheck):
+        # the report of `slotgnn gradcheck`, which runs grad_check_model on
+        # this model: one full-coordinate check serves both tests
+        report = json.loads((bundled_gradcheck.out / "gradcheck.json").read_text())
+        model = init_model(gradcheck_graph(), TrainConfig(**GRADCHECK_MODEL))
+        assert sorted(report) == sorted(name for name, _ in model.named_parameters())
         assert max(report.values()) < 1e-4
 
     def test_requires_float64(self):
@@ -568,11 +562,7 @@ class TestGradCheckModel:
             return tensor_mod._make(a.data @ b.data, (a, b), back)
 
         g = gradcheck_graph()
-        cfg = TrainConfig(
-            dim=8, heads=2, layers=1, dropout=0.0, epochs=1,
-            precision="float64", seed=GRADCHECK_SEED,
-        )
-        model = init_model(g, cfg)
+        model = init_model(g, TrainConfig(**GRADCHECK_MODEL).replace(layers=1))
         monkeypatch.setattr(tensor_mod, "matmul", corrupted)
         report = grad_check_model(model, g)
         assert max(report.values()) > 1e-2
