@@ -36,7 +36,7 @@ def main() -> None:
               f"macro={metrics['macro_f1']:.4f} loss={metrics['loss']:.4f}")
 
     out = model.forward(graph, training=False)
-    report = metapath_report(out.fusion, model.head_labels, graph.schema, k=args.top_k)
+    report = metapath_report(out.fusion, model.head_labels, graph.schema.target_type, k=args.top_k)
     print(report.render_text(), end="")
 
 

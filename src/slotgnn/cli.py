@@ -222,7 +222,7 @@ def cmd_explain(run: RunConfig, out: Path) -> int:
         raise ConfigError("explain needs the fusion head (train.use_fusion = true)")
     forward = model.forward(graph, training=False)
     report = metapath_report(
-        forward.fusion, model.head_labels, graph.schema,
+        forward.fusion, model.head_labels, graph.schema.target_type,
         k=run.top_k, include_per_node=run.per_node,
     )
     artifacts.write_json(report.to_json(), out / "report.json")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .graph import Schema
 
 
 @dataclass
@@ -142,7 +141,8 @@ def f1_metrics(
 
 @dataclass
 class MetaPathReport:
-    """Ranked (path, weight) pairs per node type, optionally per node."""
+    """Ranked (path, weight) pairs of the target type, optionally per node.
+    ``per_type`` holds one entry, keyed by the target type's name."""
 
     per_type: dict[str, list[tuple[str, float]]]
     per_node: dict[int, list[tuple[str, float]]] | None = None
@@ -174,12 +174,13 @@ class MetaPathReport:
 def metapath_report(
     fusion: FusionOutput,
     paths: list[str],
-    schema: Schema,
+    target_type: str,
     k: int = 5,
     include_per_node: bool = False,
 ) -> MetaPathReport:
     """Sum head-averaged fusion attention by meta-path: ``paths`` names each
-    final slot (``SlotModel.head_labels``), and slots of one name share a row.
+    final slot (``SlotModel.head_labels``), and slots of one name share a row
+    of the report on ``target_type``.
 
     Grouped weights partition each node's attention mass; the per-type rows
     average over nodes, sort descending with lexicographic tie-breaks, and
@@ -191,7 +192,6 @@ def metapath_report(
     n, f_l = weights.shape
     if len(paths) != f_l:
         raise ValueError(f"{len(paths)} slot paths != slot count {f_l}")
-    type_name = schema.target_type
     keys = sorted(set(paths))
     group_of = {key: i for i, key in enumerate(keys)}
     grouped = np.zeros((n, len(keys)), dtype=np.float64)
@@ -202,7 +202,7 @@ def metapath_report(
         order = sorted(range(len(keys)), key=lambda i: (-values[i], keys[i]))
         return [(keys[i], float(values[i])) for i in order[:k]]
 
-    per_type = {type_name: ranked(grouped.mean(axis=0))}
+    per_type = {target_type: ranked(grouped.mean(axis=0))}
     per_node = None
     if include_per_node:
         per_node = {i: ranked(grouped[i]) for i in range(n)}

@@ -29,11 +29,14 @@ loss it returns are screened for NaN and inf (:class:`NonFiniteError`), one
 pass each; an op's output is not. A non-finite value an op makes reaches the
 logits, unless a softmax gives a -inf weight 0, so the fused ops screen what
 their softmax reads: K W in :func:`edge_attention`, logits in :func:`slot_fusion`.
+Per-edge passes numpy cannot run as one flat loop go one slot (pair) at a time
+(:func:`_slotwise`), so numpy's innermost loop spans all edges and heads.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -464,9 +467,27 @@ def _edge_rows(x: np.ndarray, seg: Segments) -> np.ndarray:
     return x if seg.identity else x[seg.ids]
 
 
+def _slotwise(ufunc, out: np.ndarray, *ins: np.ndarray, axes: int = 2) -> np.ndarray:
+    """``ufunc(*ins, out=out)``, inputs broadcast, or with ``ufunc`` None a copy, one
+    slot (pair) of the last ``axes`` axes at a time unless all are C-contiguous:
+    numpy's innermost loop then covers all edges and heads, not 3 slots."""
+    if ufunc is not None and all(a.shape == out.shape and a.flags.c_contiguous for a in (out, *ins)):
+        return ufunc(*ins, out=out)
+    ins = [a if a.shape == out.shape else np.broadcast_to(a, out.shape) for a in ins]
+    for k in itertools.product([...], *map(range, out.shape[out.ndim - axes:])):  # (..., i, j)
+        if ufunc is None:
+            out[k] = ins[0][k]
+        else:
+            ufunc(*(a[k] for a in ins), out=out[k])
+    return out
+
+
 def _heads_t(x: np.ndarray, heads: int) -> np.ndarray:
-    """(n, F, d) -> (n, H, d_h, F), a view: each head's columns of every slot, transposed."""
-    return x.reshape(*x.shape[:2], heads, x.shape[2] // heads).transpose(0, 2, 3, 1)
+    """(n, F, d) -> (n, H, d_h, F), C-contiguous: each head's columns of every slot, transposed."""
+    view = x.reshape(*x.shape[:2], heads, x.shape[2] // heads).transpose(0, 2, 3, 1)
+    if view.flags.c_contiguous:  # one slot
+        return view
+    return _slotwise(None, np.empty(view.shape, x.dtype), view, axes=1)
 
 
 # the edge matrix's row order (head, slot, node) and column order (head, node,
@@ -498,11 +519,13 @@ def _edge_products(
     ``_SOURCES`` rows A sums w^T x over each target's edges into ``_TARGETS``
     rows, and A^T sends ``_TARGETS`` rows back onto the sources; either way no
     block is copied onto the edges. ``w`` is laid out once for both products,
-    into the structure that ``dst`` keeps for these edges and this shape.
+    into the structure that ``dst`` keeps for these edges and this shape, one
+    source slot at a time so that each copy runs along the edges (:func:`_slotwise`).
     """
     e, heads, f_s, f_t = w.shape
     ix = dst.edge_index(src, heads, f_s, f_t)
-    data = (w if dst.order is None else w[dst.order]).transpose(1, 3, 0, 2).reshape(-1)
+    laid = (w if dst.order is None else w[dst.order]).transpose(1, 3, 0, 2)  # (H, F_t, E, F_s)
+    data = _slotwise(None, np.empty(laid.shape, w.dtype), laid, axes=1).reshape(-1)
     indices = np.repeat(ix.cols, f_t, axis=1).reshape(-1)
     return (
         None if right is None else _lend(ix.csr, data, indices, right),
@@ -520,6 +543,29 @@ def _lend(matrix, data: np.ndarray, indices: np.ndarray, x: np.ndarray) -> np.nd
         matrix.data, matrix.indices = None, None
 
 
+def _pool(ufunc, a: np.ndarray, joint: bool) -> np.ndarray:
+    """``a`` (E, H, F_s, F_t) reduced over its source slots in turn if ``joint``: (E, H, 1, F_t)."""
+    out = a[..., :1, :] if joint else a
+    for i in range(out.shape[2], a.shape[2]):
+        out = _slotwise(ufunc, np.empty(out.shape, a.dtype) if i == 1 else out, out, a[..., i:i + 1, :])
+    return out
+
+
+def _edge_softmax(x: np.ndarray, dst: Segments, joint: bool) -> np.ndarray:
+    """The softmax of the logits ``x`` (E, H, F_s, F_t) of :func:`edge_attention`, in place."""
+    _slotwise(np.subtract, x, x, dst.max(_pool(np.maximum, x, joint))[dst.ids])
+    y = np.exp(x, out=x)
+    return _slotwise(np.divide, y, y, dst.sum(_pool(np.add, y, joint))[dst.ids])
+
+
+def _edge_softmax_grad(g, y, dst: Segments, joint: bool, scale: float, scale_outside: bool):
+    """The logits' gradient from the attention's, ``g``, given the softmax ``y``."""
+    g = g * scale if scale_outside else g
+    gx = _slotwise(np.subtract, np.empty_like(g), g, dst.sum(_pool(np.add, g * y, joint))[dst.ids])
+    np.multiply(y, gx, out=gx)
+    return gx if scale_outside else np.multiply(gx, scale, out=gx)
+
+
 def edge_attention(
     keys: Tensor, q: Tensor, att: Tensor, src: Segments, dst: Segments, mode: str = "joint",
     scale: float = 1.0, scale_outside: bool = False,
@@ -532,30 +578,18 @@ def edge_attention(
     (K W)[s] q[t]^T are scaled before the softmax, or after it with
     ``scale_outside``. ``joint`` normalizes over a target's (edge, source
     slot) pairs per target slot, ``literal`` over its edges per slot pair.
+    Its per-edge passes run one slot pair at a time (:func:`_slotwise`).
     Backward lays the softmax-input gradient out once as the edge matrix and
     takes the query gradient from it and the K W gradient from its transpose,
     one sparse product each, in the structure ``dst`` keeps for these edges.
     """
-    ids, joint = dst.ids, {"joint": True, "literal": False}[mode]
+    joint = {"joint": True, "literal": False}[mode]
     heads, d_h = att.shape[0], att.shape[-1]
     d = heads * d_h
     got = (keys.ndim, q.ndim, keys.shape[::2], q.shape[::2], att.shape, len(src.ids))
-    if got != (3, 3, (src.num_segments, d), (dst.num_segments, d), (heads, d_h, d_h), len(ids)):
+    if got != (3, 3, (src.num_segments, d), (dst.num_segments, d), (heads, d_h, d_h), len(dst.ids)):
         raise ShapeError(f"edge_attention: {keys.shape}, {q.shape}, {att.shape} do not fit the edges")
     n_s, f_s, _ = keys.shape
-
-    def pool(ufunc, a):
-        # joint: also reduce the source slots, slice by slice, as numpy's own
-        # reduction over a non-last axis is several times slower
-        if not joint:
-            return a
-        out = a[..., 0, :].copy()
-        for i in range(1, a.shape[-2]):
-            ufunc(out, a[..., i, :], out=out)
-        return out
-
-    def spread(a):  # per-target statistics back onto the edges
-        return np.expand_dims(a[ids], -2) if joint else a[ids]
 
     rows = keys.data.reshape(n_s * f_s, heads, d_h).transpose(1, 0, 2)
     kw = rows @ att.data  # (H, n_s F_s, d_h)
@@ -564,14 +598,10 @@ def edge_attention(
     x = _edge_rows(kw_e, src) @ _edge_rows(_heads_t(q.data, heads), dst)
     if not scale_outside:
         x *= np.asarray(scale, dtype=x.dtype)
-    x -= spread(dst.max(pool(np.maximum, x)))
-    y = np.exp(x, out=x)
-    y /= spread(dst.sum(pool(np.add, y)))
+    y = _edge_softmax(x, dst, joint)
 
     def back(g):
-        g = g * scale if scale_outside else g
-        gx = y * (g - spread(dst.sum(pool(np.add, g * y))))
-        gx = gx if scale_outside else gx * scale
+        gx = _edge_softmax_grad(g, y, dst, joint, scale, scale_outside)
         g_q, g_kw = _edge_products(gx, src, dst, kw.reshape(-1, d_h), _head_rows(q.data, heads))
         g_q = _node_blocks(g_q, heads, dst.num_segments, q.shape[1])
         g_kw = g_kw.reshape(rows.shape)
@@ -599,8 +629,8 @@ def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> T
     msg, _ = _edge_products(attn.data, src, dst, right=_head_rows(ext.data, heads, _SOURCES))
 
     def back(g):
-        ext_t = _heads_t(ext.data, heads)
-        g_attn = _edge_rows(np.swapaxes(ext_t, -1, -2), src) @ _edge_rows(_heads_t(g, heads), dst)
+        ext_h = ext.data.reshape(src.num_segments, f_s, heads, d // heads).transpose(0, 2, 1, 3)
+        g_attn = _edge_rows(ext_h, src) @ _edge_rows(_heads_t(g, heads), dst)
         _, g_ext = _edge_products(attn.data, src, dst, left=_head_rows(g, heads))
         g_ext = g_ext.reshape(heads, src.num_segments, f_s, d // heads).transpose(1, 2, 0, 3)
         return g_attn, g_ext.reshape(ext.shape)

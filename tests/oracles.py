@@ -124,6 +124,63 @@ def segment_reduce_by_scan(ids, x: np.ndarray, num_segments: int, op, init) -> n
     return out
 
 
+class _ScanSegments:
+    """``Segments.max`` and ``Segments.sum`` as scans of the ids, to the bit
+    (``TestSegments``)."""
+
+    def __init__(self, seg):
+        self.ids, self.n = seg.ids, seg.num_segments
+
+    def max(self, a):
+        return segment_reduce_by_scan(self.ids, a, self.n, np.maximum, -np.inf)
+
+    def sum(self, a):
+        return segment_reduce_by_scan(self.ids, a, self.n, np.add, 0)
+
+
+def _by_broadcast(dst, joint: bool):
+    ids = dst.ids
+
+    def pool(ufunc, a):
+        # joint: also reduce the source slots, slice by slice, as numpy's own
+        # reduction over a non-last axis is several times slower
+        if not joint:
+            return a
+        out = a[..., 0, :].copy()
+        for i in range(1, a.shape[-2]):
+            ufunc(out, a[..., i, :], out=out)
+        return out
+
+    def spread(a):  # per-target statistics back onto the edges
+        return np.expand_dims(a[ids], -2) if joint else a[ids]
+
+    return _ScanSegments(dst), pool, spread
+
+
+def edge_softmax_by_broadcast(x: np.ndarray, dst, joint: bool) -> np.ndarray:
+    """``tensor.edge_attention``'s softmax of the logits x (E, H, F_s, F_t), in
+    place, as the whole-array broadcasts over the slot axes that the op ran
+    before its passes went one slot pair at a time. Each element gets the
+    same operations on the same operands in the same order, so the two agree
+    to the bit."""
+    dst, pool, spread = _by_broadcast(dst, joint)
+    x -= spread(dst.max(pool(np.maximum, x)))
+    y = np.exp(x, out=x)
+    y /= spread(dst.sum(pool(np.add, y)))
+    return y
+
+
+def edge_softmax_grad_by_broadcast(g, y, dst, joint: bool, scale: float, scale_outside: bool):
+    """The logits' gradient from the attention's, ``g``, with the scale before
+    the softmax ``y`` or after it, as the broadcasts of
+    :func:`edge_softmax_by_broadcast`."""
+    dst, pool, spread = _by_broadcast(dst, joint)
+    g = g * scale if scale_outside else g
+    gx = y * (g - spread(dst.sum(pool(np.add, g * y))))
+    gx = gx if scale_outside else gx * scale
+    return gx
+
+
 def induced_pairs(edges: np.ndarray, keep_src: set[int], keep_dst: set[int]) -> list[tuple[int, int]]:
     """The (source, target) pairs, repeats included, whose endpoints are both
     kept, sorted; a linear scan of the edge list."""

@@ -301,7 +301,7 @@ class TestMetaPathReport:
     def test_single_slot_report(self):
         schema = target_schema()
         fus = self.make_fusion([np.ones((3, 1))])
-        report = metapath_report(fus, slot_paths(schema, 0), schema, k=5)
+        report = metapath_report(fus, slot_paths(schema, 0), "t", k=5)
         assert report.per_type["t"] == [("t", 1.0)]
 
     def test_group_mass_partition(self):
@@ -311,7 +311,7 @@ class TestMetaPathReport:
         raw = rng.random((4, 9))
         raw /= raw.sum(axis=1, keepdims=True)
         fus = self.make_fusion([raw])
-        report = metapath_report(fus, paths, schema, k=9, include_per_node=True)
+        report = metapath_report(fus, paths, "t", k=9, include_per_node=True)
         assert len(report.per_node[0]) == len(set(paths)) < 9
         for rows in report.per_node.values():
             assert abs(sum(w for _, w in rows) - 1.0) < 1e-6
@@ -326,7 +326,7 @@ class TestMetaPathReport:
         w[0, 1] = 0.25
         w[0, 3] = 0.25
         w[0, 0] = 0.5
-        report = metapath_report(self.make_fusion([w]), paths, schema, k=2)
+        report = metapath_report(self.make_fusion([w]), paths, "t", k=2)
         assert report.per_type["t"][0] in [("t", 0.5), ("a-ra->(t)", 0.5)]
         paths = {p for p, _ in report.per_type["t"]}
         assert paths == {"t", "a-ra->(t)"}
@@ -335,7 +335,7 @@ class TestMetaPathReport:
         schema = target_schema()
         paths = slot_paths(schema, 1)
         w = np.array([[0.2, 0.4, 0.4]], dtype=np.float32)
-        report = metapath_report(self.make_fusion([w]), paths, schema, k=3)
+        report = metapath_report(self.make_fusion([w]), paths, "t", k=3)
         assert [p for p, _ in report.per_type["t"]] == ["a-ra->(t)", "b-rb->(t)", "t"]
 
     def test_top_k_cut_and_default(self):
@@ -344,14 +344,14 @@ class TestMetaPathReport:
         rng = np.random.default_rng(19)
         raw = rng.random((2, 9)).astype(np.float32)
         raw /= raw.sum(axis=1, keepdims=True)
-        report = metapath_report(self.make_fusion([raw]), paths, schema)  # default k=5
+        report = metapath_report(self.make_fusion([raw]), paths, "t")  # default k=5
         assert len(report.per_type["t"]) == 5
 
     def test_per_node_rows(self):
         schema = target_schema()
         paths = slot_paths(schema, 1)
         raw = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
-        report = metapath_report(self.make_fusion([raw]), paths, schema, k=1, include_per_node=True)
+        report = metapath_report(self.make_fusion([raw]), paths, "t", k=1, include_per_node=True)
         assert report.per_node[0][0][0] == "t"
         assert report.per_node[1][0][0] == "a-ra->(t)"
 
@@ -359,13 +359,13 @@ class TestMetaPathReport:
         schema = target_schema()
         paths = slot_paths(schema, 0)
         with pytest.raises(ValueError):
-            metapath_report(self.make_fusion([np.ones((1, 1))]), paths, schema, k=0)
+            metapath_report(self.make_fusion([np.ones((1, 1))]), paths, "t", k=0)
 
     def test_json_shape(self):
         schema = target_schema()
         paths = slot_paths(schema, 1)
         raw = np.full((2, 3), 1 / 3, dtype=np.float32)
-        report = metapath_report(self.make_fusion([raw]), paths, schema, k=2)
+        report = metapath_report(self.make_fusion([raw]), paths, "t", k=2)
         obj = report.to_json()
         assert set(obj["per_type"]) == {"t"}
         assert {"path", "weight"} <= set(obj["per_type"]["t"][0])

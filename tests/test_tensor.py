@@ -741,6 +741,45 @@ class TestFusedEdgeOps:
         for m in (index.csr, index.csc):
             assert m.data is None and m.indices is None  # nothing of a call stays
 
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f_s, f_t", [(1, 1), (1, 3), (2, 3), (3, 3), (9, 1)])
+    def test_slot_pair_passes_equal_the_broadcast_formulas_to_the_bit(
+        self, monkeypatch, f_s, f_t, dtype, shuffled, mode, scale_outside
+    ):
+        # the softmax and its gradient run one slot pair at a time; with the
+        # whole-array broadcasts they replaced, the attention and every
+        # gradient must keep every bit
+        keys, q, att, ext, src, dst = self.graph(f_s, f_t, seed=51, dtype=dtype, shuffled=shuffled)
+        up = T.Tensor(rng(52).normal(size=(4, f_t, 4)), dtype=dtype)
+
+        def run():
+            with T.Tape() as tape:
+                attn = T.edge_attention(keys, q, att, src, dst, mode, 0.7, scale_outside)
+                out = T.edge_aggregate(attn, ext, src, dst)
+                grads = tape.backward(T.reduce_sum(T.mul(out, up)))
+            return [attn.data, out.data] + [grads[t] for t in (keys, q, att, ext)]
+
+        got = run()
+        monkeypatch.setattr(T, "_edge_softmax", oracles.edge_softmax_by_broadcast)
+        monkeypatch.setattr(T, "_edge_softmax_grad", oracles.edge_softmax_grad_by_broadcast)
+        for a, b in zip(got, run(), strict=True):
+            self.assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_heads_t_copies_slot_by_slot_to_the_bit(self, f):
+        x = rng(53).normal(size=(f, 4, 6)).astype(np.float32).transpose(1, 0, 2)  # not contiguous
+        got = T._heads_t(x, 2)
+        assert got.flags.c_contiguous
+        self.assert_same_bits(got, np.ascontiguousarray(x.reshape(4, f, 2, 3).transpose(0, 2, 3, 1)))
+
     def test_target_without_edges_gets_a_zero_block(self):
         keys, q, att, ext, src, dst = self.graph(dtype=np.float32)
         with T.Tape() as tape:
