@@ -7,11 +7,11 @@ into the optimizer's one parameter vector, updated in place between tapes.
 A tensor built from raw data is float32 unless given a dtype; an op's output
 keeps the dtype of its inputs, so a model computes in its parameters' dtype.
 Recording happens on an explicit :class:`Tape` that is active for one
-forward pass; its gradient table holds the leaves the pass recorded. Reverse
-accumulation walks the tape in reverse creation order, which is a valid
-topological order because the tape is append-only. Every node computes
-something: there is no op that only changes a shape, so callers build each
-tensor in the shape its consumers read.
+forward pass in its own thread, so threads record apart; its gradient table
+holds the leaves the pass recorded. Reverse accumulation walks the tape in
+reverse creation order, which is a valid topological order because the tape
+is append-only. Every node computes something: there is no op that only
+changes a shape, so callers build each tensor in the shape its consumers read.
 Message passing is two fused ops per relation, :func:`edge_attention` (which
 forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
 blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). Only the logits and
@@ -22,7 +22,9 @@ times dense product with the attention, or its softmax-input gradient, as a
 block-diagonal edge matrix (g-SpMM, Wang et al., arXiv:1909.01315). The
 structure of that matrix depends only on the view's edges and the shape, so
 the view keeps it from the first product on, and a product lends it only its
-data. Backward keeps only the attention weights and K W. The fusion head is
+data. The edge softmax reduces per target with :class:`Segments`, whose max
+makes one numpy call per rank of a target's edges, not one per target and
+column. Backward keeps only the attention weights and K W. The fusion head is
 one more fused op, :func:`slot_fusion`, on the same layout, and so is each
 affine map, :func:`affine`. Only raw data, the logits a loss reads and the
 loss it returns are screened for NaN and inf (:class:`NonFiniteError`), one
@@ -38,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -60,7 +63,13 @@ class TapeError(TensorError):
     pass
 
 
-_ACTIVE_TAPE: "Tape | None" = None
+class _ActiveTape(threading.local):
+    """The tape a thread records on; each thread starts with none."""
+
+    tape: "Tape | None" = None
+
+
+_ACTIVE = _ActiveTape()
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -127,14 +136,11 @@ class Tape:
         self._prev_tape: Tape | None = None
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        self._prev_tape = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._prev_tape, _ACTIVE.tape = _ACTIVE.tape, self
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev_tape
+        _ACTIVE.tape = self._prev_tape
 
     def record(self, out: Tensor, parents: tuple[Tensor, ...], backward: Callable) -> None:
         if self.consumed:
@@ -190,8 +196,9 @@ def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callab
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad = out_data, requires
     out.name = out._tape = out._node = None
-    if requires and _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.record(out, parents, backward_fn)
+    tape = _ACTIVE.tape
+    if requires and tape is not None:
+        tape.record(out, parents, backward_fn)
     return out
 
 
@@ -341,9 +348,11 @@ class Segments:
     ``indptr`` is the CSR row pointer of the rows stably sorted by segment.
     ``sum`` is one product with a boolean CSR matrix whose rows list their
     members in ascending row order, so it adds in the same order as
-    ``np.add.at``, to the bit, in the dtype of the rows it sums. ``max`` runs
-    ``np.maximum.reduceat`` over the non-empty segments, on the rows stably
-    sorted by segment; empty segments get -inf. Build one per index array and
+    ``np.add.at``, to the bit, in the dtype of the rows it sums. ``max`` folds
+    the rows stably sorted by segment in row order (:func:`_rank_sweep_max`),
+    one call per rank, or with ``np.maximum.reduceat`` where that makes fewer
+    inner loops (``SWEEP_CALL_COST``); empty segments get -inf. ``spread``
+    places per-segment values back onto the rows. Build one per index array and
     reuse it: the graph's views hold one per edge endpoint. Nothing is built
     before it is read: the sort (``order``, None when ``ids`` is sorted) at
     the first ``max``, ``sum`` or edge product, and the matrix at the first
@@ -386,11 +395,27 @@ class Segments:
 
     def max(self, x: np.ndarray) -> np.ndarray:
         """Per-segment maxima of the rows of ``x``; -inf for empty segments."""
-        out = np.full((self.num_segments,) + x.shape[1:], -np.inf, dtype=x.dtype)
-        if self._nonempty.size:
-            rows = x if self.order is None else x[self.order]
-            out[self._nonempty] = np.maximum.reduceat(rows, self.indptr[self._nonempty], axis=0)
+        ne, shape = self._nonempty, (self.num_segments,) + x.shape[1:]
+        if not ne.size:
+            return np.full(shape, -np.inf, dtype=x.dtype)
+        rows = x if self.order is None else x[self.order]
+        # counts come from indptr per call, so a view holds no extra per-segment array
+        starts, counts = self.indptr[ne], np.diff(self.indptr)[ne]
+        longest = int(counts.max())
+        if longest * SWEEP_CALL_COST <= ne.size * math.prod(x.shape[1:]):
+            maxima = _rank_sweep_max(rows, starts, counts, longest)
+        else:
+            maxima = np.maximum.reduceat(rows, starts, axis=0)
+        if ne.size == self.num_segments:
+            return maxima
+        out = np.full(shape, -np.inf, dtype=x.dtype)
+        out[ne] = maxima
         return out
+
+    def spread(self, v: np.ndarray) -> np.ndarray:
+        """Per-segment values ``v`` onto the rows: ``v[ids]``, which sorted
+        ids get as a repeat by segment size."""
+        return np.repeat(v, np.diff(self.indptr), axis=0) if self.sorted else v[self.ids]
 
     def edge_index(self, src: "Segments", heads: int, f_s: int, f_t: int) -> "_EdgeIndex":
         """The structure of the edge matrix (see :func:`_edge_products`) of
@@ -404,6 +429,39 @@ class Segments:
                 sources, self.indptr, src.num_segments, heads, f_s, f_t
             )
         return self._edge_index[key]
+
+
+# How many row-width inner loops of ``np.maximum.reduceat`` one call of the
+# rank sweep costs: ``Segments.max`` sweeps when its longest segment times this
+# is at most the loops reduceat would run, one per non-empty segment and
+# column. Measured with scripts/segment_cost.py (see CHANGES.md).
+SWEEP_CALL_COST = 300
+
+
+def _rank_sweep_max(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray, longest: int):
+    """The maxima of segments of ``counts`` > 0 rows from ``starts``, as one
+    call per rank: the k-th rows of every segment with more than k are folded
+    in at once by ``np.maximum(acc, next)``. That is a fold in row order, to the
+    bit, NaN payloads and signed zeros included; ``np.maximum.reduceat`` gives
+    the same bytes, except that it folds a segment of many rows in SIMD lanes,
+    so of several NaNs in a column it may return another. Segments run longest
+    first, so the live ones at each rank are a prefix of the accumulator."""
+    if counts.min() == longest:  # segment i is rows [i L, (i + 1) L): strided views
+        acc = rows[::longest].copy()
+        for k in range(1, longest):
+            np.maximum(acc, rows[k::longest], out=acc)
+        return acc
+    by_length = np.argsort(-counts, kind="stable")
+    firsts = starts[by_length]
+    acc = rows[firsts]
+    # live[k]: how many segments have more than k rows
+    live = counts.size - np.cumsum(np.bincount(counts))
+    for k in range(1, longest):
+        head = acc[:live[k]]
+        np.maximum(head, rows[firsts[:live[k]] + k], out=head)
+    out = np.empty_like(acc)
+    out[by_length] = acc
+    return out
 
 
 class _EdgeIndex:
@@ -553,15 +611,16 @@ def _pool(ufunc, a: np.ndarray, joint: bool) -> np.ndarray:
 
 def _edge_softmax(x: np.ndarray, dst: Segments, joint: bool) -> np.ndarray:
     """The softmax of the logits ``x`` (E, H, F_s, F_t) of :func:`edge_attention`, in place."""
-    _slotwise(np.subtract, x, x, dst.max(_pool(np.maximum, x, joint))[dst.ids])
+    _slotwise(np.subtract, x, x, dst.spread(dst.max(_pool(np.maximum, x, joint))))
     y = np.exp(x, out=x)
-    return _slotwise(np.divide, y, y, dst.sum(_pool(np.add, y, joint))[dst.ids])
+    return _slotwise(np.divide, y, y, dst.spread(dst.sum(_pool(np.add, y, joint))))
 
 
 def _edge_softmax_grad(g, y, dst: Segments, joint: bool, scale: float, scale_outside: bool):
     """The logits' gradient from the attention's, ``g``, given the softmax ``y``."""
     g = g * scale if scale_outside else g
-    gx = _slotwise(np.subtract, np.empty_like(g), g, dst.sum(_pool(np.add, g * y, joint))[dst.ids])
+    sums = dst.spread(dst.sum(_pool(np.add, g * y, joint)))
+    gx = _slotwise(np.subtract, np.empty_like(g), g, sums)
     np.multiply(y, gx, out=gx)
     return gx if scale_outside else np.multiply(gx, scale, out=gx)
 

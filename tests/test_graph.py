@@ -225,6 +225,19 @@ class TestBadInput:
         with pytest.raises(DatasetError, match=r"labels\.csv line 6: .*0 or 1"):
             load_dataset(tmp_path)
 
+    def test_multilabel_flag_in_the_first_class_column(self, graph, tmp_path):
+        graph.schema.multilabel = True
+        graph.labels = np.eye(graph.schema.num_classes, dtype=np.float32)[graph.labels]
+        save_dataset(graph, tmp_path)
+
+        def first_flag_bad(line):
+            node, _, rest = line.split(",", 2)
+            return f"{node},2,{rest}"
+
+        rewrite_line(tmp_path, "labels.csv", 4, first_flag_bad)
+        with pytest.raises(DatasetError, match=r"labels\.csv line 4: .*0 or 1"):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("value", [2.5, True, "3"])
     def test_non_integer_split_id(self, graph, tmp_path, value):
         save_dataset(graph, tmp_path)
@@ -648,6 +661,20 @@ class TestSampler:
     def test_batch_targets_validated(self, graph):
         with pytest.raises(ValueError):
             sample_subgraph(graph, np.array([10 ** 9]), depth=1, budget=1, seed=0)
+
+    def test_one_target_batch(self, graph):
+        target = graph.schema.target_type
+        t = int(graph.splits["train"].max())
+        sub = sample_subgraph(graph, np.array([t]), depth=1, budget=10 ** 6, seed=4)
+        # no relation runs between targets, so the batch is the only target
+        assert sub.batch_local.tolist() == [0]
+        assert sub.graph.orig_ids[target].tolist() == [t]
+        # with an unbounded budget every depth-1 in-neighbour is kept
+        for rel in graph.schema.relations:
+            if rel.dst == target:
+                pairs = graph.edges[rel]
+                sources = set(pairs[pairs[:, 1] == t, 0].tolist())
+                assert sources and sources <= set(sub.graph.orig_ids[rel.src].tolist())
 
     def test_batch_local_points_at_batch(self, graph):
         batch = graph.splits["valid"][:5]

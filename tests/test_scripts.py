@@ -49,6 +49,20 @@ def test_make_dataset(tmp_path):
     assert lines == [f"wrote {out}: 52 nodes, {edges} edges"]
 
 
+def test_segment_cost():
+    lines = run_script("segment_cost.py", "--rows", "300", "--segments", "30", "--repeats", "1")
+    assert lines[0].startswith("SWEEP_CALL_COST = ")
+    assert lines[1].split() == [
+        "layout", "width", "rows", "longest", "reduceat_us", "sweep_us", "faster", "picks",
+        "break_even",
+    ]
+    rows = [line.split() for line in lines[2:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (layout, width) for layout in ("uniform", "random", "power-law") for width in ("8", "24")
+    ]
+    assert all(r[6] in ("sweep", "reduceat") and r[7] in ("sweep", "reduceat") for r in rows)
+
+
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
 

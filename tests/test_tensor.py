@@ -270,6 +270,12 @@ class TestConcat:
         with pytest.raises(T.ShapeError):
             T.concat([T.Tensor(np.ones((1, 2))), T.Tensor(np.ones((1, 3)))], axis=0)
 
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_axis_out_of_range(self, axis):
+        a = T.Tensor(np.ones((2, 3)))
+        with pytest.raises(T.ShapeError, match="out of range"):
+            T.concat([a, a], axis=axis)
+
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 4))
     def test_slice_after_concat_identity(self, seed, n1, n2):
         g = np.random.default_rng(seed)
@@ -893,6 +899,93 @@ class TestSegments:
         got_max = seg.max(x)
         assert got_max.dtype == dtype
         assert np.array_equal(got_max, want_max)
+
+    # rows per segment of each layout; "unsorted" shuffles its rows
+    LAYOUTS = {
+        "uniform": lambda g: np.full(40, 3),
+        "random": lambda g: g.integers(1, 7, size=40),
+        "hub": lambda g: np.maximum(1, 90 // np.arange(1, 41) ** 2),  # 90, 22, 10, 5, ...
+        "unsorted": lambda g: g.integers(0, 7, size=40),
+        "empty": lambda g: np.tile([2, 0, 3, 0, 1], 8),
+        "one_row": lambda g: np.ones(40, dtype=np.int64),
+    }
+
+    def layout_ids(self, layout, g) -> tuple[np.ndarray, int]:
+        counts = self.LAYOUTS[layout](g)
+        ids = np.repeat(np.arange(counts.size), counts)
+        if layout == "unsorted":
+            g.shuffle(ids)
+        return ids, counts.size
+
+    @staticmethod
+    def plant_specials(x, g):
+        """NaNs with payloads and either sign, +-inf and +-0 at random places."""
+        bits = {
+            np.float32: (0x7FC00005, 0xFFC00009),
+            np.float64: (0x7FF8000000000005, 0xFFF8000000000009),
+        }
+        nans = np.array(bits[x.dtype.type], dtype=f"u{x.itemsize}").view(x.dtype)
+        specials = np.array([nans[0], nans[1], np.inf, -np.inf, 0.0, -0.0], dtype=x.dtype)
+        where = g.random(x.shape) < 0.3
+        x[where] = specials[g.integers(0, specials.size, size=int(where.sum()))]
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [8, 24])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_sweep_and_reduceat_maxima_equal_the_scan_to_the_bit(
+        self, layout, width, dtype, monkeypatch
+    ):
+        g = rng(35)
+        ids, n = self.layout_ids(layout, g)
+        # laid out as the pooled logits (E, H, 1, F_t) of the edge softmax
+        x = self.plant_specials(g.normal(size=(ids.size, 8, 1, width // 8)).astype(dtype), g)
+        want = oracles.segment_reduce_by_scan(ids, x, n, np.maximum, -np.inf)
+        sweeps = []
+        sweep = T._rank_sweep_max
+        monkeypatch.setattr(T, "_rank_sweep_max", lambda *a: sweeps.append(a) or sweep(*a))
+        for cost, swept in ((0, True), (10 ** 9, False)):  # force each path
+            monkeypatch.setattr(T, "SWEEP_CALL_COST", cost)
+            sweeps.clear()
+            got = T.Segments(ids, n).max(x)
+            assert bool(sweeps) == swept
+            assert got.dtype == dtype and got.shape == want.shape
+            if swept or layout != "hub":
+                assert got.tobytes() == want.tobytes()
+                continue
+            # numpy's reduceat folds a segment of many rows (17 or more here)
+            # in SIMD lanes, so of several NaNs in a column it may return
+            # another than a fold in row order does; all else is to the bit
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("layout", ["random", "unsorted", "empty"])
+    def test_spread_equals_indexing_by_ids_to_the_bit(self, layout):
+        g = rng(36)
+        ids, n = self.layout_ids(layout, g)
+        seg = T.Segments(ids, n)
+        assert seg.sorted == (layout != "unsorted")
+        v = self.plant_specials(g.normal(size=(n, 8, 1, 3)), g)
+        got = seg.spread(v)
+        assert got.shape == v[ids].shape and got.tobytes() == v[ids].tobytes()
+
+    @pytest.mark.parametrize("heads, f_s, n_src, dtype", [
+        (1, 1, 2 ** 31 - 1, np.int32),
+        (1, 1, 2 ** 31, np.int64),
+        (2, 2, 2 ** 29 - 1, np.int32),
+        (2, 2, 2 ** 29, np.int64),
+    ])
+    def test_edge_index_dtype_at_the_int32_bound(self, heads, f_s, n_src, dtype):
+        # the column count H F_s n_src is the largest size the bound checks:
+        # 2**31 - 1 or less fits int32, 2**31 does not; a huge source count
+        # reaches it with three edges, and nothing of that size is built
+        sources, indptr = np.array([0, n_src - 1, 5]), np.array([0, 2, 3])
+        ix = T._build_edge_index(sources, indptr, n_src, heads, f_s, 2)
+        assert ix.cols.dtype == dtype and ix.csr.indptr.dtype == dtype
+        assert ix.csr.shape == (heads * 2 * 2, heads * f_s * n_src)
+        # the top source's last slot in the last head is the last column
+        assert int(ix.cols.max()) == heads * f_s * n_src - 1
 
     def test_order_is_sorted_only_when_read(self):
         seg = T.Segments(np.array([2, 0, 2, 1]), 3)

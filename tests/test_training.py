@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,6 +365,15 @@ class TestTrain:
         result = train(model, g, cfg)
         assert len(result.log) == 2
 
+    def test_sampled_mode_runs_with_one_target_batches(self):
+        g = small_planted()
+        cfg = quick_cfg(
+            epochs=2, batch_mode="sampled", batch_size=1, batches_per_epoch=3, sample_budget=10
+        )
+        result = train(init_model(g, cfg), g, cfg)
+        assert len(result.log) == 2 and not result.diverged
+        assert all(math.isfinite(entry["loss"]) for entry in result.log)
+
     @pytest.mark.parametrize("valid", [None, []])
     def test_no_valid_split_logs_nan(self, valid):
         g = small_planted()
@@ -641,3 +652,31 @@ class TestDirectionalGradients:
         assert any(
             r.src != s.target_type and r.dst != s.target_type for s in schemas for r in s.relations
         )
+
+
+class TestThreads:
+    def test_tapes_record_per_thread(self):
+        # both threads enter their tapes before either records, so a tape
+        # active for the whole process would record both passes on the later
+        # one; each thread has its own graph, as a graph's views are not shared
+        # across threads
+        cfg = quick_cfg()
+        barrier = threading.Barrier(2, timeout=60)
+
+        def gradients(wait) -> dict[str, bytes]:
+            g = small_planted()
+            model = init_model(g, cfg)
+            ids = g.splits["train"]
+            with T.Tape() as tape:
+                wait()
+                out = model.forward(g, training=True, dropout_seed=(0, 1), rows=ids)
+                loss = head_loss(out.logits, g.labels[ids], g.schema.multilabel)
+                wait()
+                table = tape.backward(loss)
+            return {name: table[p].tobytes() for name, p in model.named_parameters() if p in table}
+
+        alone = gradients(lambda: None)
+        assert alone
+        with ThreadPoolExecutor(2) as pool:
+            runs = [pool.submit(gradients, barrier.wait) for _ in range(2)]
+            assert [run.result() for run in runs] == [alone, alone]
