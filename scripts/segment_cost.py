@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Time the two paths of ``Segments.max`` on uniform, random and power-law
-segment layouts, to re-derive ``tensor.SWEEP_CALL_COST`` on this host.
+"""Time the two paths of ``Segments.max`` on segments of one length, to
+re-derive ``tensor.SWEEP_CALL_COST`` on this host.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/segment_cost.py
 
-For each layout and row width it prints the best time of
+For each segment length and row width it prints the best time of
 ``np.maximum.reduceat`` and of the rank sweep, which was faster, the path the
 constant picks, and the break-even constant: one sweep call's cost in
-reduceat inner loops, ``(sweep / longest) / (reduceat / (segments * width))``.
+reduceat inner loops, ``(sweep / length) / (reduceat / (segments * width))``.
 The constant picks the faster path on a layout when it lies on the same side
-of ``segments * width / longest`` as the break-even does, so set it near the
+of ``segments * width / length`` as the break-even does, so set it near the
 break-even of the layouts whose paths cost about the same. Both paths are
 checked to give the same bytes.
 """
@@ -23,19 +23,6 @@ import numpy as np
 from slotgnn import tensor as T
 
 
-def layouts(rows: int, segments: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Rows per segment: all equal, uniform in [1, 2 mean), and a power law
-    whose largest segment is a hub."""
-    mean = rows // segments
-    power = rng.zipf(1.6, size=segments).astype(np.float64)
-    power = np.maximum(1, np.floor(power / power.sum() * rows)).astype(np.int64)
-    return {
-        "uniform": np.full(segments, mean),
-        "random": rng.integers(1, 2 * mean, size=segments),
-        "power-law": power,
-    }
-
-
 def best_time(fn, repeats: int) -> float:
     number = max(1, repeats // 5)
     return min(timeit.repeat(fn, number=number, repeat=5)) / number
@@ -44,7 +31,7 @@ def best_time(fn, repeats: int) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rows", type=int, default=20_000)
-    ap.add_argument("--segments", type=int, default=1_000)
+    ap.add_argument("--lengths", type=int, nargs="+", default=[2, 3, 8, 32, 128, 512])
     ap.add_argument("--widths", type=int, nargs="+", default=[8, 24])
     ap.add_argument("--repeats", type=int, default=50, help="calls per timed path")
     ap.add_argument("--seed", type=int, default=0)
@@ -52,24 +39,23 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     print(f"SWEEP_CALL_COST = {T.SWEEP_CALL_COST}")
-    print(f"{'layout':<10} {'width':>5} {'rows':>7} {'longest':>7} {'reduceat_us':>11} "
+    print(f"{'length':>6} {'segments':>8} {'width':>5} {'reduceat_us':>11} "
           f"{'sweep_us':>9} {'faster':>8} {'picks':>8} {'break_even':>10}")
-    for name, counts in layouts(args.rows, args.segments, rng).items():
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        longest = int(counts.max())
+    for length in args.lengths:
+        segments = max(1, args.rows // length)
+        starts = np.arange(segments) * length
         for width in args.widths:
-            x = rng.normal(size=(int(counts.sum()), width)).astype(np.float32)
+            x = rng.normal(size=(segments * length, width)).astype(np.float32)
             by_reduceat = np.maximum.reduceat(x, starts, axis=0)
-            by_sweep = T._rank_sweep_max(x, starts, counts, longest)
-            if by_reduceat.tobytes() != by_sweep.tobytes():
-                raise SystemExit(f"{name}, width {width}: the two paths differ")
+            if by_reduceat.tobytes() != T._rank_sweep_max(x, length).tobytes():
+                raise SystemExit(f"length {length}, width {width}: the two paths differ")
             t_reduceat = best_time(lambda: np.maximum.reduceat(x, starts, axis=0), args.repeats)
-            t_sweep = best_time(lambda: T._rank_sweep_max(x, starts, counts, longest), args.repeats)
-            loops = counts.size * width
+            t_sweep = best_time(lambda: T._rank_sweep_max(x, length), args.repeats)
+            loops = segments * width
             faster = "sweep" if t_sweep < t_reduceat else "reduceat"
-            picks = "sweep" if longest * T.SWEEP_CALL_COST <= loops else "reduceat"
-            even = (t_sweep / longest) / (t_reduceat / loops)
-            print(f"{name:<10} {width:>5} {x.shape[0]:>7} {longest:>7} {t_reduceat * 1e6:>11.1f} "
+            picks = "sweep" if length * T.SWEEP_CALL_COST <= loops else "reduceat"
+            even = (t_sweep / length) / (t_reduceat / loops)
+            print(f"{length:>6} {segments:>8} {width:>5} {t_reduceat * 1e6:>11.1f} "
                   f"{t_sweep * 1e6:>9.1f} {faster:>8} {picks:>8} {math.floor(even):>10}")
 
 

@@ -7,7 +7,8 @@ into the optimizer's one parameter vector, updated in place between tapes.
 A tensor built from raw data is float32 unless given a dtype; an op's output
 keeps the dtype of its inputs, so a model computes in its parameters' dtype.
 Recording happens on an explicit :class:`Tape` that is active for one
-forward pass in its own thread, so threads record apart; its gradient table
+forward pass in its own thread, so threads record apart, and may share a
+graph's views, whose kept structure no product writes to; its gradient table
 holds the leaves the pass recorded. Reverse accumulation walks the tape in
 reverse creation order, which is a valid topological order because the tape
 is append-only. Every node computes something: there is no op that only
@@ -21,12 +22,13 @@ messages, and in backward the value, query and K W gradients) is one sparse
 times dense product with the attention, or its softmax-input gradient, as a
 block-diagonal edge matrix (g-SpMM, Wang et al., arXiv:1909.01315). The
 structure of that matrix depends only on the view's edges and the shape, so
-the view keeps it from the first product on, and a product lends it only its
-data. The edge softmax reduces per target with :class:`Segments`, whose max
-makes one numpy call per rank of a target's edges, not one per target and
-column. Backward keeps only the attention weights and K W. The fusion head is
-one more fused op, :func:`slot_fusion`, on the same layout, and so is each
-affine map, :func:`affine`. Only raw data, the logits a loss reads and the
+the view keeps it from the first product on, and a product lends only its
+data, to a copy of it. The edge softmax reduces per target with
+:class:`Segments`, whose max, where every target has as many edges, makes one
+numpy call per rank of a target's edges, not one per target and column.
+Backward keeps only the attention weights and K W. The fusion head is one more
+fused op, :func:`slot_fusion`, on the same layout, and so is each affine map,
+:func:`affine`. Only raw data, the logits a loss reads and the
 loss it returns are screened for NaN and inf (:class:`NonFiniteError`), one
 pass each; an op's output is not. A non-finite value an op makes reaches the
 logits, unless a softmax gives a -inf weight 0, so the fused ops screen what
@@ -37,6 +39,7 @@ Per-edge passes numpy cannot run as one flat loop go one slot (pair) at a time
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -349,12 +352,13 @@ class Segments:
     ``sum`` is one product with a boolean CSR matrix whose rows list their
     members in ascending row order, so it adds in the same order as
     ``np.add.at``, to the bit, in the dtype of the rows it sums. ``max`` folds
-    the rows stably sorted by segment in row order (:func:`_rank_sweep_max`),
-    one call per rank, or with ``np.maximum.reduceat`` where that makes fewer
-    inner loops (``SWEEP_CALL_COST``); empty segments get -inf. ``spread``
-    places per-segment values back onto the rows. Build one per index array and
-    reuse it: the graph's views hold one per edge endpoint. Nothing is built
-    before it is read: the sort (``order``, None when ``ids`` is sorted) at
+    the rows stably sorted by segment in row order, one call per rank
+    (:func:`_rank_sweep_max`), when the non-empty segments all have one length
+    and that makes fewer inner loops than ``np.maximum.reduceat``
+    (``SWEEP_CALL_COST``), and otherwise runs reduceat; empty segments get
+    -inf. ``spread`` places per-segment values back onto the rows. Build one
+    per index array and reuse it: the graph's views hold one per edge
+    endpoint. Nothing is built before it is read: the sort (``order``, None when ``ids`` is sorted) at
     the first ``max``, ``sum`` or edge product, and the matrix at the first
     ``sum``, so the sources of a view, which are only read by id, are never
     sorted. The target ``Segments`` of a view also keep the structure of its
@@ -400,12 +404,12 @@ class Segments:
             return np.full(shape, -np.inf, dtype=x.dtype)
         rows = x if self.order is None else x[self.order]
         # counts come from indptr per call, so a view holds no extra per-segment array
-        starts, counts = self.indptr[ne], np.diff(self.indptr)[ne]
+        counts = np.diff(self.indptr)[ne]
         longest = int(counts.max())
-        if longest * SWEEP_CALL_COST <= ne.size * math.prod(x.shape[1:]):
-            maxima = _rank_sweep_max(rows, starts, counts, longest)
+        if counts.min() == longest and longest * SWEEP_CALL_COST <= ne.size * math.prod(x.shape[1:]):
+            maxima = _rank_sweep_max(rows, longest)
         else:
-            maxima = np.maximum.reduceat(rows, starts, axis=0)
+            maxima = np.maximum.reduceat(rows, self.indptr[ne], axis=0)
         if ne.size == self.num_segments:
             return maxima
         out = np.full(shape, -np.inf, dtype=x.dtype)
@@ -432,36 +436,23 @@ class Segments:
 
 
 # How many row-width inner loops of ``np.maximum.reduceat`` one call of the
-# rank sweep costs: ``Segments.max`` sweeps when its longest segment times this
-# is at most the loops reduceat would run, one per non-empty segment and
-# column. Measured with scripts/segment_cost.py (see CHANGES.md).
-SWEEP_CALL_COST = 300
+# rank sweep costs: ``Segments.max`` sweeps segments of one length when that
+# length times this is at most the loops reduceat would run, one per non-empty
+# segment and column. Measured with scripts/segment_cost.py (see CHANGES.md).
+SWEEP_CALL_COST = 32
 
 
-def _rank_sweep_max(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray, longest: int):
-    """The maxima of segments of ``counts`` > 0 rows from ``starts``, as one
-    call per rank: the k-th rows of every segment with more than k are folded
-    in at once by ``np.maximum(acc, next)``. That is a fold in row order, to the
-    bit, NaN payloads and signed zeros included; ``np.maximum.reduceat`` gives
-    the same bytes, except that it folds a segment of many rows in SIMD lanes,
-    so of several NaNs in a column it may return another. Segments run longest
-    first, so the live ones at each rank are a prefix of the accumulator."""
-    if counts.min() == longest:  # segment i is rows [i L, (i + 1) L): strided views
-        acc = rows[::longest].copy()
-        for k in range(1, longest):
-            np.maximum(acc, rows[k::longest], out=acc)
-        return acc
-    by_length = np.argsort(-counts, kind="stable")
-    firsts = starts[by_length]
-    acc = rows[firsts]
-    # live[k]: how many segments have more than k rows
-    live = counts.size - np.cumsum(np.bincount(counts))
-    for k in range(1, longest):
-        head = acc[:live[k]]
-        np.maximum(head, rows[firsts[:live[k]] + k], out=head)
-    out = np.empty_like(acc)
-    out[by_length] = acc
-    return out
+def _rank_sweep_max(rows: np.ndarray, length: int) -> np.ndarray:
+    """The maxima of consecutive segments of ``length`` rows each, one call per
+    rank: the k-th rows of all segments, a strided view, are folded in at once by
+    ``np.maximum(acc, next)``. That is a fold in row order, to the bit, NaN
+    payloads and signed zeros included; ``np.maximum.reduceat`` gives the same
+    bytes, except that it folds a segment of many rows in SIMD lanes, so of
+    several NaNs in a column it may return another."""
+    acc = rows[::length].copy()
+    for k in range(1, length):
+        np.maximum(acc, rows[k::length], out=acc)
+    return acc
 
 
 class _EdgeIndex:
@@ -469,8 +460,9 @@ class _EdgeIndex:
     one target slot's rows, (H, 1, E F_s), which every target slot repeats,
     in int32 when they fit. ``csr`` is the matrix and ``csc`` its transpose
     over the same ``indptr``, built at the first product that needs it. A
-    product lends a matrix its data and the repeated columns only while it
-    runs (:func:`_lend`), so between products neither matrix holds any."""
+    product lends its data and the repeated columns to a copy of a matrix's
+    shell (:func:`_lend`), so neither matrix ever holds any, and products in
+    several threads do not see each other's."""
 
     def __init__(self, cols: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
         self.cols, self._indptr, self._shape = cols, indptr, shape
@@ -592,13 +584,11 @@ def _edge_products(
 
 
 def _lend(matrix, data: np.ndarray, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` with ``data`` and ``indices`` lent to ``matrix`` for the
-    product only."""
-    matrix.data, matrix.indices = data, indices
-    try:
-        return matrix @ x
-    finally:
-        matrix.data, matrix.indices = None, None
+    """``matrix @ x`` with ``data`` and ``indices`` lent to a shallow copy of
+    ``matrix``, which shares its ``indptr`` and leaves it as it was."""
+    shell = copy.copy(matrix)
+    shell.data, shell.indices = data, indices
+    return shell @ x
 
 
 def _pool(ufunc, a: np.ndarray, joint: bool) -> np.ndarray:

@@ -50,17 +50,16 @@ def test_make_dataset(tmp_path):
 
 
 def test_segment_cost():
-    lines = run_script("segment_cost.py", "--rows", "300", "--segments", "30", "--repeats", "1")
+    lines = run_script("segment_cost.py", "--rows", "60", "--lengths", "2", "3", "--repeats", "1")
     assert lines[0].startswith("SWEEP_CALL_COST = ")
     assert lines[1].split() == [
-        "layout", "width", "rows", "longest", "reduceat_us", "sweep_us", "faster", "picks",
-        "break_even",
+        "length", "segments", "width", "reduceat_us", "sweep_us", "faster", "picks", "break_even",
     ]
     rows = [line.split() for line in lines[2:]]
-    assert [(r[0], r[1]) for r in rows] == [
-        (layout, width) for layout in ("uniform", "random", "power-law") for width in ("8", "24")
+    assert [(r[0], r[1], r[2]) for r in rows] == [
+        ("2", "30", "8"), ("2", "30", "24"), ("3", "20", "8"), ("3", "20", "24"),
     ]
-    assert all(r[6] in ("sweep", "reduceat") and r[7] in ("sweep", "reduceat") for r in rows)
+    assert all(r[5] in ("sweep", "reduceat") and r[6] in ("sweep", "reduceat") for r in rows)
 
 
 FAILING_PROPERTY = """

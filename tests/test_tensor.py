@@ -747,6 +747,25 @@ class TestFusedEdgeOps:
         for m in (index.csr, index.csc):
             assert m.data is None and m.indices is None  # nothing of a call stays
 
+    def test_products_leave_the_kept_matrices_untouched_while_they_run(self, monkeypatch):
+        # so threads that share a view never see each other's data
+        *_, src, dst = self.graph(shuffled=True)
+        g = rng(49)
+        w = g.normal(size=(5, 2, 3, 2))
+        right, left = g.normal(size=(2 * 4 * 3, 3)), g.normal(size=(2 * 2 * 4, 3))
+        T._edge_products(w, src, dst, right, left)
+        (index,) = dst._edge_index.values()
+        seen = []
+        for kind in (scipy.sparse.csr_array, scipy.sparse.csc_array):
+            def spy(m, x, matmul=kind.__matmul__):
+                kept = (index.csr, index.csc)
+                seen.append(all(m is not k and k.data is None and k.indices is None for k in kept))
+                return matmul(m, x)
+
+            monkeypatch.setattr(kind, "__matmul__", spy)
+        T._edge_products(w, src, dst, right, left)
+        assert seen == [True, True]
+
     @staticmethod
     def assert_same_bits(got, want):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -900,15 +919,18 @@ class TestSegments:
         assert got_max.dtype == dtype
         assert np.array_equal(got_max, want_max)
 
-    # rows per segment of each layout; "unsorted" shuffles its rows
+    # rows per segment of each layout; "unsorted" shuffles its rows. The sweep
+    # takes the layouts whose non-empty segments all have one length.
     LAYOUTS = {
         "uniform": lambda g: np.full(40, 3),
+        "long": lambda g: np.full(8, 20),
+        "one_row": lambda g: np.ones(40, dtype=np.int64),
+        "unsorted": lambda g: np.tile([3, 0, 3, 3], 10),
         "random": lambda g: g.integers(1, 7, size=40),
         "hub": lambda g: np.maximum(1, 90 // np.arange(1, 41) ** 2),  # 90, 22, 10, 5, ...
-        "unsorted": lambda g: g.integers(0, 7, size=40),
         "empty": lambda g: np.tile([2, 0, 3, 0, 1], 8),
-        "one_row": lambda g: np.ones(40, dtype=np.int64),
     }
+    SWEPT = {"uniform", "long", "one_row", "unsorted"}
 
     def layout_ids(self, layout, g) -> tuple[np.ndarray, int]:
         counts = self.LAYOUTS[layout](g)
@@ -944,18 +966,19 @@ class TestSegments:
         sweeps = []
         sweep = T._rank_sweep_max
         monkeypatch.setattr(T, "_rank_sweep_max", lambda *a: sweeps.append(a) or sweep(*a))
-        for cost, swept in ((0, True), (10 ** 9, False)):  # force each path
+        for cost in (0, 10 ** 9):  # force each path where both can run
             monkeypatch.setattr(T, "SWEEP_CALL_COST", cost)
             sweeps.clear()
             got = T.Segments(ids, n).max(x)
+            swept = cost == 0 and layout in self.SWEPT
             assert bool(sweeps) == swept
             assert got.dtype == dtype and got.shape == want.shape
-            if swept or layout != "hub":
+            if swept or np.bincount(ids).max() < 17:
                 assert got.tobytes() == want.tobytes()
                 continue
-            # numpy's reduceat folds a segment of many rows (17 or more here)
-            # in SIMD lanes, so of several NaNs in a column it may return
-            # another than a fold in row order does; all else is to the bit
+            # numpy's reduceat folds a segment of 17 or more rows in SIMD
+            # lanes, so of several NaNs in a column it may return another
+            # than a fold in row order does; all else is to the bit
             nan = np.isnan(want)
             assert np.array_equal(np.isnan(got), nan)
             assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -658,15 +658,13 @@ class TestThreads:
     def test_tapes_record_per_thread(self):
         # both threads enter their tapes before either records, so a tape
         # active for the whole process would record both passes on the later
-        # one; each thread has its own graph, as a graph's views are not shared
-        # across threads
-        cfg = quick_cfg()
+        # one; the threads share one graph and model
+        g = small_planted()
+        model = init_model(g, quick_cfg())
+        ids = g.splits["train"]
         barrier = threading.Barrier(2, timeout=60)
 
         def gradients(wait) -> dict[str, bytes]:
-            g = small_planted()
-            model = init_model(g, cfg)
-            ids = g.splits["train"]
             with T.Tape() as tape:
                 wait()
                 out = model.forward(g, training=True, dropout_seed=(0, 1), rows=ids)
