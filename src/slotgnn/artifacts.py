@@ -51,8 +51,8 @@ def _index_entry(
 
 
 def load_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | Path) -> None:
-    """Fill the given tensors in place from a checkpoint; names and shapes
-    must match, values be finite."""
+    """Fill the given tensors in place from a checkpoint; names, shapes and
+    dtypes must match, values be finite."""
     directory = Path(directory)
     path, index = directory / "checkpoint.bin", directory / "checkpoint.idx"
     blob = path.read_bytes()
@@ -65,6 +65,8 @@ def load_checkpoint(named_params: list[tuple[str, T.Tensor]], directory: str | P
             raise KeyError(f"checkpoint contains unknown parameter {name!r}")
         if p.shape != shape:
             raise ValueError(f"parameter {name!r} has shape {p.shape}, checkpoint has {shape}")
+        if p.dtype != dtype:
+            raise ValueError(f"{path}: parameter {name!r} is {p.dtype}, checkpoint holds {dtype}")
         count = int(np.prod(shape)) if shape else 1
         end = start + count * dtype.itemsize
         if not 0 <= start <= end <= len(blob):

@@ -57,7 +57,7 @@ def fuse(h0: T.Tensor, hl: T.Tensor, params: FusionParams) -> FusionOutput:
     n, _, d = hl.shape
     if h0.shape[0] != n or h0.shape[2] != d:
         raise T.ShapeError(f"fuse: layer-0 {h0.shape} incompatible with final {hl.shape}")
-    q = T.reduce_mean(T.matmul(h0, params.fq), axis=1)
+    q = T.reduce_mean(T.affine(h0, params.fq), axis=1)
     fused, attn = T.slot_fusion(q, hl, params.fk, params.fv, params.heads)
     return FusionOutput(fused, attn)
 

@@ -3,8 +3,8 @@
 Node ids are dense and 0-based per type (the row index of the node file).
 Relations are directed; messages flow source -> target. Duplicate edges are
 kept (multigraph semantics); loading logs their count. Every per-relation view
-stores its edges sorted by (target, source) so downstream reductions run in
-a canonical order.
+stores its edges sorted by (target, source), here and nowhere else, so
+downstream reductions run in a canonical order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Segments
+from .tensor import BipartiteView, Segments
 
 log = logging.getLogger(__name__)
 
@@ -101,18 +101,6 @@ class Schema:
 
 
 @dataclass
-class BipartiteView:
-    """One relation's edges, sorted by (target, source), grouped both ways.
-
-    ``dst`` groups the edges by target and ``src`` by source; the sources of
-    target t are ``src.ids[dst.indptr[t]:dst.indptr[t + 1]]``, ascending.
-    """
-
-    src: Segments
-    dst: Segments
-
-
-@dataclass
 class Block:
     """The rows one layer reads and writes.
 
@@ -134,15 +122,14 @@ class Blocks:
     """The per-layer blocks of a forward pass that returns some target rows.
 
     ``layers[l]`` is the block of layer l + 1; the outputs of one block are
-    the inputs of the next, and the last one writes only the distinct
-    requested targets, ascending. ``heads[l]`` holds their positions among the
-    target rows of the state before layer l + 1 (``heads[-1]``, after the last
-    layer, is the identity), and ``order`` maps the rows as requested onto them.
+    the inputs of the next, and the last one writes only the requested
+    targets, which are distinct and ascend. ``heads[l]`` holds their positions
+    among the target rows of the state before layer l + 1 (``heads[-1]``,
+    after the last layer, is the identity).
     """
 
     layers: list[Block]
     heads: list[Segments]
-    order: Segments
 
 
 class HeteroGraph:
@@ -181,10 +168,8 @@ class HeteroGraph:
         if view is None:
             pairs = self.edges[relation].reshape(-1, 2)
             order = _edge_order(pairs, self.counts[relation.src])
-            view = BipartiteView(
-                Segments(pairs[order, 0], self.counts[relation.src]),
-                Segments(pairs[order, 1], self.counts[relation.dst]),
-            )
+            dst = Segments(pairs[order, 1], self.counts[relation.dst])
+            view = BipartiteView(pairs[order, 0], dst, self.counts[relation.src])
             self._views[relation] = view
         return view
 
@@ -208,8 +193,9 @@ class HeteroGraph:
         }
         views = {
             rel: BipartiteView(
-                Segments(np.searchsorted(inputs[rel.src], src), inputs[rel.src].size),
+                np.searchsorted(inputs[rel.src], src),
                 Segments(np.searchsorted(outputs[rel.dst], dst), outputs[rel.dst].size),
+                inputs[rel.src].size,
             )
             for rel, (src, dst) in pairs.items()
         }
@@ -221,7 +207,8 @@ class HeteroGraph:
 
     def blocks(self, rows: np.ndarray | None, num_layers: int) -> Blocks:
         """The blocks of a ``num_layers``-layer pass whose logits are the
-        target nodes ``rows``, in the order given (None: every target node).
+        target nodes ``rows``, distinct and ascending (None: every target
+        node); other rows raise ValueError.
 
         Built backwards from the last layer, which writes only the requested
         targets; each earlier layer writes what the next one reads, which is
@@ -231,21 +218,22 @@ class HeteroGraph:
 
         Built on first use and cached per (``num_layers``, bytes of ``rows``).
         An entry holds, per layer, the input node ids of every type, one
-        ``Segments`` per type for the output positions and two per relation
-        for the edges into the outputs; that is a few int64 arrays the size of
-        the nodes and edges within ``num_layers`` hops of the rows, each
-        ``Segments`` with a boolean CSR matrix of the same size.
+        ``Segments`` per type for the output positions and one view per
+        relation for the edges into the outputs; that is a few int64 arrays
+        the size of the nodes and edges within ``num_layers`` hops of the
+        rows, and the structure of each view's edge matrix once it is used.
         """
-        key = (num_layers, None if rows is None else np.asarray(rows, dtype=np.int64).tobytes())
+        target = self.schema.target_type
+        n_target = self.counts[target]
+        final = np.arange(n_target) if rows is None else np.asarray(rows, dtype=np.int64)
+        if final.ndim != 1 or np.any(final[1:] <= final[:-1]):
+            raise ValueError("rows must be distinct and ascending")
+        if final.size and (final[0] < 0 or final[-1] >= n_target):
+            raise ValueError(f"rows must be ids of type {target!r}")
+        key = (num_layers, None if rows is None else final.tobytes())
         cached = self._blocks.get(key)
         if cached is not None:
             return cached
-        target = self.schema.target_type
-        n_target = self.counts[target]
-        rows = np.arange(n_target) if rows is None else np.asarray(rows, dtype=np.int64)
-        final, order = np.unique(rows, return_inverse=True)
-        if final.size and (final[0] < 0 or final[-1] >= n_target):
-            raise ValueError(f"rows must be ids of type {target!r}")
         none = np.zeros(0, dtype=np.int64)
         outputs = {name: final if name == target else none for name in self.schema.type_names()}
         layers: list[Block] = []
@@ -256,7 +244,7 @@ class HeteroGraph:
             Segments(np.searchsorted(b.inputs[target], final), b.inputs[target].size)
             for b in layers
         ] + [Segments(np.arange(final.size), final.size)]
-        cached = self._blocks[key] = Blocks(layers, heads, Segments(order, final.size))
+        cached = self._blocks[key] = Blocks(layers, heads)
         return cached
 
 
@@ -811,7 +799,7 @@ def _edges_into(view: BipartiteView, targets: np.ndarray) -> tuple[np.ndarray, n
     lengths = indptr[targets + 1] - starts
     offsets = np.cumsum(lengths) - lengths
     pos = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-    return view.src.ids[pos], view.dst.ids[pos]
+    return view.src[pos], view.dst.ids[pos]
 
 
 def sample_subgraph(

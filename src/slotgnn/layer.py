@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .graph import BipartiteView, Block, HeteroGraph, Relation, Schema
+from .graph import Block, HeteroGraph, Relation, Schema
 
 
 @dataclass
@@ -92,7 +92,7 @@ def project_qkv(
     ``query_state`` (by default ``state``). Keys are linear, the others affine."""
     query_state = state if query_state is None else query_state
     queries = {name: T.affine(tens, *params.query[name]) for name, tens in query_state.items()}
-    keys = {name: T.matmul(tens, params.key[name]) for name, tens in state.items()}
+    keys = {name: T.affine(tens, params.key[name]) for name, tens in state.items()}
     values = {name: T.affine(tens, *params.value[name]) for name, tens in state.items()}
     return queries, keys, values
 
@@ -101,7 +101,7 @@ def relation_attention(
     src_keys: T.Tensor,
     dst_queries: T.Tensor,
     att_weights: T.Tensor,
-    view: BipartiteView,
+    view: T.BipartiteView,
     mode: str = "joint",
     scale_outside: bool = False,
 ) -> T.Tensor:
@@ -115,20 +115,20 @@ def relation_attention(
     """
     heads, d_h, _ = att_weights.shape
     return T.edge_attention(
-        src_keys, dst_queries, att_weights, view.src, view.dst, mode,
+        src_keys, dst_queries, att_weights, view, mode,
         1.0 / math.sqrt(heads * d_h if scale_outside else d_h), scale_outside,
     )
 
 
 def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -> T.Tensor:
     """Relation-specific extraction applied on top of the type's Value slots."""
-    return T.matmul(src_values, params.ext[rel])
+    return T.affine(src_values, params.ext[rel])
 
 
-def aggregate_messages(attn: T.Tensor, ext: T.Tensor, view: BipartiteView) -> T.Tensor:
+def aggregate_messages(attn: T.Tensor, ext: T.Tensor, view: T.BipartiteView) -> T.Tensor:
     """Sum attention-mixed source slots into each target: (n_dst, F_dst, d),
     a zero block for a target with no edges."""
-    return T.edge_aggregate(attn, ext, view.src, view.dst)
+    return T.edge_aggregate(attn, ext, view)
 
 
 def encode_relations(
@@ -152,7 +152,7 @@ def encode_relations(
 
 def update_sequences(prev: T.Tensor, encoded: T.Tensor, adopt: T.Tensor) -> T.Tensor:
     """Append the adopted message blocks after the unchanged previous slots."""
-    return T.concat([prev, T.matmul(encoded, adopt)], axis=1)
+    return T.concat([prev, T.affine(encoded, adopt)], axis=1)
 
 
 def layer_forward(
@@ -211,5 +211,5 @@ def layer_forward(
             raise T.ShapeError(f"no-sequence layer: {name!r} has {tens.shape[1]} slots, want 1")
         if encoded.shape[1] > 1:
             encoded = T.reduce_mean(encoded, axis=1, keepdims=True)
-        out[name] = T.matmul(encoded, params.adopt[name])
+        out[name] = T.affine(encoded, params.adopt[name])
     return out

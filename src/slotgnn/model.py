@@ -99,14 +99,14 @@ class SlotModel:
         dropout_seed: tuple[int, ...] = (0,),
         rows: np.ndarray | None = None,
     ) -> ModelOutput:
-        """Logits of the target nodes ``rows``, one row each in the order
-        given, repeats included; None means every target node in id order.
+        """Logits of the target nodes ``rows``, distinct and ascending (others
+        raise ValueError); None means every target node in id order.
 
         Each layer computes only the rows of its block in
         ``graph.blocks(rows, layers)``: the nodes that can reach a requested
         logit. A row's logits match the full pass up to the rounding of
         BLAS products whose size follows the row count. ``fusion`` covers
-        the distinct requested rows, ascending.
+        the same rows.
         """
         cfg = self.config
         target = self.schema.target_type
@@ -147,5 +147,4 @@ class SlotModel:
             fused = fusion_out.fused
         else:
             fused = mean_fuse(head_input)
-        logits = T.gather(classify(fused, self.fusion_params), plan.order)
-        return ModelOutput(logits, fusion_out)
+        return ModelOutput(classify(fused, self.fusion_params), fusion_out)

@@ -88,7 +88,7 @@ def project_features(
         ids = np.arange(graph.counts[nt.name]) if rows is None else rows[nt.name]
         if nt.num_features == 0:
             emb = proj.embeddings[nt.name]
-            state[nt.name] = T.matmul(T.Tensor(np.ones((ids.size, 1, 1)), dtype=emb.dtype), emb)
+            state[nt.name] = T.affine(T.Tensor(np.ones((ids.size, 1, 1)), dtype=emb.dtype), emb)
         else:
             feats = graph.features[nt.name]
             if feats.shape[1] != nt.num_features or feats.shape[2] != nt.feature_dim:

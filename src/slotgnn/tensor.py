@@ -15,20 +15,21 @@ is append-only. Every node computes something: there is no op that only
 changes a shape, so callers build each tensor in the shape its consumers read.
 Message passing is two fused ops per relation, :func:`edge_attention` (which
 forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
-blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). Only the logits and
-the attention gradient are taken edge by edge, as batched products of blocks
-gathered onto the edges. Every sum of weighted source blocks into targets (the
-messages, and in backward the value, query and K W gradients) is one sparse
-times dense product with the attention, or its softmax-input gradient, as a
-block-diagonal edge matrix (g-SpMM, Wang et al., arXiv:1909.01315). The
-structure of that matrix depends only on the view's edges and the shape, so
-the view keeps it from the first product on, and a product lends only its
-data, to a copy of it. The edge softmax reduces per target with
-:class:`Segments`, whose max, where every target has as many edges, makes one
-numpy call per rank of a target's edges, not one per target and column.
-Backward keeps only the attention weights and K W. The fusion head is one more
-fused op, :func:`slot_fusion`, on the same layout, and so is each affine map,
-:func:`affine`. Only raw data, the logits a loss reads and the
+blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). They take a
+:class:`BipartiteView`, edges sorted by target with plain source ids: the graph
+sorts edges, and :class:`Segments` only checks that target ids ascend. Only
+the logits and the attention gradient are taken edge by edge, as batched
+products of blocks gathered onto the edges. Every sum of weighted source blocks
+into targets (the messages, and in backward the value, query and K W
+gradients) is one sparse times dense product with the attention, or its
+softmax-input gradient, as a block-diagonal edge matrix (g-SpMM, Wang et al.,
+arXiv:1909.01315), whose structure the view keeps from the first product on; a
+product lends only its data, to a copy of it. The edge softmax reduces per
+target with :class:`Segments`, whose max, where every target has as many
+edges, makes one numpy call per rank of a target's edges, not one per target
+and column. Backward keeps only the attention weights and K W. The fusion head
+is one more fused op, :func:`slot_fusion`, on the same layout, and so is each
+linear map, :func:`affine`. Only raw data, the logits a loss reads and the
 loss it returns are screened for NaN and inf (:class:`NonFiniteError`), one
 pass each; an op's output is not. A non-finite value an op makes reaches the
 logits, unless a softmax gives a -inf weight 0, so the fused ops screen what
@@ -252,39 +253,28 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b with b 2-D; a may be 2-D or a stack (3-D), run as
-    one flat (N*F, k) GEMM where numpy would run one per leading row."""
-    if b.ndim != 2 or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul: unsupported ranks {a.ndim} @ {b.ndim}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    k, n = b.shape
-
-    def back(g):
-        g = g.reshape(-1, n)
-        return (g @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ g
-
-    return _make((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), back)
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b, the length-n bias ``b`` added to every row of the product:
-    ``add(matmul(x, w), b)`` to the bit, as one tape node. ``x`` may be 2-D or
-    a stack (3-D); it gets no gradient when it requires none."""
-    if w.ndim != 2 or x.ndim not in (2, 3) or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape} do not fit")
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w, plus the length-n bias ``b`` on every row if given: one tape
+    node, and ``add(affine(x, w), b)`` to the bit. ``x`` may be 2-D or a stack
+    (3-D), run as one flat (N*F, k) GEMM where numpy would run one per leading
+    row; it gets no gradient when it requires none."""
+    if w.ndim != 2 or x.ndim not in (2, 3) or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine: {x.shape} @ {w.shape} do not fit")
+    if b is not None and b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: bias {b.shape} does not fit {w.shape}")
+    bias = () if b is None else (b,)
     k, n = w.shape
     rows = x.data.reshape(-1, k)
     out = rows @ w.data
-    out += b.data
+    if bias:
+        out += b.data
 
     def back(g):
         g = g.reshape(-1, n)
         g_x = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        return g_x, rows.T @ g, g.sum(axis=0)
+        return (g_x, rows.T @ g) + ((g.sum(axis=0),) if bias else ())
 
-    return _make(out.reshape(x.shape[:-1] + (n,)), (x, w, b), back)
+    return _make(out.reshape(x.shape[:-1] + (n,)), (x, w, *bias), back)
 
 
 # ---------------------------------------------------------------------------
@@ -347,49 +337,37 @@ def reduce_mean(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 class Segments:
     """Membership of rows in segments, reduced without ``ufunc.at`` scatters.
 
-    ``ids[r]`` names the segment of row r; the ids need not be sorted.
-    ``indptr`` is the CSR row pointer of the rows stably sorted by segment.
-    ``sum`` is one product with a boolean CSR matrix whose rows list their
-    members in ascending row order, so it adds in the same order as
-    ``np.add.at``, to the bit, in the dtype of the rows it sums. ``max`` folds
-    the rows stably sorted by segment in row order, one call per rank
+    ``ids[r]`` names the segment of row r; the ids ascend, so the rows of a
+    segment are consecutive and ``indptr`` is their CSR row pointer. ``sum``
+    is one product with a boolean CSR matrix, built at the first ``sum``,
+    whose rows list their members in ascending row order, so it adds in the
+    same order as ``np.add.at``, to the bit, in the dtype of the rows it sums.
+    ``max`` folds each segment's rows in row order, one call per rank
     (:func:`_rank_sweep_max`), when the non-empty segments all have one length
     and that makes fewer inner loops than ``np.maximum.reduceat``
     (``SWEEP_CALL_COST``), and otherwise runs reduceat; empty segments get
     -inf. ``spread`` places per-segment values back onto the rows. Build one
-    per index array and reuse it: the graph's views hold one per edge
-    endpoint. Nothing is built before it is read: the sort (``order``, None when ``ids`` is sorted) at
-    the first ``max``, ``sum`` or edge product, and the matrix at the first
-    ``sum``, so the sources of a view, which are only read by id, are never
-    sorted. The target ``Segments`` of a view also keep the structure of its
-    edge matrix (:meth:`edge_index`), one per source ``Segments``, head count
-    and slot shape, built at the first product and freed with the view.
+    per index array and reuse it: a graph's views hold one per target.
     """
 
     def __init__(self, ids, num_segments: int):
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or (ids.size and (ids.min() < 0 or ids.max() >= num_segments)):
-            raise ShapeError(f"segment ids must be a vector in [0, {num_segments})")
+        bad = ids.ndim != 1 or np.any(ids[1:] < ids[:-1])
+        if bad or (ids.size and (ids[0] < 0 or ids[-1] >= num_segments)):
+            raise ShapeError(f"segment ids must be a vector ascending in [0, {num_segments})")
         self.ids = ids
         self.num_segments = num_segments
-        self.sorted = bool(np.all(ids[1:] >= ids[:-1]))
         counts = np.bincount(ids, minlength=num_segments)
         self.indptr = np.zeros(num_segments + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
         self._nonempty = np.flatnonzero(counts)
-        # sorted, one row per segment: row r is segment r
-        self.identity = self.sorted and ids.size == self._nonempty.size == num_segments
-        self._edge_index: dict[tuple, _EdgeIndex] = {}
-
-    @functools.cached_property
-    def order(self) -> np.ndarray | None:
-        """The rows stably sorted by segment, or None when ``ids`` is sorted."""
-        return None if self.sorted else np.argsort(self.ids, kind="stable")
+        # one row per segment: row r is segment r
+        self.identity = ids.size == self._nonempty.size == num_segments
 
     @functools.cached_property
     def _matrix(self) -> scipy.sparse.csr_array:
-        cols = np.arange(self.ids.size) if self.order is None else self.order
-        ones = np.ones(cols.size, dtype=bool)
+        ones = np.ones(self.ids.size, dtype=bool)
+        cols = np.arange(self.ids.size)
         return scipy.sparse.csr_array((ones, cols, self.indptr), (self.num_segments, cols.size))
 
     def sum(self, x: np.ndarray) -> np.ndarray:
@@ -402,14 +380,13 @@ class Segments:
         ne, shape = self._nonempty, (self.num_segments,) + x.shape[1:]
         if not ne.size:
             return np.full(shape, -np.inf, dtype=x.dtype)
-        rows = x if self.order is None else x[self.order]
         # counts come from indptr per call, so a view holds no extra per-segment array
         counts = np.diff(self.indptr)[ne]
         longest = int(counts.max())
         if counts.min() == longest and longest * SWEEP_CALL_COST <= ne.size * math.prod(x.shape[1:]):
-            maxima = _rank_sweep_max(rows, longest)
+            maxima = _rank_sweep_max(x, longest)
         else:
-            maxima = np.maximum.reduceat(rows, self.indptr[ne], axis=0)
+            maxima = np.maximum.reduceat(x, self.indptr[ne], axis=0)
         if ne.size == self.num_segments:
             return maxima
         out = np.full(shape, -np.inf, dtype=x.dtype)
@@ -417,20 +394,30 @@ class Segments:
         return out
 
     def spread(self, v: np.ndarray) -> np.ndarray:
-        """Per-segment values ``v`` onto the rows: ``v[ids]``, which sorted
-        ids get as a repeat by segment size."""
-        return np.repeat(v, np.diff(self.indptr), axis=0) if self.sorted else v[self.ids]
+        """Per-segment values ``v`` onto the rows, ``v[ids]``, as a repeat by segment size."""
+        return np.repeat(v, np.diff(self.indptr), axis=0)
 
-    def edge_index(self, src: "Segments", heads: int, f_s: int, f_t: int) -> "_EdgeIndex":
-        """The structure of the edge matrix (see :func:`_edge_products`) of
-        the edges from ``src`` into these segments, for ``heads`` heads, F_s
-        source slots and F_t target slots: built at the first product, kept
-        for the next ones."""
-        key = (src, heads, f_s, f_t)
+
+class BipartiteView:
+    """One relation's edges, sorted by target, as the edge ops take them:
+    ``dst`` groups them by target, ``src[e]`` is edge e's source id in [0,
+    ``num_src``). The view keeps its edge matrix's structure per head count
+    and slot shape (:meth:`edge_index`), built at the first product."""
+
+    def __init__(self, src, dst: Segments, num_src: int):
+        src = np.asarray(src, dtype=np.int64)
+        if src.shape != dst.ids.shape or (src.size and (src.min() < 0 or src.max() >= num_src)):
+            raise ShapeError(f"source ids must be {dst.ids.size} ids in [0, {num_src})")
+        self.src, self.dst, self.num_src = src, dst, num_src
+        self._edge_index: dict[tuple[int, int, int], _EdgeIndex] = {}
+
+    def edge_index(self, heads: int, f_s: int, f_t: int) -> "_EdgeIndex":
+        """The structure of the edge matrix (:func:`_edge_products`) for ``heads``
+        heads, F_s and F_t slots: built at the first product, then kept."""
+        key = (heads, f_s, f_t)
         if key not in self._edge_index:
-            sources = src.ids if self.order is None else src.ids[self.order]
             self._edge_index[key] = _build_edge_index(
-                sources, self.indptr, src.num_segments, heads, f_s, f_t
+                self.src, self.dst.indptr, self.num_src, heads, f_s, f_t
             )
         return self._edge_index[key]
 
@@ -499,8 +486,8 @@ def gather(a: Tensor, idx: Segments) -> Tensor:
     each row.
 
     ``idx`` is a :class:`Segments` over the rows of ``a``, so every id was
-    range-checked when it was built. An identity ``Segments`` returns ``a``
-    itself.
+    range-checked, and checked to ascend, when it was built. An identity
+    ``Segments`` returns ``a`` itself.
     """
     if not isinstance(idx, Segments):
         raise TypeError(f"gather: index must be a Segments, not {type(idx).__name__}")
@@ -511,10 +498,11 @@ def gather(a: Tensor, idx: Segments) -> Tensor:
     return _make(a.data[idx.ids], (a,), lambda g: (idx.sum(g),))
 
 
-def _edge_rows(x: np.ndarray, seg: Segments) -> np.ndarray:
-    # per-node blocks onto the edges, C-contiguous: a layout change costs once per node
-    x = np.ascontiguousarray(x)
-    return x if seg.identity else x[seg.ids]
+def _edge_pairs(src_x: np.ndarray, dst_x: np.ndarray, view: BipartiteView) -> np.ndarray:
+    """``src_x[s] @ dst_x[t]`` for every edge (s, t) of ``view``; each side is
+    made C-contiguous per node before it is gathered onto the edges."""
+    src_x, dst_x = np.ascontiguousarray(src_x), np.ascontiguousarray(dst_x)
+    return src_x[view.src] @ (dst_x if view.dst.identity else dst_x[view.dst.ids])
 
 
 def _slotwise(ufunc, out: np.ndarray, *ins: np.ndarray, axes: int = 2) -> np.ndarray:
@@ -559,7 +547,7 @@ def _node_blocks(rows: np.ndarray, heads: int, n: int, f: int) -> np.ndarray:
 
 
 def _edge_products(
-    w: np.ndarray, src: Segments, dst: Segments,
+    w: np.ndarray, view: BipartiteView,
     right: np.ndarray | None = None, left: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """``A @ right`` and ``A^T @ left`` (None for an operand not given), with
@@ -569,12 +557,12 @@ def _edge_products(
     ``_SOURCES`` rows A sums w^T x over each target's edges into ``_TARGETS``
     rows, and A^T sends ``_TARGETS`` rows back onto the sources; either way no
     block is copied onto the edges. ``w`` is laid out once for both products,
-    into the structure that ``dst`` keeps for these edges and this shape, one
+    into the structure that ``view`` keeps for this shape, one
     source slot at a time so that each copy runs along the edges (:func:`_slotwise`).
     """
     e, heads, f_s, f_t = w.shape
-    ix = dst.edge_index(src, heads, f_s, f_t)
-    laid = (w if dst.order is None else w[dst.order]).transpose(1, 3, 0, 2)  # (H, F_t, E, F_s)
+    ix = view.edge_index(heads, f_s, f_t)
+    laid = w.transpose(1, 3, 0, 2)  # (H, F_t, E, F_s)
     data = _slotwise(None, np.empty(laid.shape, w.dtype), laid, axes=1).reshape(-1)
     indices = np.repeat(ix.cols, f_t, axis=1).reshape(-1)
     return (
@@ -616,10 +604,10 @@ def _edge_softmax_grad(g, y, dst: Segments, joint: bool, scale: float, scale_out
 
 
 def edge_attention(
-    keys: Tensor, q: Tensor, att: Tensor, src: Segments, dst: Segments, mode: str = "joint",
+    keys: Tensor, q: Tensor, att: Tensor, view: BipartiteView, mode: str = "joint",
     scale: float = 1.0, scale_outside: bool = False,
 ) -> Tensor:
-    """Attention blocks (E, H, F_s, F_t) of the edges ``src[e] -> dst[e]``.
+    """Attention blocks (E, H, F_s, F_t) of the edges of ``view``.
 
     ``keys`` (n_src, F_s, d) and ``q`` (n_dst, F_t, d) hold head m in columns
     [m d_h, (m+1) d_h); ``att`` (H, d_h, d_h) holds one weight block per head.
@@ -630,13 +618,14 @@ def edge_attention(
     Its per-edge passes run one slot pair at a time (:func:`_slotwise`).
     Backward lays the softmax-input gradient out once as the edge matrix and
     takes the query gradient from it and the K W gradient from its transpose,
-    one sparse product each, in the structure ``dst`` keeps for these edges.
+    one sparse product each, in the structure ``view`` keeps.
     """
     joint = {"joint": True, "literal": False}[mode]
     heads, d_h = att.shape[0], att.shape[-1]
     d = heads * d_h
-    got = (keys.ndim, q.ndim, keys.shape[::2], q.shape[::2], att.shape, len(src.ids))
-    if got != (3, 3, (src.num_segments, d), (dst.num_segments, d), (heads, d_h, d_h), len(dst.ids)):
+    dst = view.dst
+    got = (keys.ndim, q.ndim, keys.shape[::2], q.shape[::2], att.shape)
+    if got != (3, 3, (view.num_src, d), (dst.num_segments, d), (heads, d_h, d_h)):
         raise ShapeError(f"edge_attention: {keys.shape}, {q.shape}, {att.shape} do not fit the edges")
     n_s, f_s, _ = keys.shape
 
@@ -644,14 +633,14 @@ def edge_attention(
     kw = rows @ att.data  # (H, n_s F_s, d_h)
     _check_finite(kw)
     kw_e = kw.reshape(heads, n_s, f_s, d_h).transpose(1, 0, 2, 3)
-    x = _edge_rows(kw_e, src) @ _edge_rows(_heads_t(q.data, heads), dst)
+    x = _edge_pairs(kw_e, _heads_t(q.data, heads), view)
     if not scale_outside:
         x *= np.asarray(scale, dtype=x.dtype)
     y = _edge_softmax(x, dst, joint)
 
     def back(g):
         gx = _edge_softmax_grad(g, y, dst, joint, scale, scale_outside)
-        g_q, g_kw = _edge_products(gx, src, dst, kw.reshape(-1, d_h), _head_rows(q.data, heads))
+        g_q, g_kw = _edge_products(gx, view, kw.reshape(-1, d_h), _head_rows(q.data, heads))
         g_q = _node_blocks(g_q, heads, dst.num_segments, q.shape[1])
         g_kw = g_kw.reshape(rows.shape)
         g_keys = (g_kw @ np.swapaxes(att.data, -1, -2)).transpose(1, 0, 2).reshape(keys.shape)
@@ -660,7 +649,7 @@ def edge_attention(
     return _make(y * np.asarray(scale, dtype=y.dtype) if scale_outside else y, (keys, q, att), back)
 
 
-def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> Tensor:
+def edge_aggregate(attn: Tensor, ext: Tensor, view: BipartiteView) -> Tensor:
     """Per target, the sum over its edges of attn[e]^T ext[s] per head:
     (n_dst, F_t, d), zeros for a target without edges. ``attn`` is
     (E, H, F_s, F_t), ``ext`` (n_src, F_s, d) with head m in columns
@@ -668,20 +657,20 @@ def edge_aggregate(attn: Tensor, ext: Tensor, src: Segments, dst: Segments) -> T
     the edge matrix, adding a target's edges in storage order and the source
     slots of each edge in turn; backward sends the gradient back through its
     transpose, and only the attention gradient is taken edge by edge. The
-    matrix's structure is the one ``dst`` keeps for these edges and shape.
+    matrix's structure is the one ``view`` keeps for this shape.
     """
     e, heads, f_s, f_t = attn.shape
-    n_dst, d = dst.num_segments, ext.shape[2]
-    if d % heads or ext.shape[:2] != (src.num_segments, f_s) or {len(src.ids), len(dst.ids)} != {e}:
+    n_src, n_dst, d = view.num_src, view.dst.num_segments, ext.shape[2]
+    if d % heads or ext.shape[:2] != (n_src, f_s) or e != view.src.size:
         raise ShapeError(f"edge_aggregate: {attn.shape} and {ext.shape} do not fit the edges")
 
-    msg, _ = _edge_products(attn.data, src, dst, right=_head_rows(ext.data, heads, _SOURCES))
+    msg, _ = _edge_products(attn.data, view, right=_head_rows(ext.data, heads, _SOURCES))
 
     def back(g):
-        ext_h = ext.data.reshape(src.num_segments, f_s, heads, d // heads).transpose(0, 2, 1, 3)
-        g_attn = _edge_rows(ext_h, src) @ _edge_rows(_heads_t(g, heads), dst)
-        _, g_ext = _edge_products(attn.data, src, dst, left=_head_rows(g, heads))
-        g_ext = g_ext.reshape(heads, src.num_segments, f_s, d // heads).transpose(1, 2, 0, 3)
+        ext_h = ext.data.reshape(n_src, f_s, heads, d // heads).transpose(0, 2, 1, 3)
+        g_attn = _edge_pairs(ext_h, _heads_t(g, heads), view)
+        _, g_ext = _edge_products(attn.data, view, left=_head_rows(g, heads))
+        g_ext = g_ext.reshape(heads, n_src, f_s, d // heads).transpose(1, 2, 0, 3)
         return g_attn, g_ext.reshape(ext.shape)
 
     return _make(_node_blocks(msg, heads, n_dst, f_t), (attn, ext), back)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotgnn import tensor as T
 from slotgnn.config import from_profile
 from slotgnn.graph import (
+    HeteroGraph,
     NodeType,
     Relation,
     Schema,
@@ -14,7 +16,7 @@ from slotgnn.graph import (
     sample_subgraph,
     synthetic_generate,
 )
-from slotgnn.training import init_model
+from slotgnn.training import head_loss, init_model
 
 from . import oracles
 from .randgraphs import random_graph
@@ -30,21 +32,21 @@ def view_pairs(block, rel):
     """The (source id, target id) pairs of one block's sub-view, in storage order."""
     view = block.views[rel]
     dst_ids = block.inputs[rel.dst][block.outputs[rel.dst].ids]
-    return list(zip(block.inputs[rel.src][view.src.ids].tolist(), dst_ids[view.dst.ids].tolist()))
+    return list(zip(block.inputs[rel.src][view.src].tolist(), dst_ids[view.dst.ids].tolist()))
 
 
 class TestBlocks:
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("pick", ["valid", "unsorted", "all"])
+    @pytest.mark.parametrize("pick", ["valid", "chosen", "all"])
     def test_inputs_and_views_match_the_k_hop_reference(self, layers, pick):
         g = small_graph()
         rows = {
             "valid": g.splits["valid"],
-            "unsorted": np.array([17, 3, 17, 40, 0]),
+            "chosen": np.array([0, 3, 17, 40]),
             "all": None,
         }[pick]
         plan = g.blocks(rows, layers)
-        final = np.arange(g.counts["item"]) if rows is None else np.unique(rows)
+        final = np.arange(g.counts["item"]) if rows is None else rows
         want = oracles.in_neighbourhoods(g, final, layers)
         assert len(plan.layers) == layers
         for block, reads in zip(plan.layers, want):
@@ -70,7 +72,7 @@ class TestBlocks:
         last = g.blocks(g.splits["train"], 2).layers[-1]
         for rel in g.schema.relations:
             if rel.dst != g.schema.target_type:
-                assert last.views[rel].src.ids.size == 0
+                assert last.views[rel].src.size == 0
                 assert last.views[rel].dst.num_segments == 0
         assert {n for n, ids in last.outputs.items() if ids.ids.size} == {"item"}
 
@@ -107,6 +109,16 @@ class TestBlocks:
         with pytest.raises(ValueError, match="item"):
             g.blocks(np.array([0, g.counts["item"]]), 2)
 
+    @pytest.mark.parametrize("rows", [[3, 1, 7], [1, 3, 3, 7], [[1, 3]]])
+    def test_unsorted_or_repeated_rows_rejected(self, rows):
+        g = small_graph()
+        model = init_model(g, from_profile("desk").replace(dim=8, heads=2))
+        rows = np.array(rows)
+        for call in (lambda: g.blocks(rows, 2), lambda: model.forward(g, rows=rows)):
+            with pytest.raises(ValueError, match="distinct and ascending"):
+                call()
+        assert g._blocks == {}
+
 
 CONFIGS = {
     "default": {},
@@ -141,13 +153,49 @@ class TestRestrictedForward:
         other = model.forward(sub.graph, training=True, dropout_seed=(4, 1), rows=sub.batch_local)
         assert not np.array_equal(other.logits.data, part.logits.data)
 
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_shuffled_edges_give_identical_views_logits_and_gradients(self, config):
+        # the graph sorts every relation's edges, so no later step sees the
+        # order they were given in
+        g = small_graph(seed=3)
+        perm = np.random.default_rng(8).permutation
+        shuffled = HeteroGraph(
+            g.schema, g.counts, g.features, {rel: e[perm(len(e))] for rel, e in g.edges.items()},
+            g.labels, g.labeled_mask, g.splits,
+        )
+        assert any(not np.array_equal(shuffled.edges[rel], g.edges[rel]) for rel in g.edges)
+
+        def same_views(a, b):
+            assert a.src.tobytes() == b.src.tobytes() and a.num_src == b.num_src
+            assert a.dst.ids.tobytes() == b.dst.ids.tobytes()
+            assert a.dst.num_segments == b.dst.num_segments
+
+        for rel in g.schema.relations:
+            same_views(g.bipartite(rel), shuffled.bipartite(rel))
+        model = init_model(g, from_profile("desk").replace(dim=16, heads=2, **CONFIGS[config]))
+        rows = g.splits["train"]
+        runs = []
+        for graph in (g, shuffled):
+            for a, b in zip(g.blocks(rows, 2).layers, graph.blocks(rows, 2).layers):
+                for rel in g.schema.relations:
+                    same_views(a.views[rel], b.views[rel])
+            with T.Tape() as tape:
+                out = model.forward(graph, training=True, dropout_seed=(5,), rows=rows)
+                grads = tape.backward(head_loss(out.logits, graph.labels[rows]))
+            full = model.forward(graph).logits
+            none = np.zeros(0, dtype=full.dtype)  # a parameter the pass does not reach
+            grads = [grads.get(p, none) for p in model.parameters()]
+            runs.append([out.logits.data, full.data] + grads)
+        for a, b in zip(*runs, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_unsorted_repeated_rows_come_back_in_the_order_given(self, seed):
+    def test_row_subsets_match_the_full_pass(self, seed):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, max_nodes=6)
         n = g.counts[g.schema.target_type]
-        rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 2)))
+        rows = np.unique(rng.integers(0, n, size=int(rng.integers(1, 2 * n + 2))))
         config = from_profile("desk").replace(
             dim=4, heads=2, layers=int(rng.integers(1, 4)), precision="float64"
         )
@@ -156,8 +204,5 @@ class TestRestrictedForward:
         part = model.forward(g, rows=rows).logits.data
         # a 2-D BLAS product may round differently for another row count
         # (one row takes the matrix-vector kernel), so the full pass's rows
-        # are matched to 1e-12; repeats of a row are identical
+        # are matched to 1e-12
         np.testing.assert_allclose(part, full[rows], rtol=1e-12, atol=1e-15)
-        first = {}
-        for i, r in enumerate(rows.tolist()):
-            assert np.array_equal(part[i], part[first.setdefault(r, i)])

@@ -392,6 +392,24 @@ class TestEvalExplainCommands:
         err = capsys.readouterr().err
         assert "checkpoint.bin" in err and repr(name) in err and "non-finite values" in err
 
+    def test_checkpoint_of_another_precision_exits_1_naming_it(
+        self, dataset, trained, tmp_path, capsys
+    ):
+        # without config.json the flags set the model, here float64 against
+        # the float32 checkpoint: no weight may be cast on the way in
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in ("checkpoint.bin", "checkpoint.idx"):
+            (bare / name).write_bytes((Path(trained) / name).read_bytes())
+        code = main([
+            "eval", "--dataset", str(dataset), "--checkpoint", str(bare),
+            "--out", str(tmp_path / "eval"),
+            "--dim", "16", "--heads", "4", "--precision", "float64",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint.bin: parameter " in err and "is float64, checkpoint holds float32" in err
+
     @pytest.mark.parametrize("edit", [
         lambda fields: fields[:1],
         lambda fields: fields[:3] + ["float33"],
@@ -541,6 +559,24 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=r"checkpoint\.bin: parameter 'b' holds non-finite"):
             load_checkpoint(fresh, tmp_path)
+
+    def test_other_dtype_names_file_parameter_and_both_dtypes(self, tmp_path):
+        params = [("a", T.Tensor(np.full((2, 3), 0.1), dtype=np.float64))]
+        save_checkpoint(params, tmp_path)
+        fresh = [("a", T.Tensor(np.zeros((2, 3))))]
+        want = r"checkpoint\.bin: parameter 'a' is float32, checkpoint holds float64"
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(fresh, tmp_path)
+        assert np.all(fresh[0][1].data == 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_dtype_loads_every_bit(self, tmp_path, dtype):
+        params = [("a", T.Tensor(np.random.default_rng(3).normal(size=(2, 3)), dtype=dtype))]
+        save_checkpoint(params, tmp_path)
+        fresh = [("a", T.Tensor(np.zeros((2, 3)), dtype=dtype))]
+        load_checkpoint(fresh, tmp_path)
+        (_, got), (_, want) = fresh[0], params[0]
+        assert got.dtype == dtype and got.data.tobytes() == want.data.tobytes()
 
     def test_truncated_file_names_file_and_parameter(self, tmp_path):
         path, fresh = self.saved(tmp_path)

@@ -481,7 +481,7 @@ class TestParsePaths:
 
 
 def sources_of(view, t):
-    return view.src.ids[view.dst.indptr[t]:view.dst.indptr[t + 1]]
+    return view.src[view.dst.indptr[t]:view.dst.indptr[t + 1]]
 
 
 class TestBipartiteView:
@@ -489,7 +489,7 @@ class TestBipartiteView:
         rel = graph.schema.relations[0]
         graph.edges[rel] = np.zeros((0, 2), dtype=np.int64)
         view = graph.bipartite(rel)
-        assert view.src.ids.size == 0
+        assert view.src.size == 0
         for t in range(graph.counts[rel.dst]):
             assert sources_of(view, t).size == 0
 
@@ -534,7 +534,7 @@ class TestBipartiteView:
     def test_lossless_reconstruction(self, graph):
         for rel in graph.schema.relations:
             view = graph.bipartite(rel)
-            rebuilt = sorted(zip(view.src.ids.tolist(), view.dst.ids.tolist()))
+            rebuilt = sorted(zip(view.src.tolist(), view.dst.ids.tolist()))
             original = sorted(map(tuple, graph.edges[rel].tolist()))
             assert rebuilt == original
 

@@ -127,7 +127,7 @@ class TestRelationAttention:
         # direct per-edge evaluation: softmax over sources of K W Q^T / sqrt(d)
         w = params.att[rel].data[0]
         logits = np.array(
-            [float(k["a"].data[s, 0] @ w @ q["t"].data[0, 0]) for s in view.src.ids]
+            [float(k["a"].data[s, 0] @ w @ q["t"].data[0, 0]) for s in view.src]
         ) / math.sqrt(2)
         want = np.exp(logits - logits.max())
         want /= want.sum()
@@ -191,7 +191,7 @@ class TestExtractAggregate:
         params = make_params(g, 4, 2)
         zero = T.Tensor(np.zeros((3, 1, 4)))
         w, b = params.value["a"]
-        values = T.add(T.matmul(zero, w), b)  # bias is zero-initialized
+        values = T.add(T.affine(zero, w), b)  # bias is zero-initialized
         ext = extract_messages(values, params, rel)
         assert np.allclose(ext.data, 0.0)
 
@@ -201,7 +201,7 @@ class TestExtractAggregate:
         params = make_params(g, 2, 1, seed=6)
         h = np.random.default_rng(7).normal(size=(1, 2, 2)).astype(np.float32)
         w, b = params.value["a"]
-        values = T.add(T.matmul(T.Tensor(h), w), b)
+        values = T.add(T.affine(T.Tensor(h), w), b)
         ext = extract_messages(values, params, rel)
         for j in range(2):
             want = (h[0, j] @ w.data + b.data) @ params.ext[rel].data
@@ -255,7 +255,7 @@ class TestExtractAggregate:
         want = np.zeros((2, 1, 4))
         for m in range(2):
             lo, hi = 2 * m, 2 * m + 2
-            for e, (s, t) in enumerate(zip(view.src.ids, view.dst.ids)):
+            for e, (s, t) in enumerate(zip(view.src, view.dst.ids)):
                 want[t, :, lo:hi] += attn.data[:, m][e].T @ ext.data[s, :, lo:hi]
         assert np.allclose(msg.data, want, atol=1e-6)
 

@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from slotgnn.graph import load_dataset
+from slotgnn import training
+from slotgnn.config import from_profile
+from slotgnn.graph import SyntheticSpec, load_dataset, synthetic_generate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -111,3 +113,29 @@ def test_perfbench_hooks_install_and_restore(monkeypatch):
         "encode_relations", "update_sequences",
     }
     assert all(current(owner, attr) is orig for owner, attr, orig in patched)
+
+
+def test_perfbench_sampler_hook_sees_each_sampled_subgraph(monkeypatch):
+    # the benchmark's traced run reads the subgraph train() samples through
+    # the wrapped training.sample_subgraph, so a train() that stops calling
+    # it, or that gets back something else, must fail here too
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench = importlib.import_module("bench")
+    spans = importlib.import_module("spans")
+    hostspeed = importlib.import_module("hostspeed")
+    graph = synthetic_generate(
+        SyntheticSpec(num_targets=60, num_mid=30, num_attr=10, num_junk=12), seed=0
+    )
+    config = from_profile("desk").replace(
+        epochs=1, dim=8, heads=2, batch_mode="sampled", batches_per_epoch=2, batch_size=8,
+        sample_budget=20,
+    )
+    tracer = spans.Tracer()
+    try:
+        bench.install_spans(tracer, hostspeed.HostClock())
+        training.train(training.init_model(graph, config), graph, config)
+    finally:
+        tracer.restore()
+    samples = [s for s in tracer.spans if s.name == "graph.sample"]
+    assert len(samples) == 2
+    assert all(s.attrs["nodes"] > 0 and s.attrs["edges"] > 0 for s in samples)

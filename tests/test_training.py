@@ -558,11 +558,11 @@ class TestGradCheckModel:
     def test_corrupted_backward_rule_is_detected(self, monkeypatch):
         import slotgnn.tensor as tensor_mod
 
-        true_matmul = tensor_mod.matmul
+        true_affine = tensor_mod.affine
 
-        def corrupted(a, b):
-            if b.ndim != 2 or a.ndim not in (2, 3):
-                return true_matmul(a, b)
+        def corrupted(a, b, bias=None):
+            if bias is not None:
+                return true_affine(a, b, bias)
             k, n = b.shape
 
             def back(g):
@@ -577,7 +577,7 @@ class TestGradCheckModel:
         # full-coordinate check takes two per parameter coordinate
         g = gradcheck_graph()
         model = init_model(g, TrainConfig(**GRADCHECK_MODEL).replace(layers=1))
-        monkeypatch.setattr(tensor_mod, "matmul", corrupted)
+        monkeypatch.setattr(tensor_mod, "affine", corrupted)
         assert TestDirectionalGradients.worst_error(model, g, np.random.default_rng(0)) > 1e-3
 
 
