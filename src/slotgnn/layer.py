@@ -19,7 +19,6 @@ projections make, so the layer itself changes no layout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +112,7 @@ def relation_attention(
     1/sqrt(d) factor after normalization instead. K W is computed once per
     source node, inside the fused op, and then gathered onto the edges.
     """
-    heads, d_h, _ = att_weights.shape
-    return T.edge_attention(
-        src_keys, dst_queries, att_weights, view, mode,
-        1.0 / math.sqrt(heads * d_h if scale_outside else d_h), scale_outside,
-    )
+    return T.edge_attention(src_keys, dst_queries, att_weights, view, mode, scale_outside)
 
 
 def extract_messages(src_values: T.Tensor, params: LayerParams, rel: Relation) -> T.Tensor:

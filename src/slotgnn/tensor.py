@@ -8,7 +8,7 @@ A tensor built from raw data is float32 unless given a dtype; an op's output
 keeps the dtype of its inputs, so a model computes in its parameters' dtype.
 Recording happens on an explicit :class:`Tape` that is active for one
 forward pass in its own thread, so threads record apart, and may share a
-graph's views, whose kept structure no product writes to; its gradient table
+graph's views, whose kept structure is read-only; its gradient table
 holds the leaves the pass recorded. Reverse accumulation walks the tape in
 reverse creation order, which is a valid topological order because the tape
 is append-only. Every node computes something: there is no op that only
@@ -23,8 +23,10 @@ products of blocks gathered onto the edges. Every sum of weighted source blocks
 into targets (the messages, and in backward the value, query and K W
 gradients) is one sparse times dense product with the attention, or its
 softmax-input gradient, as a block-diagonal edge matrix (g-SpMM, Wang et al.,
-arXiv:1909.01315), whose structure the view keeps from the first product on; a
-product lends only its data, to a copy of it. The edge softmax reduces per
+arXiv:1909.01315), whose structure the view keeps from the first product on.
+Every sparse product here, and :meth:`Segments.sum` too, is one call of
+:func:`_csr_product`, scipy's CSR kernel on bare arrays: the kept structure is
+read-only and each call brings its own data. The edge softmax reduces per
 target with :class:`Segments`, whose max, where every target has as many
 edges, makes one numpy call per rank of a target's edges, not one per target
 and column. Backward keeps only the attention weights and K W. The fusion head
@@ -40,15 +42,14 @@ Per-edge passes numpy cannot run as one flat loop go one slot (pair) at a time
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse
+from scipy.sparse import _sparsetools
 
 
 class TensorError(Exception):
@@ -84,7 +85,7 @@ def _check_finite(arr: np.ndarray) -> None:
 class Tensor:
     """A dense real tensor, optionally taped; screened for NaN and inf if built from raw data."""
 
-    __slots__ = ("data", "requires_grad", "name", "_tape", "_node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "name", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None, dtype=np.float32):
         arr = np.asarray(data, dtype=dtype)
@@ -93,7 +94,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.name = name
         self._tape: Tape | None = None
-        self._node: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -150,10 +150,9 @@ class Tape:
         if self.consumed:
             raise TapeError("cannot record on a consumed tape")
         out._tape = self
-        out._node = len(self.nodes)
         self.nodes.append(_Node(out, parents, backward))
         for p in parents:
-            if p.requires_grad and p._node is None:
+            if p.requires_grad and p._tape is None:
                 self._leaves[id(p)] = p
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -199,7 +198,7 @@ def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callab
     requires = any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad = out_data, requires
-    out.name = out._tape = out._node = None
+    out.name = out._tape = None
     tape = _ACTIVE.tape
     if requires and tape is not None:
         tape.record(out, parents, backward_fn)
@@ -339,9 +338,9 @@ class Segments:
 
     ``ids[r]`` names the segment of row r; the ids ascend, so the rows of a
     segment are consecutive and ``indptr`` is their CSR row pointer. ``sum``
-    is one product with a boolean CSR matrix, built at the first ``sum``,
-    whose rows list their members in ascending row order, so it adds in the
-    same order as ``np.add.at``, to the bit, in the dtype of the rows it sums.
+    is one product (:func:`_csr_product`) with a boolean matrix over it whose
+    rows list their members in ascending row order, so it adds in the same
+    order as ``np.add.at``, to the bit, in the dtype of the rows it sums.
     ``max`` folds each segment's rows in row order, one call per rank
     (:func:`_rank_sweep_max`), when the non-empty segments all have one length
     and that makes fewer inner loops than ``np.maximum.reduceat``
@@ -363,28 +362,28 @@ class Segments:
         self._nonempty = np.flatnonzero(counts)
         # one row per segment: row r is segment r
         self.identity = ids.size == self._nonempty.size == num_segments
+        # the length every non-empty segment has, or 0 if they differ
+        lengths = counts[self._nonempty]
+        self._length = int(lengths[0]) if lengths.size and (lengths == lengths[0]).all() else 0
 
     @functools.cached_property
-    def _matrix(self) -> scipy.sparse.csr_array:
-        ones = np.ones(self.ids.size, dtype=bool)
-        cols = np.arange(self.ids.size)
-        return scipy.sparse.csr_array((ones, cols, self.indptr), (self.num_segments, cols.size))
+    def _members(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column indices and the data of the sum's matrix, read-only."""
+        return _read_only(np.arange(self.ids.size)), _read_only(np.ones(self.ids.size, dtype=bool))
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """Per-segment sums of the rows of ``x``: (num_segments, *x.shape[1:])."""
         flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-        return (self._matrix @ flat).reshape((self.num_segments,) + x.shape[1:])
+        sums = _csr_product(self.indptr, *self._members, flat, (self.num_segments, self.ids.size))
+        return sums.reshape((self.num_segments,) + x.shape[1:])
 
     def max(self, x: np.ndarray) -> np.ndarray:
         """Per-segment maxima of the rows of ``x``; -inf for empty segments."""
         ne, shape = self._nonempty, (self.num_segments,) + x.shape[1:]
         if not ne.size:
             return np.full(shape, -np.inf, dtype=x.dtype)
-        # counts come from indptr per call, so a view holds no extra per-segment array
-        counts = np.diff(self.indptr)[ne]
-        longest = int(counts.max())
-        if counts.min() == longest and longest * SWEEP_CALL_COST <= ne.size * math.prod(x.shape[1:]):
-            maxima = _rank_sweep_max(x, longest)
+        if self._length and self._length * SWEEP_CALL_COST <= ne.size * math.prod(x.shape[1:]):
+            maxima = _rank_sweep_max(x, self._length)
         else:
             maxima = np.maximum.reduceat(x, self.indptr[ne], axis=0)
         if ne.size == self.num_segments:
@@ -442,28 +441,33 @@ def _rank_sweep_max(rows: np.ndarray, length: int) -> np.ndarray:
     return acc
 
 
-class _EdgeIndex:
-    """An edge matrix without its data. ``cols`` holds the column indices of
-    one target slot's rows, (H, 1, E F_s), which every target slot repeats,
-    in int32 when they fit. ``csr`` is the matrix and ``csc`` its transpose
-    over the same ``indptr``, built at the first product that needs it. A
-    product lends its data and the repeated columns to a copy of a matrix's
-    shell (:func:`_lend`), so neither matrix ever holds any, and products in
-    several threads do not see each other's."""
+class _EdgeIndex(NamedTuple):
+    """An edge matrix of ``shape`` without its data: its CSR row pointer
+    ``indptr``, and in ``cols`` the column indices of one target slot's rows,
+    (H, 1, E F_s), which every target slot repeats; both in int32 when the
+    matrix fits, and read-only, so threads that share a view share this too
+    and each product brings its own data (:func:`_edge_products`)."""
 
-    def __init__(self, cols: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
-        self.cols, self._indptr, self._shape = cols, indptr, shape
-        self.csr = self._empty(scipy.sparse.csr_array, shape)
+    cols: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
 
-    @functools.cached_property
-    def csc(self) -> scipy.sparse.csc_array:
-        return self._empty(scipy.sparse.csc_array, self._shape[::-1])
 
-    def _empty(self, kind, shape):
-        empty = (np.zeros(0), np.zeros(0, dtype=self.cols.dtype), np.zeros_like(self._indptr))
-        m = kind(empty, shape=shape)
-        m.indptr, m.data, m.indices = self._indptr, None, None
-        return m
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _csr_product(indptr, indices, data, x: np.ndarray, shape, transpose: bool = False) -> np.ndarray:
+    """``A @ x``, or ``A^T @ x`` with ``transpose``, for the CSR matrix A of
+    ``shape`` in ``indptr``, ``indices`` (of one dtype) and ``data``, and 2-D
+    ``x``: scipy's ``csr_array @ x`` kernel and arguments, so its bytes. A's
+    CSR arrays are the CSC arrays of A^T."""
+    rows, cols = shape[::-1] if transpose else shape
+    out = np.zeros((rows, x.shape[1]), dtype=np.result_type(data.dtype, x.dtype))
+    kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
+    kernel(rows, cols, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
+    return out
 
 
 def _build_edge_index(sources, indptr, n_src, heads, f_s, f_t) -> _EdgeIndex:
@@ -475,8 +479,8 @@ def _build_edge_index(sources, indptr, n_src, heads, f_s, f_t) -> _EdgeIndex:
     cols = nodes[..., None] * f_s + np.arange(f_s, dtype=idx)
     starts = (np.arange(heads * f_t, dtype=idx)[:, None] * e + indptr[:-1].astype(idx)) * f_s
     return _EdgeIndex(
-        cols.reshape(heads, 1, e * f_s),
-        np.append(starts.reshape(-1), idx(cols.size * f_t)),
+        _read_only(cols.reshape(heads, 1, e * f_s)),
+        _read_only(np.append(starts.reshape(-1), idx(cols.size * f_t))),
         (heads * f_t * n_dst, heads * f_s * n_src),
     )
 
@@ -564,19 +568,11 @@ def _edge_products(
     ix = view.edge_index(heads, f_s, f_t)
     laid = w.transpose(1, 3, 0, 2)  # (H, F_t, E, F_s)
     data = _slotwise(None, np.empty(laid.shape, w.dtype), laid, axes=1).reshape(-1)
-    indices = np.repeat(ix.cols, f_t, axis=1).reshape(-1)
+    a = (ix.indptr, np.repeat(ix.cols, f_t, axis=1).reshape(-1), data)
     return (
-        None if right is None else _lend(ix.csr, data, indices, right),
-        None if left is None else _lend(ix.csc, data, indices, left),
+        None if right is None else _csr_product(*a, right, ix.shape),
+        None if left is None else _csr_product(*a, left, ix.shape, transpose=True),
     )
-
-
-def _lend(matrix, data: np.ndarray, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` with ``data`` and ``indices`` lent to a shallow copy of
-    ``matrix``, which shares its ``indptr`` and leaves it as it was."""
-    shell = copy.copy(matrix)
-    shell.data, shell.indices = data, indices
-    return shell @ x
 
 
 def _pool(ufunc, a: np.ndarray, joint: bool) -> np.ndarray:
@@ -605,16 +601,17 @@ def _edge_softmax_grad(g, y, dst: Segments, joint: bool, scale: float, scale_out
 
 def edge_attention(
     keys: Tensor, q: Tensor, att: Tensor, view: BipartiteView, mode: str = "joint",
-    scale: float = 1.0, scale_outside: bool = False,
+    scale_outside: bool = False,
 ) -> Tensor:
     """Attention blocks (E, H, F_s, F_t) of the edges of ``view``.
 
     ``keys`` (n_src, F_s, d) and ``q`` (n_dst, F_t, d) hold head m in columns
     [m d_h, (m+1) d_h); ``att`` (H, d_h, d_h) holds one weight block per head.
     K W is one product per head over every (node, slot) row. The logits
-    (K W)[s] q[t]^T are scaled before the softmax, or after it with
-    ``scale_outside``. ``joint`` normalizes over a target's (edge, source
-    slot) pairs per target slot, ``literal`` over its edges per slot pair.
+    (K W)[s] q[t]^T are scaled by 1/sqrt(d_h) before the softmax, or by
+    1/sqrt(H d_h) after it with ``scale_outside``. ``joint`` normalizes over
+    a target's (edge, source slot) pairs per target slot, ``literal`` over
+    its edges per slot pair.
     Its per-edge passes run one slot pair at a time (:func:`_slotwise`).
     Backward lays the softmax-input gradient out once as the edge matrix and
     takes the query gradient from it and the K W gradient from its transpose,
@@ -628,6 +625,7 @@ def edge_attention(
     if got != (3, 3, (view.num_src, d), (dst.num_segments, d), (heads, d_h, d_h)):
         raise ShapeError(f"edge_attention: {keys.shape}, {q.shape}, {att.shape} do not fit the edges")
     n_s, f_s, _ = keys.shape
+    scale = 1.0 / math.sqrt(d if scale_outside else d_h)
 
     rows = keys.data.reshape(n_s * f_s, heads, d_h).transpose(1, 0, 2)
     kw = rows @ att.data  # (H, n_s F_s, d_h)

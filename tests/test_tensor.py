@@ -27,9 +27,10 @@ def view(src, dst, num_src: int, num_dst: int) -> T.BipartiteView:
 def edge_softmax(keys: T.Tensor, dst: T.Segments, mode: str, heads: int = 1) -> T.Tensor:
     """The softmax of ``T.edge_attention`` alone: every edge is its own source
     node, and the attention weights and queries are identities, so the logits
-    (K W) q^T are the keys exactly: logit (e, m, i, j) is ``keys[e, i, m F_t +
-    j]``. One head's keys (E, F_s, F_t) are its logits; the result is
-    (E, H, F_s, F_t), or (E, F_s, F_t) for one head."""
+    (K W) q^T are the keys scaled by 1/sqrt(F_t): logit (e, m, i, j) is
+    ``keys[e, i, m F_t + j] / sqrt(F_t)``. One head's keys (E, F_s, F_t) are
+    its logits so scaled; the result is (E, H, F_s, F_t), or (E, F_s, F_t)
+    for one head."""
     e, _, width = keys.shape
     eye = np.eye(width // heads)
     q = T.Tensor(np.tile(eye, (dst.num_segments, 1, heads)), dtype=keys.dtype)
@@ -345,6 +346,15 @@ class TestBackward:
             table = tape.backward(T.reduce_sum(w))
         assert list(table) == [w] and never_read not in table
 
+    def test_recorded_outputs_are_no_leaves(self):
+        # an op's output requires a gradient and feeds later ops, but the
+        # tape recorded it, so the table does not hold it
+        w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        with T.Tape() as tape:
+            hidden = T.mul(w, w)
+            table = tape.backward(T.reduce_sum(T.mul(hidden, hidden)))
+        assert hidden.requires_grad and list(table) == [w]
+
     def test_composite_matches_finite_differences(self):
         w = T.Tensor(rng(9).normal(size=(3, 3)), requires_grad=True, dtype=np.float64)
         x = T.Tensor(rng(10).normal(size=(4, 3)), dtype=np.float64)
@@ -386,7 +396,9 @@ class TestBackward:
                 hidden = T.affine(x, w)
                 loss = T.reduce_sum(T.mul(hidden, hidden))
                 tape.backward(loss)
-            ref = weakref.ref(hidden)
+            # a Tensor takes no weak reference, but it holds its array, so
+            # the array's going shows the tensor's
+            ref = weakref.ref(hidden.data)
             del hidden, loss
             # reference counting alone must free it: the tape stays alive
             assert tape.consumed and ref() is None
@@ -582,11 +594,13 @@ class TestFusedEdgeOps:
         return keys, q, att, ext, view(self.SRC[order], self.DST[order], 4, 4)
 
     @staticmethod
-    def reference(keys, q, att, ext, mode, scale, scale_outside, edges):
-        """Per-edge logits, the softmax by its formula over each target's
+    def reference(keys, q, att, ext, mode, scale_outside, edges):
+        """Per-edge logits, scaled by 1/sqrt(d_h) before the softmax or by
+        1/sqrt(H d_h) after it, the softmax by its formula over each target's
         group, and the messages summed edge by edge, in float64."""
         keys, q, att, ext = (t.data.astype(np.float64) for t in (keys, q, att, ext))
         heads, d_h = att.shape[:2]
+        scale = 1.0 / np.sqrt(heads * d_h if scale_outside else d_h)
 
         def split(x):  # (n, F, d) -> (n, H, F, d_h)
             return x.reshape(x.shape[0], x.shape[1], heads, d_h).transpose(0, 2, 1, 3)
@@ -625,16 +639,16 @@ class TestFusedEdgeOps:
         w = T.Tensor(rng(41).normal(size=(4, q.shape[1], 4)), dtype=np.float64)
 
         def f():
-            attn = T.edge_attention(keys, q, att, edges, mode, 0.7, scale_outside)
+            attn = T.edge_attention(keys, q, att, edges, mode, scale_outside)
             return T.reduce_sum(T.mul(T.edge_aggregate(attn, ext, edges), w))
 
         assert max(T.finite_diff_check(f, [keys, q, att, ext])) < 1e-6
 
     def check_reference(self, mode, scale_outside, **graph):
         keys, q, att, ext, edges = self.graph(**graph)
-        attn = T.edge_attention(keys, q, att, edges, mode, 0.7, scale_outside)
+        attn = T.edge_attention(keys, q, att, edges, mode, scale_outside)
         out = T.edge_aggregate(attn, ext, edges)
-        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, scale_outside, edges)
+        want_attn, want_out = self.reference(keys, q, att, ext, mode, scale_outside, edges)
         np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
 
@@ -754,28 +768,27 @@ class TestFusedEdgeOps:
             for got, want in ((got_right, fresh @ right), (got_left, fresh.T @ left)):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
             assert T._edge_products(w, edges, right=right)[1] is None
+        # the kept structure is as built: nothing of a call stays in it
         (index,) = edges._edge_index.values()
-        for m in (index.csr, index.csc):
-            assert m.data is None and m.indices is None  # nothing of a call stays
+        built = T._build_edge_index(edges.src, edges.dst.indptr, edges.num_src, heads, f_s, f_t)
+        assert index.shape == built.shape
+        for kept, want in ((index.cols, built.cols), (index.indptr, built.indptr)):
+            assert kept.dtype == want.dtype and kept.tobytes() == want.tobytes()
 
-    def test_products_leave_the_kept_matrices_untouched_while_they_run(self, monkeypatch):
-        # so threads that share a view never see each other's data
+    def test_products_run_on_read_only_kept_structure(self):
+        # so threads that share a view share its structure safely: a product
+        # that wrote into it would raise
         *_, edges = self.graph(shuffled=True)
         g = rng(49)
         w = g.normal(size=(5, 2, 3, 2))
         right, left = g.normal(size=(2 * 4 * 3, 3)), g.normal(size=(2 * 2 * 4, 3))
-        T._edge_products(w, edges, right, left)
+        got = T._edge_products(w, edges, right, left)
+        assert all(np.isfinite(a).all() for a in got)
+        edges.dst.sum(g.normal(size=(5, 2)))
         (index,) = edges._edge_index.values()
-        seen = []
-        for kind in (scipy.sparse.csr_array, scipy.sparse.csc_array):
-            def spy(m, x, matmul=kind.__matmul__):
-                kept = (index.csr, index.csc)
-                seen.append(all(m is not k and k.data is None and k.indices is None for k in kept))
-                return matmul(m, x)
-
-            monkeypatch.setattr(kind, "__matmul__", spy)
-        T._edge_products(w, edges, right, left)
-        assert seen == [True, True]
+        for kept in (index.cols, index.indptr, *edges.dst._members):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[...] = 0
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -798,7 +811,7 @@ class TestFusedEdgeOps:
 
         def run():
             with T.Tape() as tape:
-                attn = T.edge_attention(keys, q, att, edges, mode, 0.7, scale_outside)
+                attn = T.edge_attention(keys, q, att, edges, mode, scale_outside)
                 out = T.edge_aggregate(attn, ext, edges)
                 grads = tape.backward(T.reduce_sum(T.mul(out, up)))
             return [attn.data, out.data] + [grads[t] for t in (keys, q, att, ext)]
@@ -829,8 +842,8 @@ class TestFusedEdgeOps:
         # numpy sums 9 slots pairwise when the target slot axis has length 1;
         # the fused op adds slot after slot
         keys, q, att, ext, edges = self.graph(f_s=9, f_t=1, seed=43)
-        attn = T.edge_attention(keys, q, att, edges, mode, 0.7)
-        want_attn, want_out = self.reference(keys, q, att, ext, mode, 0.7, False, edges)
+        attn = T.edge_attention(keys, q, att, edges, mode)
+        want_attn, want_out = self.reference(keys, q, att, ext, mode, False, edges)
         np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(
             T.edge_aggregate(attn, ext, edges).data, want_out, rtol=1e-12, atol=1e-14
@@ -840,7 +853,7 @@ class TestFusedEdgeOps:
             np.testing.assert_allclose(mass, 1.0, rtol=1e-12)
 
         def f():
-            out = T.edge_aggregate(T.edge_attention(keys, q, att, edges, mode, 0.7), ext, edges)
+            out = T.edge_aggregate(T.edge_attention(keys, q, att, edges, mode), ext, edges)
             return T.reduce_sum(T.mul(out, out))
 
         assert max(T.finite_diff_check(f, [keys, q, att, ext])) < 1e-6
@@ -900,6 +913,39 @@ class TestFusedEdgeOps:
             T.edge_attention(keys, q, att, view(self.SRC, self.DST, 4, 5))
         with pytest.raises(T.ShapeError):
             T.edge_attention(keys, q, att, view(self.SRC, self.DST, 5, 4))
+
+
+class TestCsrProduct:
+    """``T._csr_product``, every sparse product of the module, calls scipy's
+    private CSR kernel on bare arrays; a scipy release that changes that
+    kernel's arguments or results fails here."""
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("data, x", [
+        (np.float32, np.float32), (np.float64, np.float64), (bool, np.float32), (bool, np.int64),
+    ])
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    def test_equals_scipy_csr_array_to_the_bit(self, index, data, x, width):
+        # rows of many lengths, one empty, columns out of order and repeated,
+        # and magnitudes over six decades, so any change in the order of a
+        # row's additions shows; scipy runs another kernel at width 1
+        g = rng(60)
+        shape = (7, 9)
+        indptr = np.cumsum([0, 3, 0, 5, 1, 4, 9, 6]).astype(index)
+        indices = g.integers(0, shape[1], size=indptr[-1]).astype(index)
+        values = g.normal(size=indices.size) * 10.0 ** g.uniform(-3, 3, size=indices.size)
+        a = values.astype(data) if data is not bool else np.ones(indices.size, dtype=bool)
+
+        def dense(rows):
+            return (g.normal(size=(rows, width)) * 10.0 ** g.uniform(-3, 3, size=(rows, 1))).astype(x)
+
+        m = scipy.sparse.csr_array((a, indices, indptr), shape=shape)
+        right, left = dense(shape[1]), dense(shape[0])
+        got = T._csr_product(indptr, indices, a, right, shape)
+        got_t = T._csr_product(indptr, indices, a, left, shape, transpose=True)
+        for got, want in ((got, m @ right), (got_t, m.T @ left)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSegments:
@@ -1013,8 +1059,8 @@ class TestSegments:
         # reaches it with three edges, and nothing of that size is built
         sources, indptr = np.array([0, n_src - 1, 5]), np.array([0, 2, 3])
         ix = T._build_edge_index(sources, indptr, n_src, heads, f_s, 2)
-        assert ix.cols.dtype == dtype and ix.csr.indptr.dtype == dtype
-        assert ix.csr.shape == (heads * 2 * 2, heads * f_s * n_src)
+        assert ix.cols.dtype == dtype and ix.indptr.dtype == dtype
+        assert ix.shape == (heads * 2 * 2, heads * f_s * n_src)
         # the top source's last slot in the last head is the last column
         assert int(ix.cols.max()) == heads * f_s * n_src - 1
 
