@@ -138,12 +138,16 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
     return run
 
 
-def _load_graph(run: RunConfig):
+def _load_graph(run: RunConfig, command: str, split: str | None = None):
     if run.dataset is None:
         raise ConfigError("no dataset directory given (use --dataset or `dataset = ...`)")
     if not Path(run.dataset).is_dir():
         raise ConfigError(f"missing dataset directory: {run.dataset}")
-    return load_dataset(run.dataset)
+    graph = load_dataset(run.dataset)
+    if split is not None and not len(graph.splits.get(split, ())):
+        path = Path(run.dataset) / "splits.json"
+        raise DatasetError([f"{path}: {split} lists no id; `slotgnn {command}` needs one"])
+    return graph
 
 
 def _saved_train(path: Path) -> TrainConfig:
@@ -172,14 +176,6 @@ def _restore_model(run: RunConfig, graph):
     return model
 
 
-def _final_metrics(model, graph):
-    for split in ("test", "valid", "train"):
-        ids = graph.splits.get(split)
-        if ids is not None and ids.size:
-            return evaluate(model, graph, split), split
-    raise ConfigError("graph has no non-empty split to evaluate")
-
-
 def _write_manifest(run: RunConfig, out: Path, command: str, outputs: list[str], dataset_hash=None):
     """manifest.json over ``outputs``, with the hash of the run's dataset
     unless ``dataset_hash`` is given."""
@@ -188,7 +184,7 @@ def _write_manifest(run: RunConfig, out: Path, command: str, outputs: list[str],
 
 
 def cmd_train(run: RunConfig, out: Path) -> int:
-    graph = _load_graph(run)
+    graph = _load_graph(run, "train", "train")
     model = init_model(graph, run.train)
     result = train(model, graph, run.train)
     outputs = artifacts.save_checkpoint(model.named_parameters(), out)
@@ -198,7 +194,9 @@ def cmd_train(run: RunConfig, out: Path) -> int:
     )
     artifacts.write_json(run.echo(), out / "config.json")
     outputs += ["log.json", "config.json"]
-    metrics, split = _final_metrics(model, graph)
+    # the first split that lists an id; train does (_load_graph)
+    split = next(s for s in ("test", "valid", "train") if len(graph.splits.get(s, ())))
+    metrics = evaluate(model, graph, split)
     artifacts.write_json(metrics, out / "metrics.json")
     _write_manifest(run, out, "train", outputs + ["metrics.json"])
     print(f"trained {run.train.epochs} epochs; {split} metrics: {metrics}")
@@ -206,7 +204,7 @@ def cmd_train(run: RunConfig, out: Path) -> int:
 
 
 def cmd_eval(run: RunConfig, out: Path) -> int:
-    graph = _load_graph(run)
+    graph = _load_graph(run, f"eval --split {run.split}", run.split)
     model = _restore_model(run, graph)
     metrics = evaluate(model, graph, run.split)
     artifacts.write_json(metrics, out / "metrics.json")
@@ -216,7 +214,7 @@ def cmd_eval(run: RunConfig, out: Path) -> int:
 
 
 def cmd_explain(run: RunConfig, out: Path) -> int:
-    graph = _load_graph(run)
+    graph = _load_graph(run, "explain")
     model = _restore_model(run, graph)
     if not run.train.use_fusion:
         raise ConfigError("explain needs the fusion head (train.use_fusion = true)")
@@ -251,7 +249,7 @@ def _project_gradcheck(model, graph) -> None:
 
 def cmd_gradcheck(run: RunConfig, out: Path) -> int:
     if run.dataset is not None:
-        graph = _load_graph(run)
+        graph = _load_graph(run, "gradcheck --dataset", "train")
         dataset_hash = artifacts.dataset_fingerprint(run.dataset)
         run.train = run.train.replace(**CHECKABLE)
     else:

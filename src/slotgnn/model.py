@@ -10,7 +10,7 @@ columns of each vector it reads:
   no-seq: h0 = mean_f h0_f                                     SlotModel.forward
   Q_t = h_t W^Q + b^Q;  K_s = h_s W^K;  V_s = h_s W^V + b^V    layer.project_qkv
   a_r(s, t)_ij = softmax((K_s,i W^att_r) . Q_t,j / sqrt(d_h))  layer.relation_attention [2, 3]
-  M_r(t)_j = sum_s sum_i a_r(s, t)_ij V_s,i W^ext_r            layer.aggregate_messages
+  M_r(t)_j = sum_s sum_i a_r(s, t)_ij V_s,i W^ext_r            layer.aggregate_messages [4]
   E_t = [M_r(t) + enc_r]_r, r into tau in schema order         layer.encode_relations
   h^l_t = [h^(l-1)_t; E_t W^adopt_tau]                         layer.update_sequences [1]
   no-seq: h^l_t = (mean_j E_t,j) W^adopt_tau                   layer.layer_forward [1]
@@ -33,6 +33,9 @@ settles, where the code can switch or HGT does otherwise:
       each (i, j).
   [3] where the scale goes: by default the logits are scaled by 1 / sqrt(d_h)
       as written; ``scale_outside`` scales the softmax's output by 1 / sqrt(d).
+  [4] message blocks are indexed by the target's query slot j, so with R_tau
+      relations into tau its slots grow as F_l = F_(l-1) (1 + R_tau); indexed by
+      source slot i, as F_tau^l = F_tau^(l-1) + sum_r F_src(r)^(l-1), each a meta-path.
 """
 
 from __future__ import annotations

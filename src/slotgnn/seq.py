@@ -3,9 +3,9 @@
 A node's representation is an ordered sequence of d-vectors ("slots"). At
 layer 0 there is one slot per raw feature; each layer appends one message
 block per incoming relation, so the slot count per type grows by the factor
-(#incoming relations + 1) per layer. Each of the target type's slots reads as
-a meta-path name, which depends only on the schema: ``slot_paths`` spells
-them once, and a forward pass carries only the per-type tensors.
+(#incoming relations + 1) per layer, reading [4] in ``model``. Each target
+slot reads as a meta-path name, which depends only on the schema:
+``slot_paths`` spells them once; a forward pass carries only per-type tensors.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .graph import HeteroGraph, Schema
 
 def slot_paths(schema: Schema, num_layers: int) -> list[str]:
     """The meta-path of each target slot after ``num_layers`` layers, in slot
-    order. A base slot reads as the target type. A layer appends, per
-    incoming relation r in declaration order, one message over each earlier
-    slot, whose path p becomes ``src-r->(p)``, as ``update_sequences`` does.
+    order: a chain of query slots (reading [4] in ``model``). A base slot reads
+    as the target type; a layer appends, per incoming relation r in declaration
+    order, one message per earlier slot p, ``src-r->(p)``, as ``update_sequences`` does.
     """
     target = schema.target_type
     paths = [target] * schema.base_slots(target)

@@ -24,9 +24,9 @@ into targets (the messages, and in backward the value, query and K W
 gradients) is one sparse times dense product with the attention, or its
 softmax-input gradient, as a block-diagonal edge matrix (g-SpMM, Wang et al.,
 arXiv:1909.01315), whose structure the view keeps from the first product on.
-Every sparse product here, and :meth:`Segments.sum` too, is one call of
-:func:`_csr_product`, scipy's CSR kernel on bare arrays: the kept structure is
-read-only and each call brings its own data. The edge softmax reduces per
+Each op lays its matrix out once (:func:`_edge_matrix`). Every sparse product,
+and :meth:`Segments.sum` too, is one call of :func:`_csr_product`, scipy's CSR
+kernel; the kept structure is read-only. The edge softmax reduces per
 target with :class:`Segments`, whose max, where every target has as many
 edges, makes one numpy call per rank of a target's edges, not one per target
 and column. Backward keeps only the attention weights and K W. The fusion head
@@ -357,8 +357,7 @@ class Segments:
         self.ids = ids
         self.num_segments = num_segments
         counts = np.bincount(ids, minlength=num_segments)
-        self.indptr = np.zeros(num_segments + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
+        self.indptr = _read_only(np.concatenate(([0], np.cumsum(counts))))
         self._nonempty = np.flatnonzero(counts)
         # one row per segment: row r is segment r
         self.identity = ids.size == self._nonempty.size == num_segments
@@ -367,14 +366,15 @@ class Segments:
         self._length = int(lengths[0]) if lengths.size and (lengths == lengths[0]).all() else 0
 
     @functools.cached_property
-    def _members(self) -> tuple[np.ndarray, np.ndarray]:
-        """The column indices and the data of the sum's matrix, read-only."""
-        return _read_only(np.arange(self.ids.size)), _read_only(np.ones(self.ids.size, dtype=bool))
+    def _matrix(self) -> tuple:
+        """The sum's matrix as a read-only CSR record (:func:`_csr_product`)."""
+        e = self.ids.size
+        members = _read_only(np.arange(e)), _read_only(np.ones(e, dtype=bool))
+        return self.indptr, *members, (self.num_segments, e)
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """Per-segment sums of the rows of ``x``: (num_segments, *x.shape[1:])."""
-        flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-        sums = _csr_product(self.indptr, *self._members, flat, (self.num_segments, self.ids.size))
+        sums = _csr_product(self._matrix, x.reshape(x.shape[0], math.prod(x.shape[1:])))
         return sums.reshape((self.num_segments,) + x.shape[1:])
 
     def max(self, x: np.ndarray) -> np.ndarray:
@@ -411,7 +411,7 @@ class BipartiteView:
         self._edge_index: dict[tuple[int, int, int], _EdgeIndex] = {}
 
     def edge_index(self, heads: int, f_s: int, f_t: int) -> "_EdgeIndex":
-        """The structure of the edge matrix (:func:`_edge_products`) for ``heads``
+        """The structure of the edge matrix (:func:`_edge_matrix`) for ``heads``
         heads, F_s and F_t slots: built at the first product, then kept."""
         key = (heads, f_s, f_t)
         if key not in self._edge_index:
@@ -446,11 +446,15 @@ class _EdgeIndex(NamedTuple):
     ``indptr``, and in ``cols`` the column indices of one target slot's rows,
     (H, 1, E F_s), which every target slot repeats; both in int32 when the
     matrix fits, and read-only, so threads that share a view share this too
-    and each product brings its own data (:func:`_edge_products`)."""
+    and each matrix brings its own data (:func:`_edge_matrix`)."""
 
     cols: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
+
+    def matrix(self, data: np.ndarray, f_t: int) -> tuple:
+        """The CSR record with ``data``, the blocks laid out (H, F_t, E, F_s), flat."""
+        return self.indptr, np.repeat(self.cols, f_t, axis=1).reshape(-1), data, self.shape
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -458,11 +462,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csr_product(indptr, indices, data, x: np.ndarray, shape, transpose: bool = False) -> np.ndarray:
-    """``A @ x``, or ``A^T @ x`` with ``transpose``, for the CSR matrix A of
-    ``shape`` in ``indptr``, ``indices`` (of one dtype) and ``data``, and 2-D
+def _csr_product(a: tuple, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``A @ x``, or ``A^T @ x`` with ``transpose``, for the CSR record ``a``,
+    ``(indptr, indices, data, shape)`` with the indices of one dtype, and 2-D
     ``x``: scipy's ``csr_array @ x`` kernel and arguments, so its bytes. A's
     CSR arrays are the CSC arrays of A^T."""
+    indptr, indices, data, shape = a
     rows, cols = shape[::-1] if transpose else shape
     out = np.zeros((rows, x.shape[1]), dtype=np.result_type(data.dtype, x.dtype))
     kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
@@ -550,29 +555,20 @@ def _node_blocks(rows: np.ndarray, heads: int, n: int, f: int) -> np.ndarray:
     return rows.reshape(heads, f, n, d_h).transpose(_TARGETS).reshape(n, f, heads * d_h)
 
 
-def _edge_products(
-    w: np.ndarray, view: BipartiteView,
-    right: np.ndarray | None = None, left: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """``A @ right`` and ``A^T @ left`` (None for an operand not given), with
-    the per-edge blocks ``w`` (E, H, F_s, F_t) as one sparse matrix A, block
-    diagonal over heads: row (m, j, t) holds w[e, m, i, j] in column (m, s, i)
-    for each edge e = (s, t) and source slot i. Times source blocks as
-    ``_SOURCES`` rows A sums w^T x over each target's edges into ``_TARGETS``
-    rows, and A^T sends ``_TARGETS`` rows back onto the sources; either way no
-    block is copied onto the edges. ``w`` is laid out once for both products,
-    into the structure that ``view`` keeps for this shape, one
-    source slot at a time so that each copy runs along the edges (:func:`_slotwise`).
+def _edge_matrix(w: np.ndarray, view: BipartiteView) -> tuple:
+    """The per-edge blocks ``w`` (E, H, F_s, F_t) as one sparse matrix A, block
+    diagonal over heads, in a CSR record for :func:`_csr_product`: row (m, j, t)
+    holds w[e, m, i, j] in column (m, s, i) for each edge e = (s, t) and source
+    slot i. Times source blocks as ``_SOURCES`` rows A sums w^T x over each
+    target's edges into ``_TARGETS`` rows, and A^T sends ``_TARGETS`` rows back
+    onto the sources; either way no block is copied onto the edges. ``w`` is
+    laid out into the structure that ``view`` keeps for this shape, one source
+    slot at a time so that each copy runs along the edges (:func:`_slotwise`).
     """
     e, heads, f_s, f_t = w.shape
     ix = view.edge_index(heads, f_s, f_t)
     laid = w.transpose(1, 3, 0, 2)  # (H, F_t, E, F_s)
-    data = _slotwise(None, np.empty(laid.shape, w.dtype), laid, axes=1).reshape(-1)
-    a = (ix.indptr, np.repeat(ix.cols, f_t, axis=1).reshape(-1), data)
-    return (
-        None if right is None else _csr_product(*a, right, ix.shape),
-        None if left is None else _csr_product(*a, left, ix.shape, transpose=True),
-    )
+    return ix.matrix(_slotwise(None, np.empty(laid.shape, w.dtype), laid, axes=1).reshape(-1), f_t)
 
 
 def _pool(ufunc, a: np.ndarray, joint: bool) -> np.ndarray:
@@ -638,9 +634,9 @@ def edge_attention(
 
     def back(g):
         gx = _edge_softmax_grad(g, y, dst, joint, scale, scale_outside)
-        g_q, g_kw = _edge_products(gx, view, kw.reshape(-1, d_h), _head_rows(q.data, heads))
-        g_q = _node_blocks(g_q, heads, dst.num_segments, q.shape[1])
-        g_kw = g_kw.reshape(rows.shape)
+        q_rows, a = _head_rows(q.data, heads), _edge_matrix(gx, view)
+        g_q = _node_blocks(_csr_product(a, kw.reshape(-1, d_h)), heads, dst.num_segments, q.shape[1])
+        g_kw = _csr_product(a, q_rows, transpose=True).reshape(rows.shape)
         g_keys = (g_kw @ np.swapaxes(att.data, -1, -2)).transpose(1, 0, 2).reshape(keys.shape)
         return g_keys, g_q, np.swapaxes(rows, -1, -2) @ g_kw
 
@@ -662,12 +658,14 @@ def edge_aggregate(attn: Tensor, ext: Tensor, view: BipartiteView) -> Tensor:
     if d % heads or ext.shape[:2] != (n_src, f_s) or e != view.src.size:
         raise ShapeError(f"edge_aggregate: {attn.shape} and {ext.shape} do not fit the edges")
 
-    msg, _ = _edge_products(attn.data, view, right=_head_rows(ext.data, heads, _SOURCES))
+    ext_rows, a = _head_rows(ext.data, heads, _SOURCES), _edge_matrix(attn.data, view)
+    msg, data = _csr_product(a, ext_rows), a[2]  # backward keeps the data, not the columns
 
     def back(g):
         ext_h = ext.data.reshape(n_src, f_s, heads, d // heads).transpose(0, 2, 1, 3)
         g_attn = _edge_pairs(ext_h, _heads_t(g, heads), view)
-        _, g_ext = _edge_products(attn.data, view, left=_head_rows(g, heads))
+        a = view.edge_index(heads, f_s, f_t).matrix(data, f_t)
+        g_ext = _csr_product(a, _head_rows(g, heads), transpose=True)
         g_ext = g_ext.reshape(heads, n_src, f_s, d // heads).transpose(1, 2, 0, 3)
         return g_attn, g_ext.reshape(ext.shape)
 

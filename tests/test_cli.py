@@ -3,6 +3,7 @@ import ast
 import dataclasses
 import json
 import re
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,13 +12,14 @@ import pytest
 
 import slotgnn
 from slotgnn import tensor as T
-from slotgnn.artifacts import load_checkpoint, save_checkpoint
+from slotgnn.artifacts import dataset_fingerprint, load_checkpoint, save_checkpoint
 from slotgnn.cli import (
-    SETTINGS, VALID_KEYS, ConfigError, _overrides_from_args, build_parser, main, parse_config,
+    GRADCHECK_LIMIT, SETTINGS, VALID_KEYS, ConfigError, _overrides_from_args, build_parser, main,
+    parse_config,
 )
 from slotgnn.config import TrainConfig, from_profile
-from slotgnn.fixtures import GRADCHECK_MODEL, gradcheck_graph
-from slotgnn.graph import SyntheticSpec, save_dataset, synthetic_generate
+from slotgnn.fixtures import CHECKABLE, GRADCHECK_MODEL, gradcheck_graph
+from slotgnn.graph import SyntheticSpec, load_dataset, save_dataset, synthetic_generate
 from slotgnn.training import AdamW, init_model
 
 
@@ -29,6 +31,18 @@ def dataset(tmp_path_factory):
     )
     save_dataset(g, root)
     return root
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """Twelve targets: a full gradcheck of a ``SMALL_MODEL`` on it takes about a second."""
+    root = tmp_path_factory.mktemp("small")
+    spec = SyntheticSpec(num_targets=12, num_mid=6, num_attr=4, num_junk=5)
+    save_dataset(synthetic_generate(spec, seed=3), root)
+    return root
+
+
+SMALL_MODEL = ["--dim", "4", "--heads", "2", "--layers", "1"]
 
 
 def quick_flags(dataset, out, epochs="2"):
@@ -316,6 +330,40 @@ class TestTrainCommand:
         assert f"splits.json: train id {splits['train'][0]} listed twice" in capsys.readouterr().err
 
 
+class TestEmptySplit:
+    """A split that a command runs on and that lists no id fails validation,
+    exit 3, before the command runs; the dataset itself still loads."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, small_dataset, tmp_path_factory):
+        out = tmp_path_factory.mktemp("small_trained")
+        assert main(["train", "--dataset", str(small_dataset), "--out", str(out),
+                     "--epochs", "1", *SMALL_MODEL]) == 0
+        return out
+
+    @pytest.mark.parametrize("argv, split, named", [
+        (["train", "--epochs", "1"], "train", "train"),
+        (["eval", "--split", "valid"], "valid", "eval --split valid"),
+        (["gradcheck"], "train", "gradcheck --dataset"),
+    ], ids=["train", "eval", "gradcheck"])
+    def test_exits_3_naming_splits_json_the_split_and_the_command(
+        self, small_dataset, trained, tmp_path, capsys, argv, split, named
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset, data)
+        splits = json.loads((data / "splits.json").read_text())
+        splits[split] = []
+        (data / "splits.json").write_text(json.dumps(splits))
+        assert load_dataset(data).splits[split].size == 0  # eval on another split is still valid
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flags = ["--dataset", str(data), "--out", str(out), "--checkpoint", str(trained)]
+        assert main([*argv, *flags, *SMALL_MODEL]) == 3
+        err = capsys.readouterr().err
+        assert f"{data / 'splits.json'}: {split} lists no id; `slotgnn {named}` needs one" in err
+        assert list(out.iterdir()) == []  # nothing ran
+
+
 class TestOutputDirectory:
     def train_in(self, tmp_path, monkeypatch, dataset, *argv):
         monkeypatch.chdir(tmp_path)
@@ -528,6 +576,21 @@ class TestGradcheckCommand:
         coords = sum(p.data.size for _, p in model.named_parameters())
         want = rf"gradcheck: {coords} coordinates, [0-9.]+ ms per forward and loss, projected "
         assert re.fullmatch(want + r"[0-9]+ s \([0-9.]+ min\)\n", bundled_gradcheck.err)
+
+    def test_dataset_run_checks_every_parameter_of_its_model(self, small_dataset, tmp_path, capsys):
+        out = tmp_path / "gc"
+        code = main(["gradcheck", "--dataset", str(small_dataset), "--out", str(out), *SMALL_MODEL])
+        last = capsys.readouterr().out.splitlines()[-1]
+        report = json.loads((out / "gradcheck.json").read_text())
+        cfg = from_profile("desk").replace(dim=4, heads=2, layers=1, **CHECKABLE)
+        model = init_model(load_dataset(small_dataset), cfg)
+        assert set(report) == {name for name, _ in model.named_parameters()}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dataset_hash"] == dataset_fingerprint(small_dataset) != "builtin:gradcheck"
+        worst, limit = re.fullmatch(r"worst relative error: (\S+) \(limit (\S+)\)", last).groups()
+        assert float(worst) == pytest.approx(max(report.values()), rel=1e-3)
+        assert float(limit) == GRADCHECK_LIMIT
+        assert code == (0 if float(worst) < GRADCHECK_LIMIT else 1)
 
 
 class TestCheckpoint:

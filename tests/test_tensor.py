@@ -735,7 +735,7 @@ class TestFusedEdgeOps:
 
     @staticmethod
     def fresh_edge_matrix(w, edges):
-        """The edge matrix of ``T._edge_products`` entry by entry, handed to
+        """The edge matrix of ``T._edge_matrix`` entry by entry, handed to
         scipy anew: row (m, j, t) lists the edges into t in storage order and
         each edge's source slots i, at column (m, s, i)."""
         e, heads, f_s, f_t = w.shape
@@ -753,21 +753,32 @@ class TestFusedEdgeOps:
         arrays = (np.array(data, dtype=w.dtype), np.array(indices), np.array(indptr))
         return scipy.sparse.csr_array(arrays, shape=(heads * f_t * n_t, heads * f_s * n_s))
 
+    @staticmethod
+    def assert_products_equal(a, fresh, right, left):
+        """Both products of the built matrix ``a`` equal ``fresh``'s, to the bit."""
+        got_right, got_left = T._csr_product(a, right), T._csr_product(a, left, transpose=True)
+        for got, want in ((got_right, fresh @ right), (got_left, fresh.T @ left)):
+            assert got.dtype == want.dtype == a[2].dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cached_products_equal_a_fresh_matrix_to_the_bit(self, dtype, shuffled):
         *_, edges = self.graph(shuffled=shuffled)
         heads, f_s, f_t, d_h = 2, 3, 2, 3
         g = rng(48)
+        matrices = []
         for _ in range(2):  # the second call's data must replace the first's
             w = g.normal(size=(5, heads, f_s, f_t)).astype(dtype)
             right = g.normal(size=(heads * 4 * f_s, d_h)).astype(dtype)
             left = g.normal(size=(heads * f_t * 4, d_h)).astype(dtype)
             fresh = self.fresh_edge_matrix(w, edges)
-            got_right, got_left = T._edge_products(w, edges, right, left)
-            for got, want in ((got_right, fresh @ right), (got_left, fresh.T @ left)):
-                assert got.dtype == dtype and got.tobytes() == want.tobytes()
-            assert T._edge_products(w, edges, right=right)[1] is None
+            a = T._edge_matrix(w, edges)
+            assert a[2].dtype == dtype and a[3] == fresh.shape
+            self.assert_products_equal(a, fresh, right, left)
+            matrices.append((a, fresh, right, left))
+        # each matrix owns its data, as the aggregate's, kept for its backward,
+        # needs: building the second left the first's products as they were
+        self.assert_products_equal(*matrices[0])
         # the kept structure is as built: nothing of a call stays in it
         (index,) = edges._edge_index.values()
         built = T._build_edge_index(edges.src, edges.dst.indptr, edges.num_src, heads, f_s, f_t)
@@ -780,13 +791,13 @@ class TestFusedEdgeOps:
         # that wrote into it would raise
         *_, edges = self.graph(shuffled=True)
         g = rng(49)
-        w = g.normal(size=(5, 2, 3, 2))
+        a = T._edge_matrix(g.normal(size=(5, 2, 3, 2)), edges)
         right, left = g.normal(size=(2 * 4 * 3, 3)), g.normal(size=(2 * 2 * 4, 3))
-        got = T._edge_products(w, edges, right, left)
-        assert all(np.isfinite(a).all() for a in got)
+        got = T._csr_product(a, right), T._csr_product(a, left, transpose=True)
+        assert all(np.isfinite(x).all() for x in got)
         edges.dst.sum(g.normal(size=(5, 2)))
         (index,) = edges._edge_index.values()
-        for kept in (index.cols, index.indptr, *edges.dst._members):
+        for kept in (index.cols, index.indptr, *edges.dst._matrix[:3]):
             with pytest.raises(ValueError, match="read-only"):
                 kept[...] = 0
 
@@ -877,6 +888,25 @@ class TestFusedEdgeOps:
             T.edge_aggregate(attn, ext, edges)
             assert len(tape.nodes) == 2
 
+    def test_each_op_lays_its_edge_matrix_out_once(self, monkeypatch):
+        # the attention lays out its softmax-input gradient in backward; the
+        # aggregate lays out the attention in forward and its backward reuses it
+        keys, q, att, ext, edges = self.graph(shuffled=True)
+        laid, edge_matrix = [], T._edge_matrix
+        monkeypatch.setattr(T, "_edge_matrix", lambda w, v: laid.append(w) or edge_matrix(w, v))
+        attn = T.Tensor(rng(50).uniform(size=(5, 2, 3, 2)), requires_grad=True, dtype=np.float64)
+        with T.Tape() as tape:
+            out = T.edge_aggregate(attn, ext, edges)
+            assert len(laid) == 1 and laid[0] is attn.data
+            grads = tape.backward(T.reduce_sum(T.mul(out, out)))
+        assert len(laid) == 1 and grads[ext].shape == ext.shape
+        laid.clear()
+        with T.Tape() as tape:
+            attn = T.edge_attention(keys, q, att, edges)
+            assert laid == []
+            grads = tape.backward(T.reduce_sum(T.mul(attn, attn)))
+        assert len(laid) == 1 and laid[0].shape == attn.shape and grads[q].shape == q.shape
+
     def test_overflowing_logit_raises(self):
         # the +inf logits make NaN attention, which the op passes on: the
         # loss on top catches it
@@ -941,8 +971,8 @@ class TestCsrProduct:
 
         m = scipy.sparse.csr_array((a, indices, indptr), shape=shape)
         right, left = dense(shape[1]), dense(shape[0])
-        got = T._csr_product(indptr, indices, a, right, shape)
-        got_t = T._csr_product(indptr, indices, a, left, shape, transpose=True)
+        got = T._csr_product((indptr, indices, a, shape), right)
+        got_t = T._csr_product((indptr, indices, a, shape), left, transpose=True)
         for got, want in ((got, m @ right), (got_t, m.T @ left)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -1079,7 +1109,8 @@ class TestSegments:
         # source of each column (m, s, i) counts F_s per edge s -> t
         heads, f_s, f_t = 2, 2, 3
         onehot = np.tile(np.repeat(np.eye(5, dtype=dtype), f_s, axis=0), (heads, 1))
-        counts, _ = T._edge_products(np.ones((40, heads, f_s, f_t), dtype=dtype), edges, onehot)
+        ones = np.ones((40, heads, f_s, f_t), dtype=dtype)
+        counts = T._csr_product(T._edge_matrix(ones, edges), onehot)
         counts = counts.reshape(heads, f_t, 7, 5)
         edges = np.stack([src_ids, dst_ids], axis=1)
         for t, sources in enumerate(oracles.csr_slices_by_filter(edges, 7)):
