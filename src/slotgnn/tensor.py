@@ -18,8 +18,12 @@ forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
 blocks (n, F, d) with head m in columns [m d_h, (m+1) d_h). They take a
 :class:`BipartiteView`, edges sorted by target with plain source ids: the graph
 sorts edges, and :class:`Segments` only checks that target ids ascend. Only
-the logits and the attention gradient are taken edge by edge, as batched
-products of blocks gathered onto the edges. Every sum of weighted source blocks
+the logits and the attention gradient are taken per edge, by :func:`_edge_pairs`.
+Where every target has the same in-degree and F_s > 1 and F_t > 1, it runs one
+product per target and head, the target's source blocks stacked against its
+own block: numpy runs a slot-block product as BLAS gemm only then, and gemm
+rounds each entry alike at any row count. Otherwise it runs one product per
+edge and head, on blocks gathered onto the edges. Every sum of weighted source blocks
 into targets (the messages, and in backward the value, query and K W
 gradients) is one sparse times dense product with the attention, or its
 softmax-input gradient, as a block-diagonal edge matrix (g-SpMM, Wang et al.,
@@ -507,11 +511,30 @@ def gather(a: Tensor, idx: Segments) -> Tensor:
     return _make(a.data[idx.ids], (a,), lambda g: (idx.sum(g),))
 
 
-def _edge_pairs(src_x: np.ndarray, dst_x: np.ndarray, view: BipartiteView) -> np.ndarray:
-    """``src_x[s] @ dst_x[t]`` for every edge (s, t) of ``view``; each side is
-    made C-contiguous per node before it is gathered onto the edges."""
-    src_x, dst_x = np.ascontiguousarray(src_x), np.ascontiguousarray(dst_x)
-    return src_x[view.src] @ (dst_x if view.dst.identity else dst_x[view.dst.ids])
+def _edge_pairs(src_h: np.ndarray, dst_t: np.ndarray, view: BipartiteView) -> np.ndarray:
+    """``src_h[:, s] @ dst_t[t]`` for every edge (s, t) of ``view``, C-contiguous
+    (E, H, F_s, F_t), from source blocks (H, n_s, F_s, d_h) and C-contiguous
+    target blocks (n_t, H, d_h, F_t).
+
+    Where every target has the same number D of edges and F_s > 1 and
+    F_t > 1, the D source blocks of a target are stacked per head and run as
+    one (D F_s, d_h) @ (d_h, F_t) product against the target's own block.
+    numpy runs an (F_s, d_h) @ (d_h, F_t) product as BLAS gemm only when both
+    slot counts exceed one, and as dot or gemv otherwise; gemm rounds each
+    entry alike at any row count (pinned byte for byte in the tests), so the
+    stacked product keeps every bit, where stacking dot or gemv products
+    would not. Otherwise each source block is made C-contiguous per node (a
+    gemv over strided rows rounds otherwise) and both are gathered onto the
+    edges, one product per edge and head.
+    """
+    dst, f_s = view.dst, src_h.shape[2]
+    n_t, heads, d_h, f_t = dst_t.shape
+    if f_s > 1 and f_t > 1 and dst._length and dst._nonempty.size == n_t:
+        rows = np.take(src_h, view.src, axis=1).reshape(heads, n_t, -1, d_h)
+        x = (rows @ dst_t.transpose(1, 0, 2, 3)).reshape(heads, -1, f_s, f_t)
+        return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    src_x = np.ascontiguousarray(src_h.transpose(1, 0, 2, 3))
+    return src_x[view.src] @ (dst_t if dst.identity else dst_t[dst.ids])
 
 
 def _slotwise(ufunc, out: np.ndarray, *ins: np.ndarray, axes: int = 2) -> np.ndarray:
@@ -626,8 +649,7 @@ def edge_attention(
     rows = keys.data.reshape(n_s * f_s, heads, d_h).transpose(1, 0, 2)
     kw = rows @ att.data  # (H, n_s F_s, d_h)
     _check_finite(kw)
-    kw_e = kw.reshape(heads, n_s, f_s, d_h).transpose(1, 0, 2, 3)
-    x = _edge_pairs(kw_e, _heads_t(q.data, heads), view)
+    x = _edge_pairs(kw.reshape(heads, n_s, f_s, d_h), _heads_t(q.data, heads), view)
     if not scale_outside:
         x *= np.asarray(scale, dtype=x.dtype)
     y = _edge_softmax(x, dst, joint)
@@ -662,7 +684,7 @@ def edge_aggregate(attn: Tensor, ext: Tensor, view: BipartiteView) -> Tensor:
     msg, data = _csr_product(a, ext_rows), a[2]  # backward keeps the data, not the columns
 
     def back(g):
-        ext_h = ext.data.reshape(n_src, f_s, heads, d // heads).transpose(0, 2, 1, 3)
+        ext_h = ext.data.reshape(n_src, f_s, heads, d // heads).transpose(2, 0, 1, 3)
         g_attn = _edge_pairs(ext_h, _heads_t(g, heads), view)
         a = view.edge_index(heads, f_s, f_t).matrix(data, f_t)
         g_ext = _csr_product(a, _head_rows(g, heads), transpose=True)
@@ -770,7 +792,10 @@ def logistic_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     count = x.size
 
     def back(g):
-        sig = 1.0 / (1.0 + np.exp(-x))
+        # exp(-x) overflows to inf for logits below about -88.7 in float32,
+        # and 1 / (1 + inf) is 0, the sigmoid's limit
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-x))
         return (g * (sig - targets) / count,)
 
     return _make(out_data, (logits,), back)

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -584,12 +585,25 @@ class TestFusedEdgeOps:
     DST = np.array([0, 0, 1, 2, 2])
     SHUFFLE = np.array([1, 0, 2, 4, 3])
 
-    def graph(self, f_s=3, f_t=2, heads=2, d_h=2, seed=40, dtype=np.float64, shuffled=False):
+    @staticmethod
+    def one_in_degree():
+        """Twelve edges, three into each target, one from every other node:
+        shuffled, then sorted by target as a graph sorts them, so each
+        target's edges come out of source order."""
+        src, dst = np.nonzero(~np.eye(4, dtype=bool))
+        order = rng(39).permutation(src.size)
+        order = order[np.argsort(dst[order], kind="stable")]
+        return view(src[order], dst[order], 4, 4)
+
+    def graph(self, f_s=3, f_t=2, heads=2, d_h=2, seed=40, dtype=np.float64, shuffled=False,
+              even=False):
         g = rng(seed)
         keys = T.Tensor(g.normal(size=(4, f_s, heads * d_h)), requires_grad=True, dtype=dtype)
         q = T.Tensor(g.normal(size=(4, f_t, heads * d_h)), requires_grad=True, dtype=dtype)
         att = T.Tensor(g.normal(size=(heads, d_h, d_h)), requires_grad=True, dtype=dtype)
         ext = T.Tensor(g.normal(size=(4, f_s, heads * d_h)), requires_grad=True, dtype=dtype)
+        if even:
+            return keys, q, att, ext, self.one_in_degree()
         order = self.SHUFFLE if shuffled else np.arange(5)
         return keys, q, att, ext, view(self.SRC[order], self.DST[order], 4, 4)
 
@@ -668,6 +682,14 @@ class TestFusedEdgeOps:
         # the shape of a second layer's relation out of a type that receives none
         self.check_reference(mode, False, f_s=1, f_t=3, seed=44, shuffled=shuffled)
         self.check_gradients(mode, False, f_s=1, f_t=3, seed=44, shuffled=shuffled)
+
+    @pytest.mark.parametrize("scale_outside", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_one_in_degree_three_by_three_slots(self, mode, scale_outside):
+        # every target has three edges and both slot counts exceed one: the
+        # logits and the attention gradient run one product per target and head
+        self.check_reference(mode, scale_outside, f_t=3, seed=45, even=True)
+        self.check_gradients(mode, scale_outside, f_t=3, seed=45, even=True)
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_float32_aggregate_within_rounding_of_float64(self, shuffled):
@@ -832,6 +854,63 @@ class TestFusedEdgeOps:
         monkeypatch.setattr(T, "_edge_softmax_grad", oracles.edge_softmax_grad_by_broadcast)
         for a, b in zip(got, run(), strict=True):
             self.assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f_s, f_t", [(2, 2), (3, 3), (3, 9), (1, 1), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("degrees", ["one", "two", "three", "uneven", "one empty"])
+    def test_edge_pairs_equal_per_edge_products_to_the_bit(self, degrees, f_s, f_t, dtype):
+        # the products per target and head that one in-degree and slot counts
+        # above one allow keep every bit of the products per edge and head; a
+        # slot count of 1, uneven in-degrees and a target without edges keep
+        # the per-edge products, as stacking those would change last bits
+        g = rng(54)
+        n_s, n_t, heads, d_h = 30, 40, 8, 8
+        counts = {
+            "one": np.ones(n_t, dtype=int), "two": np.full(n_t, 2), "three": np.full(n_t, 3),
+            "uneven": g.integers(1, 4, n_t), "one empty": np.where(np.arange(n_t) == 5, 0, 2),
+        }[degrees]
+        edges = view(g.integers(0, n_s, counts.sum()), np.repeat(np.arange(n_t), counts), n_s, n_t)
+        dst_t = g.normal(size=(n_t, heads, d_h, f_t)).astype(dtype)
+        kw = g.normal(size=(heads, n_s, f_s, d_h)).astype(dtype)
+        ext = g.normal(size=(n_s, f_s, heads, d_h)).astype(dtype).transpose(2, 0, 1, 3)
+        for src_h in (kw, ext):  # K W's layout in edge_attention, ext's in edge_aggregate
+            got = T._edge_pairs(src_h, dst_t, edges)
+            # each node's blocks C-contiguous, as a product of strided rows rounds otherwise
+            src = np.ascontiguousarray(src_h.transpose(1, 0, 2, 3))
+            want = src[edges.src] @ dst_t[edges.dst.ids]
+            assert got.flags.c_contiguous
+            self.assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("f_s, even, grouped", [
+        (3, True, True), (1, True, False), (3, False, False),
+    ])
+    def test_one_product_per_target_and_head_where_every_target_has_one_in_degree(
+        self, monkeypatch, f_s, even, grouped
+    ):
+        # the target blocks count the products they enter, in both ops: the
+        # logits in the attention's forward, its gradient in the aggregate's
+        # backward
+        products = []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *ins, **kwargs):
+                a, b = (np.asarray(x) for x in ins)
+                if ufunc is np.matmul:
+                    products.append((np.broadcast_shapes(a.shape[:-2], b.shape[:-2]),
+                                     a.shape[-2:], b.shape[-2:]))
+                return getattr(ufunc, method)(a, b, **kwargs)
+
+        heads_t = T._heads_t
+        monkeypatch.setattr(T, "_heads_t", lambda x, h: heads_t(x, h).view(Spy))
+        keys, q, att, ext, edges = self.graph(f_s=f_s, f_t=3, even=even)
+        with T.Tape() as tape:
+            out = T.edge_aggregate(T.edge_attention(keys, q, att, edges), ext, edges)
+            tape.backward(T.reduce_sum(T.mul(out, out)))
+        e = edges.src.size
+        if grouped:  # 4 targets x 2 heads, each a (3 edges x 3 slots, d_h) @ (d_h, 3) product
+            assert products == [((2, 4), (3 * f_s, 2), (2, 3))] * 2
+        else:  # one per edge and head
+            assert products == [((e, 2), (f_s, 2), (2, 3))] * 2
 
     @pytest.mark.parametrize("f", [1, 3])
     def test_heads_t_copies_slot_by_slot_to_the_bit(self, f):
@@ -1202,6 +1281,18 @@ class TestLosses:
         p = 1 / (1 + np.exp(-x))
         want = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         assert abs(loss.item() - want) < 1e-7
+
+    def test_logistic_gradient_where_exp_overflows(self):
+        # exp(100) overflows float32: the sigmoid is its limit 0, with no
+        # warning, so the gradient there is (0 - target) / count
+        logits = T.Tensor([[-100.0, -100.0], [2.0, -1.0]], requires_grad=True)
+        targets = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with T.Tape() as tape:
+                grad = tape.backward(T.logistic_loss(logits, targets))[logits]
+        assert grad.dtype == np.float32
+        assert grad[0, 0] == (0.0 - 1.0) / 4 and grad[0, 1] == 0.0
 
     def test_loss_gradients(self):
         g = rng(20)
