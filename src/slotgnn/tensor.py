@@ -42,18 +42,24 @@ logits, unless a softmax gives a -inf weight 0, so the fused ops screen what
 their softmax reads: K W in :func:`edge_attention`, logits in :func:`slot_fusion`.
 Per-edge passes numpy cannot run as one flat loop go one slot (pair) at a time
 (:func:`_slotwise`), so numpy's innermost loop spans all edges and heads.
+scipy's CSR kernels come from their extension file alone
+(:func:`_load_sparsetools`): the rest of ``scipy.sparse`` would add 22 MB of
+memory and 300 modules to this module's import.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 
 class TensorError(Exception):
@@ -466,11 +472,48 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _load_sparsetools():
+    """scipy's compiled CSR kernels, loaded from their file alone.
+
+    ``from scipy.sparse import _sparsetools`` runs ``scipy.sparse``'s package
+    init for two functions: importing this module then takes 49 MB of peak
+    memory and 537 modules, against 27 MB and 213 without it (CPython 3.11,
+    scipy 1.17). ``find_spec`` finds scipy's folder without running its init.
+    The file's place, ``scipy/sparse/_sparsetools<suffix>``, is scipy's private
+    layout, and ``TestCsrProduct`` pins the kernels byte for byte; where the
+    file is missing or does not load, the regular import stands in. The loaded
+    module stays out of ``sys.modules``, so a later ``import scipy.sparse``
+    loads the file as usual.
+    """
+    name, scipy = "scipy.sparse._sparsetools", importlib.util.find_spec("scipy")
+    registered = name in sys.modules
+    for folder in (scipy.submodule_search_locations or []) if scipy else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            try:  # a missing file raises ImportError too
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return module
+            except ImportError:
+                pass
+            finally:  # a single-phase extension registers itself as it loads
+                if not registered:
+                    sys.modules.pop(name, None)
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+_sparsetools = _load_sparsetools()
+
+
 def _csr_product(a: tuple, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``A @ x``, or ``A^T @ x`` with ``transpose``, for the CSR record ``a``,
     ``(indptr, indices, data, shape)`` with the indices of one dtype, and 2-D
     ``x``: scipy's ``csr_array @ x`` kernel and arguments, so its bytes. A's
-    CSR arrays are the CSC arrays of A^T."""
+    CSR arrays are the CSC arrays of A^T. The kernel module is scipy's own
+    extension, loaded by :func:`_load_sparsetools` without ``scipy.sparse``."""
     indptr, indices, data, shape = a
     rows, cols = shape[::-1] if transpose else shape
     out = np.zeros((rows, x.shape[1]), dtype=np.result_type(data.dtype, x.dtype))
@@ -809,6 +852,8 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     params: Iterable[Tensor],
     h: float = 1e-5,
+    rng: np.random.Generator | None = None,
+    directions: int = 2,
 ) -> list[float]:
     """Max relative error between tape gradients and central differences,
     one per parameter in the order given.
@@ -816,7 +861,10 @@ def finite_diff_check(
     ``f`` must be a deterministic scalar function of ``params`` evaluated in
     64-bit mode; determinism is verified once, by evaluating twice, and one
     backward gives every parameter's gradient. A parameter the loss never
-    reads has gradient zero.
+    reads has gradient zero. Each coordinate is stepped in turn, two forwards
+    apiece; with ``rng``, each parameter is stepped instead along
+    ``directions`` random normal directions v drawn from it, against the
+    tape's g . v: two forwards per direction, at any parameter size.
     """
     params = list(params)
     for p in params:
@@ -837,15 +885,20 @@ def finite_diff_check(
     for p in params:
         g_ad = table.get(p, np.zeros_like(p.data)).reshape(-1)
         flat = p.data.reshape(-1)
+        if rng is None:
+            steps = ((i, 1.0) for i in range(flat.size))
+        else:
+            steps = ((..., rng.normal(size=flat.size)) for _ in range(directions))
         worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        for at, v in steps:
+            orig = flat[at].copy()
+            flat[at] = orig + h * v
             up = f().item()
-            flat[i] = orig - h
+            flat[at] = orig - h * v
             down = f().item()
-            flat[i] = orig
+            flat[at] = orig
             g_fd = (up - down) / (2.0 * h)
-            worst = max(worst, abs(g_ad[i] - g_fd) / max(1e-8, abs(g_ad[i]) + abs(g_fd)))
+            g_v = float(np.vdot(g_ad[at], v))
+            worst = max(worst, abs(g_v - g_fd) / max(1e-8, abs(g_v) + abs(g_fd)))
         errors.append(worst)
     return errors

@@ -275,14 +275,23 @@ def gradcheck_loss(model: SlotModel, graph: HeteroGraph) -> Callable[[], T.Tenso
     return f
 
 
-def grad_check_model(model: SlotModel, graph: HeteroGraph, h: float = 1e-5) -> dict[str, float]:
-    """Finite-difference check of every parameter group on a small graph.
+def grad_check_model(
+    model: SlotModel,
+    graph: HeteroGraph,
+    h: float = 1e-5,
+    rng: np.random.Generator | None = None,
+    directions: int = 2,
+) -> dict[str, float]:
+    """Finite-difference check of every parameter group.
 
     Requires a model built in float64 with dropout effectively off (the loss
     is evaluated in inference mode). Returns the worst relative error per
-    named parameter, from one ``finite_diff_check`` over all of them.
+    named parameter, from one ``finite_diff_check`` over all of them: over
+    every coordinate, two forwards each, which suits a small graph; or, with
+    ``rng``, along ``directions`` random directions per parameter.
     """
     if model.config.precision != "float64":
         raise ValueError("grad_check_model requires a float64 model")
     names, params = zip(*model.named_parameters())
-    return dict(zip(names, T.finite_diff_check(gradcheck_loss(model, graph), params, h=h)))
+    loss = gradcheck_loss(model, graph)
+    return dict(zip(names, T.finite_diff_check(loss, params, h=h, rng=rng, directions=directions)))

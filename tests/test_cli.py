@@ -14,8 +14,8 @@ import slotgnn
 from slotgnn import tensor as T
 from slotgnn.artifacts import dataset_fingerprint, load_checkpoint, save_checkpoint
 from slotgnn.cli import (
-    GRADCHECK_LIMIT, SETTINGS, VALID_KEYS, ConfigError, _overrides_from_args, build_parser, main,
-    parse_config,
+    GRADCHECK_DIRECTIONS, GRADCHECK_LIMIT, SETTINGS, VALID_KEYS, ConfigError, _overrides_from_args,
+    build_parser, main, parse_config,
 )
 from slotgnn.config import TrainConfig, from_profile
 from slotgnn.fixtures import CHECKABLE, GRADCHECK_MODEL, gradcheck_graph
@@ -580,17 +580,40 @@ class TestGradcheckCommand:
     def test_dataset_run_checks_every_parameter_of_its_model(self, small_dataset, tmp_path, capsys):
         out = tmp_path / "gc"
         code = main(["gradcheck", "--dataset", str(small_dataset), "--out", str(out), *SMALL_MODEL])
-        last = capsys.readouterr().out.splitlines()[-1]
-        report = json.loads((out / "gradcheck.json").read_text())
+        printed = capsys.readouterr()
+        last = printed.out.splitlines()[-1]
+        written = json.loads((out / "gradcheck.json").read_text())
+        report = written["errors"]
         cfg = from_profile("desk").replace(dim=4, heads=2, layers=1, **CHECKABLE)
         model = init_model(load_dataset(small_dataset), cfg)
         assert set(report) == {name for name, _ in model.named_parameters()}
+        assert written == {"directions": GRADCHECK_DIRECTIONS, "seed": cfg.seed, "errors": report}
+        want = rf"gradcheck: {len(report)} parameter groups x {GRADCHECK_DIRECTIONS} directions, "
+        cost = r"[0-9.]+ ms per forward and loss, projected [0-9]+ s \([0-9.]+ min\)\n"
+        assert re.fullmatch(want + cost, printed.err)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dataset_hash"] == dataset_fingerprint(small_dataset) != "builtin:gradcheck"
         worst, limit = re.fullmatch(r"worst relative error: (\S+) \(limit (\S+)\)", last).groups()
         assert float(worst) == pytest.approx(max(report.values()), rel=1e-3)
         assert float(limit) == GRADCHECK_LIMIT
         assert code == (0 if float(worst) < GRADCHECK_LIMIT else 1)
+
+    def test_dataset_run_fails_one_group_off_by_one_percent(self, small_dataset, tmp_path,
+                                                           monkeypatch, capsys):
+        backward = T.Tape.backward
+
+        def one_group_off(tape, loss):
+            table = backward(tape, loss)
+            return {p: g * 1.01 if p.name == "fusion.fq" else g for p, g in table.items()}
+
+        monkeypatch.setattr(T.Tape, "backward", one_group_off)
+        out = tmp_path / "gc"
+        code = main(["gradcheck", "--dataset", str(small_dataset), "--out", str(out), *SMALL_MODEL])
+        capsys.readouterr()
+        report = json.loads((out / "gradcheck.json").read_text())["errors"]
+        assert code == 1
+        assert report.pop("fusion.fq") > 1e-3
+        assert max(report.values()) < GRADCHECK_LIMIT
 
 
 class TestCheckpoint:

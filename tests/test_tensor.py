@@ -1,6 +1,12 @@
 import gc
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,8 @@ from slotgnn.graph import SyntheticSpec, load_dataset, save_dataset, synthetic_g
 from slotgnn.training import evaluate, init_model, train
 
 from . import oracles
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rng(seed=0):
@@ -471,6 +479,31 @@ class TestFiniteDiffCheck:
         assert errors[0] > 1e-2 and errors[1] < 1e-8
         assert T.finite_diff_check(f, [b, w]) == errors[::-1]
         assert errors == [T.finite_diff_check(f, [p])[0] for p in (w, b)]
+
+    def test_random_directions_tell_the_groups_apart(self):
+        # w's gradient is 1% off, b's is right; each is stepped along two
+        # directions of its own, drawn in order from the generator, and left
+        # as it was
+        def bad_matmul(a, b):
+            return T._make(a.data @ b.data, (a, b), lambda g: (g @ b.data.T * 1.01, a.data.T @ g))
+
+        g = rng(15)
+        w = T.Tensor(g.normal(size=(3, 2)), requires_grad=True, dtype=np.float64)
+        b = T.Tensor(g.normal(size=(2,)), requires_grad=True, dtype=np.float64)
+        x = T.Tensor(g.normal(size=(2, 2)), dtype=np.float64)
+        before = w.data.tobytes(), b.data.tobytes()
+
+        def f():
+            y = T.add(bad_matmul(w, x), b)
+            return T.reduce_sum(T.mul(y, y))
+
+        errors = T.finite_diff_check(f, [w, b], rng=rng(16), directions=2)
+        assert errors[0] > 1e-3 and errors[1] < 1e-8
+        assert (w.data.tobytes(), b.data.tobytes()) == before
+        assert T.finite_diff_check(f, [w, b], rng=rng(16), directions=2) == errors
+        drawn = rng(16)
+        drawn.normal(size=12)
+        assert T.finite_diff_check(f, [b], rng=drawn, directions=2) == errors[1:]
 
     def test_nondeterministic_function_rejected(self):
         w = T.Tensor([1.0], requires_grad=True, dtype=np.float64)
@@ -1026,8 +1059,24 @@ class TestFusedEdgeOps:
 
 class TestCsrProduct:
     """``T._csr_product``, every sparse product of the module, calls scipy's
-    private CSR kernel on bare arrays; a scipy release that changes that
-    kernel's arguments or results fails here."""
+    private CSR kernel on bare arrays, from scipy's extension file loaded
+    without ``scipy.sparse`` (``T._load_sparsetools``); a scipy release that
+    moves that file or changes the kernel's arguments or results fails here."""
+
+    @staticmethod
+    def record(g, index, data, shape=(7, 9)):
+        """A CSR record whose rows have many lengths, one empty, columns out of
+        order and repeated, and values over six decades, so any change in the
+        order of a row's additions shows."""
+        indptr = np.cumsum([0, 3, 0, 5, 1, 4, 9, 6]).astype(index)
+        indices = g.integers(0, shape[1], size=indptr[-1]).astype(index)
+        values = g.normal(size=indices.size) * 10.0 ** g.uniform(-3, 3, size=indices.size)
+        a = values.astype(data) if data is not bool else np.ones(indices.size, dtype=bool)
+        return indptr, indices, a, shape
+
+    @staticmethod
+    def dense(g, rows, width, dtype):
+        return (g.normal(size=(rows, width)) * 10.0 ** g.uniform(-3, 3, size=(rows, 1))).astype(dtype)
 
     @pytest.mark.parametrize("width", [1, 4])
     @pytest.mark.parametrize("data, x", [
@@ -1035,26 +1084,70 @@ class TestCsrProduct:
     ])
     @pytest.mark.parametrize("index", [np.int32, np.int64])
     def test_equals_scipy_csr_array_to_the_bit(self, index, data, x, width):
-        # rows of many lengths, one empty, columns out of order and repeated,
-        # and magnitudes over six decades, so any change in the order of a
-        # row's additions shows; scipy runs another kernel at width 1
+        # scipy runs another kernel at width 1
         g = rng(60)
-        shape = (7, 9)
-        indptr = np.cumsum([0, 3, 0, 5, 1, 4, 9, 6]).astype(index)
-        indices = g.integers(0, shape[1], size=indptr[-1]).astype(index)
-        values = g.normal(size=indices.size) * 10.0 ** g.uniform(-3, 3, size=indices.size)
-        a = values.astype(data) if data is not bool else np.ones(indices.size, dtype=bool)
-
-        def dense(rows):
-            return (g.normal(size=(rows, width)) * 10.0 ** g.uniform(-3, 3, size=(rows, 1))).astype(x)
-
+        indptr, indices, a, shape = record = self.record(g, index, data)
         m = scipy.sparse.csr_array((a, indices, indptr), shape=shape)
-        right, left = dense(shape[1]), dense(shape[0])
-        got = T._csr_product((indptr, indices, a, shape), right)
-        got_t = T._csr_product((indptr, indices, a, shape), left, transpose=True)
+        right, left = self.dense(g, shape[1], width, x), self.dense(g, shape[0], width, x)
+        got = T._csr_product(record, right)
+        got_t = T._csr_product(record, left, transpose=True)
         for got, want in ((got, m @ right), (got_t, m.T @ left)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    def test_importing_the_package_leaves_scipy_sparse_out(self):
+        # a fresh interpreter, since this one imported scipy.sparse long ago;
+        # it imports what the benchmark imports, then scipy.sparse, which
+        # loads the kernels' file a second time
+        code = """
+import importlib.util, os, sys
+import numpy as np
+import slotgnn.cli
+from slotgnn import artifacts, config, graph, layer, model, tensor as T, training
+assert not [m for m in sys.modules if m.startswith("scipy.")], sorted(sys.modules)
+sparse = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+assert os.path.dirname(T._sparsetools.__file__) == sparse, T._sparsetools.__file__
+import scipy.sparse
+g = np.random.default_rng(61)
+for dtype in (np.float32, np.float64):
+    a = scipy.sparse.csr_array(scipy.sparse.random(40, 30, density=0.2, random_state=g, dtype=dtype))
+    a.indices, a.indptr = a.indices.astype(np.int32), a.indptr.astype(np.int32)
+    record = a.indptr, a.indices, a.data, a.shape
+    right, left = g.normal(size=(30, 5)).astype(dtype), g.normal(size=(40, 5)).astype(dtype)
+    assert T._csr_product(record, right).tobytes() == (a @ right).tobytes()
+    assert T._csr_product(record, left, transpose=True).tobytes() == (a.T @ left).tobytes()
+print("ok")
+"""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["missing", "broken"])
+    def test_loader_falls_back_to_the_regular_import(self, tmp_path, monkeypatch, broken):
+        # scipy found in a folder where the kernels' file is missing, or is
+        # there but does not load
+        if broken:
+            (tmp_path / "sparse").mkdir()
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (tmp_path / "sparse" / f"_sparsetools{suffix}").write_bytes(b"not an extension")
+        found = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        found.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+        modules = dict(sys.modules)
+        got = T._load_sparsetools()
+        assert dict(sys.modules) == modules
+        assert got is scipy.sparse._sparsetools
+        monkeypatch.undo()
+
+        g = rng(62)
+        record = self.record(g, np.int32, np.float32)
+        right, left = self.dense(g, 9, 4, np.float32), self.dense(g, 7, 4, np.float32)
+        want = T._csr_product(record, right), T._csr_product(record, left, transpose=True)
+        monkeypatch.setattr(T, "_sparsetools", got)
+        fell_back = T._csr_product(record, right), T._csr_product(record, left, transpose=True)
+        assert [a.tobytes() for a in fell_back] == [a.tobytes() for a in want]
 
 
 class TestSegments:
