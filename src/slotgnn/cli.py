@@ -31,17 +31,15 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import artifacts
 from .config import PROFILES, TrainConfig, from_profile
 from .fixtures import CHECKABLE, GRADCHECK_MODEL, gradcheck_graph
 from .fusion import metapath_report
 from .graph import DatasetError, load_dataset
+from .tensor import GRADCHECK_DIRECTIONS
 from .training import evaluate, grad_check_model, gradcheck_loss, init_model, train
 
 GRADCHECK_LIMIT = 1e-4
-GRADCHECK_DIRECTIONS = 2  # per parameter group, with --dataset
 
 # glibc's mallopt parameters (malloc.h) and the values the CLI gives them:
 # free heap top kept before trimming, and the smallest block that gets its own
@@ -233,16 +231,16 @@ def cmd_explain(run: RunConfig, out: Path) -> int:
     return 0
 
 
-def _project_gradcheck(model, graph, directions: int | None) -> None:
+def _project_gradcheck(model, graph, directional: bool) -> None:
     """Print to stderr what the check will take: two forwards and losses
     per coordinate, or per direction of each parameter group, timed on one."""
     params = [p for _, p in model.named_parameters()]
-    if directions is None:
+    if directional:
+        runs = GRADCHECK_DIRECTIONS * len(params)
+        what = f"{len(params)} parameter groups x {GRADCHECK_DIRECTIONS} directions"
+    else:
         runs = sum(p.data.size for p in params)
         what = f"{runs} coordinates"
-    else:
-        runs = directions * len(params)
-        what = f"{len(params)} parameter groups x {directions} directions"
     loss = gradcheck_loss(model, graph)
     loss()  # builds the blocks every later forward reuses
     start = time.perf_counter()
@@ -265,20 +263,17 @@ def cmd_gradcheck(run: RunConfig, out: Path) -> int:
         graph = _load_graph(run, "gradcheck --dataset", "train")
         dataset_hash = artifacts.dataset_fingerprint(run.dataset)
         run.train = run.train.replace(**CHECKABLE)
-        directions = GRADCHECK_DIRECTIONS
+        seed = run.train.seed
     else:
         graph = gradcheck_graph()
         dataset_hash = "builtin:gradcheck"
         run.train = run.train.replace(**GRADCHECK_MODEL)
-        directions = None
+        seed = None
     model = init_model(graph, run.train)
-    _project_gradcheck(model, graph, directions)
-    if directions is None:
-        errors = report = grad_check_model(model, graph)
-    else:
-        rng = np.random.default_rng(run.train.seed)
-        errors = grad_check_model(model, graph, rng=rng, directions=directions)
-        report = {"directions": directions, "seed": run.train.seed, "errors": errors}
+    _project_gradcheck(model, graph, seed is not None)
+    errors = report = grad_check_model(model, graph, seed=seed)
+    if seed is not None:
+        report = {"directions": GRADCHECK_DIRECTIONS, "seed": seed, "errors": errors}
     artifacts.write_json(report, out / "gradcheck.json")
     _write_manifest(run, out, "gradcheck", ["gradcheck.json"], dataset_hash)
     width = max(len(name) for name in errors)

@@ -43,8 +43,8 @@ their softmax reads: K W in :func:`edge_attention`, logits in :func:`slot_fusion
 Per-edge passes numpy cannot run as one flat loop go one slot (pair) at a time
 (:func:`_slotwise`), so numpy's innermost loop spans all edges and heads.
 scipy's CSR kernels come from their extension file alone
-(:func:`_load_sparsetools`): the rest of ``scipy.sparse`` would add 22 MB of
-memory and 300 modules to this module's import.
+(:func:`_load_sparsetools`): the rest of ``scipy.sparse`` would add much
+memory and many modules to this module's import, for two functions.
 """
 
 from __future__ import annotations
@@ -476,17 +476,18 @@ def _load_sparsetools():
     """scipy's compiled CSR kernels, loaded from their file alone.
 
     ``from scipy.sparse import _sparsetools`` runs ``scipy.sparse``'s package
-    init for two functions: importing this module then takes 49 MB of peak
-    memory and 537 modules, against 27 MB and 213 without it (CPython 3.11,
-    scipy 1.17). ``find_spec`` finds scipy's folder without running its init.
-    The file's place, ``scipy/sparse/_sparsetools<suffix>``, is scipy's private
-    layout, and ``TestCsrProduct`` pins the kernels byte for byte; where the
-    file is missing or does not load, the regular import stands in. The loaded
-    module stays out of ``sys.modules``, so a later ``import scipy.sparse``
-    loads the file as usual.
+    init, which costs much memory and many modules, for two functions.
+    ``find_spec`` finds scipy's folder without running its init. The file's
+    place, ``scipy/sparse/_sparsetools<suffix>``, is scipy's private layout,
+    and ``TestCsrProduct`` pins the kernels byte for byte; where the file is
+    missing or does not load, the regular import stands in. A module already
+    imported is taken as it is. The loaded module stays out of
+    ``sys.modules``, so a later ``import scipy.sparse`` loads the file as usual.
     """
-    name, scipy = "scipy.sparse._sparsetools", importlib.util.find_spec("scipy")
-    registered = name in sys.modules
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
     for folder in (scipy.submodule_search_locations or []) if scipy else []:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
@@ -498,8 +499,7 @@ def _load_sparsetools():
             except ImportError:
                 pass
             finally:  # a single-phase extension registers itself as it loads
-                if not registered:
-                    sys.modules.pop(name, None)
+                sys.modules.pop(name, None)
     from scipy.sparse import _sparsetools
 
     return _sparsetools
@@ -847,13 +847,14 @@ def logistic_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient verification
 
+GRADCHECK_DIRECTIONS = 2  # random directions per parameter, given a generator
+
 
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Iterable[Tensor],
     h: float = 1e-5,
     rng: np.random.Generator | None = None,
-    directions: int = 2,
 ) -> list[float]:
     """Max relative error between tape gradients and central differences,
     one per parameter in the order given.
@@ -863,8 +864,8 @@ def finite_diff_check(
     backward gives every parameter's gradient. A parameter the loss never
     reads has gradient zero. Each coordinate is stepped in turn, two forwards
     apiece; with ``rng``, each parameter is stepped instead along
-    ``directions`` random normal directions v drawn from it, against the
-    tape's g . v: two forwards per direction, at any parameter size.
+    :data:`GRADCHECK_DIRECTIONS` random normal directions v drawn from it,
+    against the tape's g . v: two forwards per direction, at any parameter size.
     """
     params = list(params)
     for p in params:
@@ -888,7 +889,7 @@ def finite_diff_check(
         if rng is None:
             steps = ((i, 1.0) for i in range(flat.size))
         else:
-            steps = ((..., rng.normal(size=flat.size)) for _ in range(directions))
+            steps = ((..., rng.normal(size=flat.size)) for _ in range(GRADCHECK_DIRECTIONS))
         worst = 0.0
         for at, v in steps:
             orig = flat[at].copy()

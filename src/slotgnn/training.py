@@ -279,8 +279,7 @@ def grad_check_model(
     model: SlotModel,
     graph: HeteroGraph,
     h: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    directions: int = 2,
+    seed: int | None = None,
 ) -> dict[str, float]:
     """Finite-difference check of every parameter group.
 
@@ -288,10 +287,12 @@ def grad_check_model(
     is evaluated in inference mode). Returns the worst relative error per
     named parameter, from one ``finite_diff_check`` over all of them: over
     every coordinate, two forwards each, which suits a small graph; or, with
-    ``rng``, along ``directions`` random directions per parameter.
+    ``seed``, along ``T.GRADCHECK_DIRECTIONS`` random directions per
+    parameter, drawn from a generator of that seed.
     """
     if model.config.precision != "float64":
         raise ValueError("grad_check_model requires a float64 model")
     names, params = zip(*model.named_parameters())
     loss = gradcheck_loss(model, graph)
-    return dict(zip(names, T.finite_diff_check(loss, params, h=h, rng=rng, directions=directions)))
+    rng = None if seed is None else np.random.default_rng(seed)
+    return dict(zip(names, T.finite_diff_check(loss, params, h=h, rng=rng)))

@@ -497,13 +497,13 @@ class TestFiniteDiffCheck:
             y = T.add(bad_matmul(w, x), b)
             return T.reduce_sum(T.mul(y, y))
 
-        errors = T.finite_diff_check(f, [w, b], rng=rng(16), directions=2)
+        errors = T.finite_diff_check(f, [w, b], rng=rng(16))
         assert errors[0] > 1e-3 and errors[1] < 1e-8
         assert (w.data.tobytes(), b.data.tobytes()) == before
-        assert T.finite_diff_check(f, [w, b], rng=rng(16), directions=2) == errors
+        assert T.finite_diff_check(f, [w, b], rng=rng(16)) == errors
         drawn = rng(16)
         drawn.normal(size=12)
-        assert T.finite_diff_check(f, [b], rng=drawn, directions=2) == errors[1:]
+        assert T.finite_diff_check(f, [b], rng=drawn) == errors[1:]
 
     def test_nondeterministic_function_rejected(self):
         w = T.Tensor([1.0], requires_grad=True, dtype=np.float64)
@@ -1124,10 +1124,16 @@ print("ok")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "ok\n"
 
+    def test_loader_takes_an_imported_module_as_it_is(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", None)  # not reached
+        modules = dict(sys.modules)
+        assert T._load_sparsetools() is scipy.sparse._sparsetools
+        assert dict(sys.modules) == modules
+
     @pytest.mark.parametrize("broken", [False, True], ids=["missing", "broken"])
     def test_loader_falls_back_to_the_regular_import(self, tmp_path, monkeypatch, broken):
-        # scipy found in a folder where the kernels' file is missing, or is
-        # there but does not load
+        # the kernels' module not yet imported, and scipy found in a folder
+        # where their file is missing, or is there but does not load
         if broken:
             (tmp_path / "sparse").mkdir()
             suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
@@ -1135,6 +1141,7 @@ print("ok")
         found = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         found.submodule_search_locations = [str(tmp_path)]
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
         modules = dict(sys.modules)
         got = T._load_sparsetools()
         assert dict(sys.modules) == modules
