@@ -150,6 +150,33 @@ def update_sequences(prev: T.Tensor, encoded: T.Tensor, adopt: T.Tensor) -> T.Te
     return T.concat([prev, T.affine(encoded, adopt)], axis=1)
 
 
+def _relation_messages(
+    state: dict[str, T.Tensor],
+    query_state: dict[str, T.Tensor],
+    params: LayerParams,
+    block: Block,
+    active: list[Relation],
+    attention_norm: str,
+    scale_outside: bool,
+) -> dict[Relation, T.Tensor]:
+    """Each active relation's message block at its targets' output rows, from
+    keys and values of ``state`` and queries of ``query_state``."""
+    senders = {rel.src for rel in active}
+    queries, keys, values = project_qkv(
+        {name: tens for name, tens in state.items() if name in senders}, params, query_state
+    )
+    messages: dict[Relation, T.Tensor] = {}
+    for rel in active:
+        view = block.views[rel]
+        attn = relation_attention(
+            keys[rel.src], queries[rel.dst], params.att[rel], view,
+            mode=attention_norm, scale_outside=scale_outside,
+        )
+        ext = extract_messages(values[rel.src], params, rel)
+        messages[rel] = aggregate_messages(attn, ext, view)
+    return messages
+
+
 def layer_forward(
     state: dict[str, T.Tensor],
     graph: HeteroGraph,
@@ -170,28 +197,20 @@ def layer_forward(
     every receiving type holds one slot, and its relation blocks are averaged
     into one new slot that replaces it; a type with more slots raises
     :class:`~slotgnn.tensor.ShapeError`.
+    The relation messages are computed in a helper whose Q/K/V, extracted
+    values and attention blocks are gone when it returns, so with no tape
+    recording they are freed before the update allocates.
     ``layer_index`` (from 1) only identifies the layer; no result depends on it.
     """
     schema = graph.schema
     block = graph.block() if block is None else block
     prev = {name: T.gather(tens, block.outputs[name]) for name, tens in state.items()}
     active = [rel for rel in schema.relations if block.views[rel].dst.num_segments]
-    senders = {rel.src for rel in active}
     receivers = {rel.dst for rel in active}
-    queries, keys, values = project_qkv(
-        {name: tens for name, tens in state.items() if name in senders},
-        params,
-        {name: tens for name, tens in prev.items() if name in receivers},
+    messages = _relation_messages(
+        state, {name: tens for name, tens in prev.items() if name in receivers},
+        params, block, active, attention_norm, scale_outside,
     )
-    messages: dict[Relation, T.Tensor] = {}
-    for rel in active:
-        view = block.views[rel]
-        attn = relation_attention(
-            keys[rel.src], queries[rel.dst], params.att[rel], view,
-            mode=attention_norm, scale_outside=scale_outside,
-        )
-        ext = extract_messages(values[rel.src], params, rel)
-        messages[rel] = aggregate_messages(attn, ext, view)
 
     out: dict[str, T.Tensor] = {}
     for name, tens in prev.items():

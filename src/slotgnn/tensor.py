@@ -11,7 +11,9 @@ forward pass in its own thread, so threads record apart, and may share a
 graph's views, whose kept structure is read-only; its gradient table
 holds the leaves the pass recorded. Reverse accumulation walks the tape in
 reverse creation order, which is a valid topological order because the tape
-is append-only. Every node computes something: there is no op that only
+is append-only, and lets go of each record once its gradients are passed on,
+so the arrays an op saved for its backward are freed while earlier ops still
+run theirs. Every node computes something: there is no op that only
 changes a shape, so callers build each tensor in the shape its consumers read.
 Message passing is two fused ops per relation, :func:`edge_attention` (which
 forms K W itself) and :func:`edge_aggregate`, one tape node each, on node
@@ -137,10 +139,11 @@ class _Node:
 class Tape:
     """Append-only record of one forward pass.
 
-    ``backward`` may be called once; the tape is consumed afterwards. It
-    returns the gradient of every leaf the pass recorded (a requires_grad
-    tensor that feeds a recorded operation); leaves keep no gradient of their
-    own. A parameter the pass never reached is not in the table.
+    ``backward`` may be called once; it consumes the tape, releasing each
+    record as it passes it. It returns the gradient of every leaf the pass
+    recorded (a requires_grad tensor that feeds a recorded operation); leaves
+    keep no gradient of their own. A parameter the pass never reached is not
+    in the table.
     """
 
     def __init__(self):
@@ -169,7 +172,11 @@ class Tape:
         """Reverse accumulation from a scalar loss recorded on this tape.
 
         Returns a table mapping every recorded leaf to its gradient; a leaf
-        not on any path to the loss gets a zero gradient.
+        not on any path to the loss gets a zero gradient. Records are taken
+        from the tape last first and dropped as soon as their gradients are
+        passed on, so what an op saved only for its backward, and the
+        gradient of its output, are freed before the ops recorded earlier
+        run; a tensor the caller still holds stays alive.
         """
         if self.consumed:
             raise TapeError("backward called twice on a consumed tape")
@@ -179,14 +186,15 @@ class Tape:
             raise TapeError("loss was not recorded on this tape")
         self.consumed = True
 
-        # every recorded tensor points back at this tape; handing the records
-        # to locals breaks that cycle, so a step's tensors are freed by
-        # reference counting as soon as the caller lets go of them
+        # every recorded tensor points back at this tape, so the tape lets go
+        # of its records first: with each node popped below, reference
+        # counting alone frees it, and the step's tensors with it
         nodes, leaves = self.nodes, self._leaves
         self.nodes, self._leaves = [], {}
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-        for node in reversed(nodes):
+        while nodes:
+            node = nodes.pop()
             g = grads.pop(id(node.out), None)
             if g is None:
                 continue

@@ -219,8 +219,9 @@ def train(model: SlotModel, graph: HeteroGraph, config: TrainConfig) -> TrainRes
     best_val = -math.inf
     stall = 0
     step = 0
+    snapshot = np.empty_like(opt.vector)  # the epoch's start, for a rollback
     for epoch in range(1, config.epochs + 1):
-        snapshot = opt.vector.copy()
+        np.copyto(snapshot, opt.vector)
         losses = []
         try:
             for _ in range(steps_per_epoch):

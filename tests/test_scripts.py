@@ -64,6 +64,15 @@ def test_segment_cost():
     assert all(r[5] in ("sweep", "reduceat") and r[6] in ("sweep", "reduceat") for r in rows)
 
 
+def test_step_memory():
+    lines = run_script("step_memory.py", "--targets", "30", "--mids", "10", "--attrs", "6",
+                       "--junk", "6")
+    assert lines[0].split() == ["stage", "live_mib", "high_mib"]
+    rows = [line.split() for line in lines[1:]]
+    assert [r[0] for r in rows] == ["forward", "backward", "step", "evaluate"]
+    assert all(float(r[1]) > 0 and float(r[2]) >= 0 for r in rows)
+
+
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
 

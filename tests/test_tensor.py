@@ -415,6 +415,33 @@ class TestBackward:
             if enabled:
                 gc.enable()
 
+    def test_a_node_is_freed_before_earlier_nodes_run_backward(self):
+        w = T.Tensor(rng(13).normal(size=(2, 3)), requires_grad=True)
+        saved = np.full((2, 3), 3.0, dtype=np.float32)
+        ref = weakref.ref(saved)
+        alive_when_early_runs = []
+
+        def early_back(g):
+            alive_when_early_runs.append(ref() is not None)
+            return (g,)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with T.Tape() as tape:
+                hidden = T._make(w.data * 2.0, (w,), early_back)
+                # only the late node's backward keeps the array
+                late = T._make(hidden.data * saved, (hidden,), lambda g, s=saved: (g * s,))
+                loss = T.reduce_sum(late)
+            del saved, hidden, late
+            grads = tape.backward(loss)
+            # reference counting alone must free it once its node has run
+            assert alive_when_early_runs == [False]
+            assert np.array_equal(grads[w], np.full((2, 3), 3.0, dtype=np.float32))
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_grad_accumulates_across_uses(self):
         w = T.Tensor([[2.0]], requires_grad=True, dtype=np.float64)
         with T.Tape() as tape:
@@ -715,6 +742,22 @@ class TestFusedEdgeOps:
         # the shape of a second layer's relation out of a type that receives none
         self.check_reference(mode, False, f_s=1, f_t=3, seed=44, shuffled=shuffled)
         self.check_gradients(mode, False, f_s=1, f_t=3, seed=44, shuffled=shuffled)
+
+    @pytest.mark.parametrize("mode", ["joint", "literal"])
+    def test_one_weight_per_softmax_passes_no_gradient_to_the_logits(self, mode):
+        # one edge into each target from a one-slot source, as every target of
+        # the planted graph's junk-chatter->mid has: each softmax is over one
+        # weight, 1 whatever the logits, so keys, queries and weights get
+        # exactly zero gradient, and only the values get any
+        keys, q, att, ext, _ = self.graph(f_s=1, f_t=3, seed=47)
+        edges = view(np.array([2, 0, 2, 1]), np.arange(4), 4, 4)
+        w = T.Tensor(rng(48).normal(size=(4, 3, 4)), dtype=np.float64)
+        with T.Tape() as tape:
+            attn = T.edge_attention(keys, q, att, edges, mode)
+            grads = tape.backward(T.reduce_sum(T.mul(T.edge_aggregate(attn, ext, edges), w)))
+        assert np.all(attn.data == 1.0)
+        assert not any(grads[t].any() for t in (keys, q, att))
+        assert grads[ext].any()
 
     @pytest.mark.parametrize("scale_outside", [False, True])
     @pytest.mark.parametrize("mode", ["joint", "literal"])
